@@ -9,19 +9,14 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import click
 
+from . import identities
 from . import spt as sptmod
 from . import stats
-from .laurent import LaurentPoly, build_jrank_gf, build_kn1_sides, symmetrized_extract
-from .partitions import (
-    enumerate_partitions,
-    partition_count,
-    successive_durfee,
-    successive_lower_durfee,
-)
+from .partitions import partition_count
+from .series import DiscrepancyError
 
 CACHE_ENV = "QSPT_CACHE"
 CACHE_VERSION = 1
@@ -45,6 +40,21 @@ def _emit(rows: list[tuple], header: tuple[str, ...], fmt: str) -> None:
             click.echo(" ".join(str(x) for x in row))
 
 
+def _verdict(rows: list[tuple], fmt: str, passed: str, failed) -> None:
+    """Report check rows (label, lhs, rhs, ok) and exit 0 if all hold, else 1.
+
+    Plain output is the ``passed`` line or ``failed(first failing row)``.
+    """
+    ok = all(row[3] for row in rows)
+    if fmt != "plain":
+        _emit(rows, ("n", "lhs", "rhs", "ok"), fmt)
+    elif ok:
+        click.echo(passed)
+    else:
+        click.echo(failed(next(row for row in rows if not row[3])))
+    sys.exit(0 if ok else 1)
+
+
 def _load_cache(path: str | None) -> dict:
     if not path or not os.path.exists(path):
         return {"version": CACHE_VERSION, "entries": {}}
@@ -62,243 +72,32 @@ def _save_cache(path: str | None, doc: dict) -> None:
         json.dump(doc, fh, sort_keys=True)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation parameters shared by the subcommands."""
-
-    family: str | None = None
-    j: int | None = None
-    k: int | None = None
-    n_max: int = 30
-    route: str = "moments"
-    fmt: str = "plain"
-    cache: str | None = None
-
-
-# ---------------------------------------------------------------------------
-# identity verifiers: each returns (rows, notes); a row is (label, lhs, rhs, ok)
-
-
-def _series_rows(label_fmt, a, b, start=1):
-    rows = []
-    n_top = min(a.order, b.order)
-    for n in range(start, n_top + 1):
-        lhs, rhs = a.coefficient(n), b.coefficient(n)
-        rows.append((label_fmt(n), lhs, rhs, lhs == rhs))
-    return rows
-
-
-def _poly_str(p: LaurentPoly) -> str:
-    if not p.terms:
-        return "0"
-    return "+".join(f"{c}z^{m}" for m, c in sorted(p.terms.items())).replace("+-", "-")
-
-
-def _verify_sptpn(j, k, r, order):
-    gf = sptmod.gf_spt(order)
-    rows = []
-    for n in range(1, order + 1):
-        lhs = sptmod.spt_weight(n)
-        half, rem = divmod(stats.moment(2, 2, n), 2)
-        rhs = n * partition_count(n) - half
-        rows.append((f"n={n}", lhs, rhs, rem == 0 and lhs == rhs))
-        g = gf.coefficient(n)
-        rows.append((f"n={n}:gf", g, lhs, g == lhs))
-    return rows, []
-
-
-def _verify_genn1(j, k, r, order):
-    lhs = sptmod.gf_genn1_lhs(j, order)
-    rhs = sptmod.gf_genn1_rhs(j, order)
-    via = sptmod.gf_spt_j(j, order)
-    rows = _series_rows(lambda n: f"n={n}", lhs, rhs)
-    rows += _series_rows(lambda n: f"n={n}:sum", via, rhs)
-    return rows, []
-
-
-def _verify_sptpng(j, k, r, order):
-    gf = sptmod.gf_spt_j(j, order)
-    rows = []
-    for n in range(1, order + 1):
-        lhs = gf.coefficient(n)
-        half, rem = divmod(stats.moment(j + 1, 2, n), 2)
-        rhs = n * partition_count(n) - half
-        rows.append((f"n={n}", lhs, rhs, rem == 0 and lhs == rhs))
-    return rows, []
-
-
-def _verify_jgn(j, k, r, order):
-    rows = []
-    for n in range(1, order + 1):
-        lhs = sptmod.spt_j(n + 1, n, "moments")
-        rhs = n * partition_count(n)
-        rows.append((f"n={n}", lhs, rhs, lhs == rhs))
-    return rows, []
-
-
-def _verify_sptdiff(j, k, r, order):
-    if j < 2:
-        raise click.UsageError("sptdiff needs --j >= 2")
-    rows = []
-    for n in range(1, order + 1):
-        lhs = sptmod.spt_j(j, n, "moments") - sptmod.spt_j(j - 1, n, "moments")
-        diff, rem = divmod(stats.moment(j, 2, n) - stats.moment(j + 1, 2, n), 2)
-        rows.append((f"n={n}", lhs, diff, rem == 0 and lhs == diff))
-    return rows, []
-
-
-def _verify_kn1(j, k, r, order):
-    lhs, rhs = build_kn1_sides(j, order)
-    rows = []
-    for n in range(0, order + 1):
-        a, b = lhs.coefficient(n), rhs.coefficient(n)
-        rows.append((f"n={n}", _poly_str(a), _poly_str(b), a == b))
-    return rows, []
-
-
-def _verify_genjmu2k(j, k, r, order):
-    extracted = symmetrized_extract(build_jrank_gf(j, order), k)
-    closed = stats.gf_sym_mu(j, k, order)
-    rows = _series_rows(lambda n: f"n={n}", extracted, closed)
-    for n in range(1, order + 1):
-        table = stats.sym_mu(j, 2 * k, n)
-        rows.append((f"n={n}:table", extracted.coefficient(n), table,
-                     extracted.coefficient(n) == table))
-    return rows, []
-
-
-def _verify_appbp(j, k, r, order):
-    lhs, rhs = sptmod.appbp_sides(r, k, order)
-    return _series_rows(lambda n: f"n={n}", lhs, rhs, start=0), []
-
-
-def _verify_gtjsptk(j, k, r, order):
-    nested = sptmod.gf_jspt_k(j, k, order, "nested")
-    binom = sptmod.gf_jspt_k(j, k, order, "binomial")
-    rows = _series_rows(lambda n: f"n={n}:forms", nested, binom)
-    for n in range(1, order + 1):
-        mom = sptmod.jspt_k(j, k, n, "moments")
-        rows.append((f"n={n}", nested.coefficient(n), mom,
-                     nested.coefficient(n) == mom))
-    return rows, []
-
-
-def _verify_relos(j, k, r, order):
-    rows = []
-    for n in range(1, order + 1):
-        lhs = stats.moment(j, 2 * k, n)
-        rhs = stats.moment_via_sym(j, k, n)
-        rows.append((f"n={n}", lhs, rhs, lhs == rhs))
-    return rows, []
-
-
-def _verify_fdyson(j, k, r, order):
-    rows = []
-    for n in range(2, order + 1):
-        half, rem = divmod(stats.moment(1, 2, n), 2)
-        lhs = n * partition_count(n)
-        rows.append((f"n={n}", lhs, half, rem == 0 and lhs == half))
-    return rows, ["n=1 is excluded: the identity is stated for n > 1 only"]
-
-
-def _verify_rk_forms(j, k, r, order):
-    nested = build_jrank_gf(j, order, "nested")
-    rows = []
-    for name in ("bilateral", "counts"):
-        other = build_jrank_gf(j, order, name)
-        for n in range(0, order + 1):
-            a, b = nested.coefficient(n), other.coefficient(n)
-            rows.append((f"n={n}:{name}", _poly_str(a), _poly_str(b), a == b))
-    return rows, []
-
-
-def _strict_rr(p) -> bool:
-    # Rogers-Ramanujan with the full chain of s lower-Durfee squares: every
-    # part consumed by the first s-1 squares is at most the last side d_s.
-    chain = successive_lower_durfee(p)
-    if len(chain) <= 1:
-        return True
-    consumed = sum(chain.sides[:-1])
-    inc = sorted(p.parts)
-    return inc[consumed - 1] <= chain.sides[-1]
-
-
-def _verify_lemma31(j, k, r, order):
-    rows = []
-    for n in range(1, order + 1):
-        bad = 0
-        for p in enumerate_partitions(n):
-            if not _strict_rr(p):
-                continue
-            lower = successive_lower_durfee(p).sides
-            upper = successive_durfee(p).sides
-            if tuple(reversed(lower)) != upper:
-                bad += 1
-        rows.append((f"n={n}", bad, 0, bad == 0))
-    return rows, []
-
-
-def _verify_lemma32(j, k, r, order):
-    rows = []
-    for n in range(1, order + 1):
-        bad = 0
-        for p in enumerate_partitions(n):
-            if len(successive_lower_durfee(p)) != len(successive_durfee(p)):
-                bad += 1
-        rows.append((f"n={n}", bad, 0, bad == 0))
-    return rows, []
-
-
-def _verify_genineq(j, k, r, order):
-    rows = []
-    first_zero_tail = None
-    for n in range(1, order + 1):
-        lhs = stats.moment(j, 2 * k, n)
-        rhs = stats.moment(j + 1, 2 * k, n)
-        rows.append((f"n={n}", lhs, rhs, lhs >= rhs))
-        if lhs == rhs:
-            first_zero_tail = n
-    threshold = 1 if first_zero_tail is None else first_zero_tail + 1
-    notes = [f"strict inequality holds for all tested n >= {threshold}"]
-    return rows, notes
-
-
-_VERIFIERS = {
-    "sptpn": (_verify_sptpn, {"order": 50}),
-    "genn1": (_verify_genn1, {"j": 2, "order": 40}),
-    "sptpng": (_verify_sptpng, {"j": 2, "order": 40}),
-    "jgn": (_verify_jgn, {"order": 25}),
-    "sptdiff": (_verify_sptdiff, {"j": 2, "order": 30}),
-    "kn1": (_verify_kn1, {"j": 2, "order": 30}),
-    "genjmu2k": (_verify_genjmu2k, {"j": 2, "k": 1, "order": 30}),
-    "appbp": (_verify_appbp, {"r": 1, "k": 1, "order": 25}),
-    "gtjsptk": (_verify_gtjsptk, {"j": 2, "k": 1, "order": 20}),
-    "relos": (_verify_relos, {"j": 2, "k": 2, "order": 30}),
-    "fdyson": (_verify_fdyson, {"order": 40}),
-    "Rk-forms": (_verify_rk_forms, {"j": 2, "order": 25}),
-    "lemma31": (_verify_lemma31, {"order": 20}),
-    "lemma32": (_verify_lemma32, {"order": 20}),
-    "genineq": (_verify_genineq, {"j": 2, "k": 1, "order": 40}),
-}
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
-@click.group()
+class _Main(click.Group):
+    def invoke(self, ctx: click.Context):
+        # every command reports a mathematical discrepancy the same way
+        try:
+            return super().invoke(ctx)
+        except DiscrepancyError as exc:
+            click.echo(f"FAIL {exc}", err=True)
+            sys.exit(1)
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Exact smallest-part partition statistics: compute, verify, tabulate."""
 
 
 @main.command()
-@click.option("--family", type=click.Choice(["p", "spt", "spt_k", "Spt_j", "jspt_k"]),
-              required=True)
+@click.option("--family", type=click.Choice(list(sptmod.FAMILIES)), required=True)
 @click.option("--j", "j", type=int, default=None)
 @click.option("--k", "k", type=int, default=None)
 @click.option("--n-max", "n_max", type=int, required=True)
-@click.option("--route", type=click.Choice(["gf", "weight", "moments", "all"]),
-              default="moments", show_default=True)
+@click.option("--route", type=click.Choice(sptmod.ROUTES), default=None,
+              help="Default: the family's first route.")
 @click.option("--format", "fmt", type=_FORMATS, default="plain", show_default=True)
 @click.option("--cache", type=click.Path(), default=None,
               help=f"JSON cache file (default from ${CACHE_ENV}).")
@@ -309,17 +108,13 @@ def compute(family, j, k, n_max, route, fmt, cache) -> None:
         request = sptmod.SptRequest(family, n_max, j=j, k=k, route=route)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    key = f"{family}|j={j}|k={k}|route={route}|N={n_max}"
+    key = f"{family}|j={j}|k={k}|route={request.route}|N={n_max}"
     doc = _load_cache(cache)
     entry = doc["entries"].get(key)
     if entry is not None:
         values = [int(v) for v in entry]
     else:
-        try:
-            values = request.values()
-        except AssertionError as exc:
-            click.echo(f"FAIL {exc}", err=True)
-            sys.exit(1)
+        values = request.values()
         doc["entries"][key] = [str(v) for v in values]
         _save_cache(cache, doc)
     _emit(list(zip(range(1, n_max + 1), values)), ("n", "value"), fmt)
@@ -334,30 +129,15 @@ def compute(family, j, k, n_max, route, fmt, cache) -> None:
 @click.option("--format", "fmt", type=_FORMATS, default="plain", show_default=True)
 def verify(identity, j, k, r, order, fmt) -> None:
     """Expand both sides of a named identity and report PASS or the first gap."""
-    if identity not in _VERIFIERS:
-        raise click.UsageError(
-            f"unknown identity {identity!r}; known: {', '.join(sorted(_VERIFIERS))}"
-        )
-    fn, defaults = _VERIFIERS[identity]
-    j = j if j is not None else defaults.get("j", 1)
-    k = k if k is not None else defaults.get("k", 1)
-    r = r if r is not None else defaults.get("r", 1)
-    order = order if order is not None else defaults["order"]
-    if min(j, k, r) < 1 or order < 1:
-        raise click.UsageError("j, k, r and the order must be >= 1")
-    rows, notes = fn(j, k, r, order)
-    ok = all(row[3] for row in rows)
+    try:
+        order, rows, notes = identities.verify(identity, j, k, r, order)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     if fmt == "plain":
         for note in notes:
             click.echo(f"# {note}", err=True)
-        if ok:
-            click.echo(f"PASS {identity} (order {order}, {len(rows)} checks)")
-        else:
-            first = next(row for row in rows if not row[3])
-            click.echo(f"FAIL {identity} at {first[0]}: lhs={first[1]} rhs={first[2]}")
-    else:
-        _emit(rows, ("n", "lhs", "rhs", "ok"), fmt)
-    sys.exit(0 if ok else 1)
+    _verdict(rows, fmt, f"PASS {identity} (order {order}, {len(rows)} checks)",
+             lambda row: f"FAIL {identity} at {row[0]}: lhs={row[1]} rhs={row[2]}")
 
 
 @main.command()
@@ -395,16 +175,8 @@ def congruence(n_max, fmt) -> None:
             sv = sptmod.spt_j(arg + 1, arg, "moments")
             rows.append((f"Spt_{arg + 1}({arg})%{ell}", sv % ell, 0, sv % ell == 0))
             t += 1
-    ok = all(row[3] for row in rows)
-    if fmt == "plain":
-        if ok:
-            click.echo(f"PASS congruences ({len(rows)} checks, n <= {n_max})")
-        else:
-            first = next(row for row in rows if not row[3])
-            click.echo(f"FAIL congruence at {first[0]}: residue {first[1]}")
-    else:
-        _emit(rows, ("n", "lhs", "rhs", "ok"), fmt)
-    sys.exit(0 if ok else 1)
+    _verdict(rows, fmt, f"PASS congruences ({len(rows)} checks, n <= {n_max})",
+             lambda row: f"FAIL congruence at {row[0]}: residue {row[1]}")
 
 
 if __name__ == "__main__":

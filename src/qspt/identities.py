@@ -1,0 +1,219 @@
+"""The identities that tie the routes together, as one registry of verifiers.
+
+Each verifier expands both sides of a named identity and returns
+``(rows, notes)``: a row is ``(label, lhs, rhs, ok)`` and a note is a
+diagnostic about the check itself.  :func:`verify` fills in the default
+parameters, and raises ValueError for an unknown identity or out-of-range
+parameters.
+"""
+
+from __future__ import annotations
+
+from . import spt as sptmod
+from . import stats
+from .laurent import LaurentPoly, build_jrank_gf, build_kn1_sides, symmetrized_extract
+from .partitions import (
+    enumerate_partitions,
+    partition_count,
+    successive_durfee,
+    successive_lower_durfee,
+)
+
+
+def _rows(lhs, rhs, order, start=1, tag=""):
+    """Rows (label, lhs(n), rhs(n), equal) for n = start..order."""
+    rows = []
+    for n in range(start, order + 1):
+        a, b = lhs(n), rhs(n)
+        rows.append((f"n={n}{tag}", a, b, a == b))
+    return rows
+
+
+def _poly_str(p: LaurentPoly) -> str:
+    if not p.terms:
+        return "0"
+    return "+".join(f"{c}z^{m}" for m, c in sorted(p.terms.items())).replace("+-", "-")
+
+
+def _verify_sptpn(j, k, r, order):
+    gf = sptmod.gf_spt(order)
+    rows = []
+    for n in range(1, order + 1):
+        lhs = sptmod.spt_weight(n)
+        rhs = sptmod.spt_j(1, n, "moments")
+        rows.append((f"n={n}", lhs, rhs, lhs == rhs))
+        g = gf.coefficient(n)
+        rows.append((f"n={n}:gf", g, lhs, g == lhs))
+    return rows, []
+
+
+def _verify_genn1(j, k, r, order):
+    lhs = sptmod.gf_genn1_lhs(j, order)
+    rhs = sptmod.gf_genn1_rhs(j, order)
+    via = sptmod.gf_spt_j(j, order)
+    rows = _rows(lhs.coefficient, rhs.coefficient, order)
+    return rows + _rows(via.coefficient, rhs.coefficient, order, tag=":sum"), []
+
+
+def _verify_sptpng(j, k, r, order):
+    # the moments route raises DiscrepancyError if the second moment is odd
+    return _rows(sptmod.gf_spt_j(j, order).coefficient,
+                 lambda n: sptmod.spt_j(j, n, "moments"), order), []
+
+
+def _verify_jgn(j, k, r, order):
+    return _rows(lambda n: sptmod.spt_j(n + 1, n, "moments"),
+                 lambda n: n * partition_count(n), order), []
+
+
+def _verify_sptdiff(j, k, r, order):
+    if j < 2:
+        raise ValueError("sptdiff needs j >= 2")
+    rows = []
+    for n in range(1, order + 1):
+        lhs = sptmod.spt_j(j, n, "moments") - sptmod.spt_j(j - 1, n, "moments")
+        diff, rem = divmod(stats.moment(j, 2, n) - stats.moment(j + 1, 2, n), 2)
+        rows.append((f"n={n}", lhs, diff, rem == 0 and lhs == diff))
+    return rows, []
+
+
+def _verify_kn1(j, k, r, order):
+    lhs, rhs = build_kn1_sides(j, order)
+    rows = []
+    for n in range(0, order + 1):
+        a, b = lhs.coefficient(n), rhs.coefficient(n)
+        rows.append((f"n={n}", _poly_str(a), _poly_str(b), a == b))
+    return rows, []
+
+
+def _verify_genjmu2k(j, k, r, order):
+    extracted = symmetrized_extract(build_jrank_gf(j, order), k)
+    closed = stats.gf_sym_mu(j, k, order)
+    rows = _rows(extracted.coefficient, closed.coefficient, order)
+    table = _rows(extracted.coefficient, lambda n: stats.sym_mu(j, 2 * k, n), order,
+                  tag=":table")
+    return rows + table, []
+
+
+def _verify_appbp(j, k, r, order):
+    lhs, rhs = sptmod.appbp_sides(r, k, order)
+    return _rows(lhs.coefficient, rhs.coefficient, order, start=0), []
+
+
+def _verify_gtjsptk(j, k, r, order):
+    nested = sptmod.gf_jspt_k(j, k, order, "nested")
+    binom = sptmod.gf_jspt_k(j, k, order, "binomial")
+    rows = _rows(nested.coefficient, binom.coefficient, order, tag=":forms")
+    return rows + _rows(nested.coefficient, lambda n: sptmod.jspt_k(j, k, n, "moments"),
+                        order), []
+
+
+def _verify_relos(j, k, r, order):
+    return _rows(lambda n: stats.moment(j, 2 * k, n),
+                 lambda n: stats.moment_via_sym(j, k, n), order), []
+
+
+def _verify_fdyson(j, k, r, order):
+    rows = []
+    for n in range(2, order + 1):
+        half, rem = divmod(stats.moment(1, 2, n), 2)
+        lhs = n * partition_count(n)
+        rows.append((f"n={n}", lhs, half, rem == 0 and lhs == half))
+    return rows, ["n=1 is excluded: the identity is stated for n > 1 only"]
+
+
+def _verify_rk_forms(j, k, r, order):
+    nested = build_jrank_gf(j, order, "nested")
+    rows = []
+    for name in ("bilateral", "counts"):
+        other = build_jrank_gf(j, order, name)
+        for n in range(0, order + 1):
+            a, b = nested.coefficient(n), other.coefficient(n)
+            rows.append((f"n={n}:{name}", _poly_str(a), _poly_str(b), a == b))
+    return rows, []
+
+
+def _strict_rr(p) -> bool:
+    # Rogers-Ramanujan with the full chain of s lower-Durfee squares: every
+    # part consumed by the first s-1 squares is at most the last side d_s.
+    # This bounds the parts below the last square, where
+    # partitions.is_rogers_ramanujan(p, s - 1) bounds the parts above the
+    # (s-1)st; the two predicates differ on most partitions with s >= 2.
+    chain = successive_lower_durfee(p)
+    if len(chain) <= 1:
+        return True
+    consumed = sum(chain.sides[:-1])
+    inc = sorted(p.parts)
+    return inc[consumed - 1] <= chain.sides[-1]
+
+
+def _count_bad(order, is_bad):
+    """Rows counting the partitions of each n that violate a lemma (0 expected)."""
+    return _rows(lambda n: sum(1 for p in enumerate_partitions(n) if is_bad(p)),
+                 lambda n: 0, order)
+
+
+def _verify_lemma31(j, k, r, order):
+    def is_bad(p):
+        if not _strict_rr(p):
+            return False
+        return tuple(reversed(successive_lower_durfee(p).sides)) != successive_durfee(p).sides
+
+    return _count_bad(order, is_bad), []
+
+
+def _verify_lemma32(j, k, r, order):
+    return _count_bad(order, lambda p: len(successive_lower_durfee(p))
+                      != len(successive_durfee(p))), []
+
+
+def _verify_genineq(j, k, r, order):
+    rows = []
+    first_zero_tail = None
+    for n in range(1, order + 1):
+        lhs = stats.moment(j, 2 * k, n)
+        rhs = stats.moment(j + 1, 2 * k, n)
+        rows.append((f"n={n}", lhs, rhs, lhs >= rhs))
+        if lhs == rhs:
+            first_zero_tail = n
+    threshold = 1 if first_zero_tail is None else first_zero_tail + 1
+    notes = [f"strict inequality holds for all tested n >= {threshold}"]
+    return rows, notes
+
+
+IDENTITIES = {
+    "sptpn": (_verify_sptpn, {"order": 50}),
+    "genn1": (_verify_genn1, {"j": 2, "order": 40}),
+    "sptpng": (_verify_sptpng, {"j": 2, "order": 40}),
+    "jgn": (_verify_jgn, {"order": 25}),
+    "sptdiff": (_verify_sptdiff, {"j": 2, "order": 30}),
+    "kn1": (_verify_kn1, {"j": 2, "order": 30}),
+    "genjmu2k": (_verify_genjmu2k, {"j": 2, "k": 1, "order": 30}),
+    "appbp": (_verify_appbp, {"r": 1, "k": 1, "order": 25}),
+    "gtjsptk": (_verify_gtjsptk, {"j": 2, "k": 1, "order": 20}),
+    "relos": (_verify_relos, {"j": 2, "k": 2, "order": 30}),
+    "fdyson": (_verify_fdyson, {"order": 40}),
+    "Rk-forms": (_verify_rk_forms, {"j": 2, "order": 25}),
+    "lemma31": (_verify_lemma31, {"order": 20}),
+    "lemma32": (_verify_lemma32, {"order": 20}),
+    "genineq": (_verify_genineq, {"j": 2, "k": 1, "order": 40}),
+}
+
+
+def verify(identity: str, j: int | None = None, k: int | None = None,
+           r: int | None = None, order: int | None = None) -> tuple[int, list, list]:
+    """Check a named identity and return ``(order, rows, notes)``.
+
+    A parameter left as None takes the identity's default.
+    """
+    if identity not in IDENTITIES:
+        raise ValueError(f"unknown identity {identity!r}; known: {', '.join(sorted(IDENTITIES))}")
+    fn, defaults = IDENTITIES[identity]
+    j = j if j is not None else defaults.get("j", 1)
+    k = k if k is not None else defaults.get("k", 1)
+    r = r if r is not None else defaults.get("r", 1)
+    order = order if order is not None else defaults["order"]
+    if min(j, k, r) < 1 or order < 1:
+        raise ValueError("j, k, r and the order must be >= 1")
+    rows, notes = fn(j, k, r, order)
+    return order, rows, notes

@@ -11,7 +11,14 @@ import functools
 import math
 from typing import Iterable
 
-from .series import TruncSeries, inv_pochhammer_finite, inv_pochhammer_inf, pochhammer_inf
+from .series import (
+    DiscrepancyError,
+    TruncSeries,
+    inv_pochhammer_finite,
+    inv_pochhammer_inf,
+    pochhammer_inf,
+    weighted_tuples,
+)
 
 
 def falling_factorial(x: int, t: int) -> int:
@@ -33,7 +40,8 @@ def integer_binomial(x: int, k: int) -> int:
     num = falling_factorial(x, k)
     den = math.factorial(k)
     q, r = divmod(num, den)
-    assert r == 0
+    if r:
+        raise DiscrepancyError(f"{num} is not divisible by {k}!")
     return q
 
 
@@ -269,8 +277,12 @@ def bi_geometric(z_exp: int, q_exp: int, order: int) -> BiSeries:
 
 @functools.lru_cache(maxsize=None)
 def _sym_z_pochhammer(n: int, q_start: int, order: int) -> BiSeries:
-    """(z q**q_start-ish; q)_n * (z^{-1} ...; q)_n, the symmetric product."""
-    return bi_pochhammer(1, q_start, n, order) * bi_pochhammer(-1, q_start, n, order)
+    """(z q**q_start; q)_n (z^{-1} q**q_start; q)_n, built incrementally in n."""
+    if n == 0:
+        return BiSeries.one(order)
+    e = q_start + n - 1
+    factor = bi_pochhammer(1, e, 1, order) * bi_pochhammer(-1, e, 1, order)
+    return _sym_z_pochhammer(n - 1, q_start, order) * factor
 
 
 @functools.lru_cache(maxsize=None)
@@ -301,23 +313,6 @@ def build_rank_gf(order: int) -> BiSeries:
     return out
 
 
-def _nested_square_tuples(depth: int, bound: int):
-    """Weakly increasing positive tuples (n_1 <= ... <= n_depth) with sum of squares <= bound."""
-
-    def rec(prefix: list[int], lo: int, used: int):
-        if len(prefix) == depth:
-            yield tuple(prefix)
-            return
-        v = lo
-        while used + v * v <= bound:
-            prefix.append(v)
-            yield from rec(prefix, v, used + v * v)
-            prefix.pop()
-            v += 1
-
-    yield from rec([], 1, 0)
-
-
 @functools.lru_cache(maxsize=None)
 def build_jrank_gf(j: int, order: int, form: str = "nested") -> BiSeries:
     """The two-variable j-rank generating function, normalized to constant term 1.
@@ -335,7 +330,7 @@ def build_jrank_gf(j: int, order: int, form: str = "nested") -> BiSeries:
             # 1-rank is the crank (their count series coincide).
             return build_crank_gf(order)
         out = BiSeries.one(order)
-        for tup in _nested_square_tuples(j - 1, order):
+        for tup in weighted_tuples(j - 1, 0, order):
             weight = sum(v * v for v in tup)
             scalar = TruncSeries.one(order)
             for a, b in zip(tup, tup[1:]):
@@ -414,37 +409,6 @@ def symmetrized_extract(a: BiSeries, k: int) -> TruncSeries:
     )
 
 
-def _increasing_tuples_linear_tail(depth: int, bound: int):
-    """Tuples 0 <= n_1 <= ... <= n_depth, weight n_1^2+..+n_{depth-1}^2 + n_depth <= bound."""
-
-    def rec(prefix: list[int], lo: int, used: int):
-        if len(prefix) == depth - 1:
-            v = max(lo, 0)
-            while used + v <= bound:
-                yield tuple(prefix) + (v,)
-                v += 1
-            return
-        v = lo
-        while used + v * v + v <= bound:  # tail needs at least n_depth >= v
-            prefix.append(v)
-            yield from rec(prefix, v, used + v * v)
-            prefix.pop()
-            v += 1
-
-    yield from rec([], 0, 0)
-
-
-@functools.lru_cache(maxsize=None)
-def _sym_z_poch_zero_start(n: int, order: int) -> BiSeries:
-    """(z; q)_n (z^{-1}; q)_n, built incrementally in n."""
-    if n == 0:
-        return BiSeries.one(order)
-    prev = _sym_z_poch_zero_start(n - 1, order)
-    e = n - 1
-    factor = bi_pochhammer(1, e, 1, order) * bi_pochhammer(-1, e, 1, order)
-    return prev * factor
-
-
 def build_kn1_sides(j: int, order: int) -> tuple[BiSeries, BiSeries]:
     """Both sides of the nested-sum / bilateral-product identity at depth j.
 
@@ -457,7 +421,7 @@ def build_kn1_sides(j: int, order: int) -> tuple[BiSeries, BiSeries]:
     # Left side: group terms by n_j so the expensive bivariate factor is
     # multiplied once per distinct outer index.
     scalar_by_outer: dict[int, TruncSeries] = {}
-    for tup in _increasing_tuples_linear_tail(j, order):
+    for tup in weighted_tuples(j - 1, 1, order, lo=0):
         weight = sum(v * v for v in tup[:-1]) + tup[-1]
         diffs = [tup[0]] + [b - a for a, b in zip(tup, tup[1:])]
         scalar = TruncSeries.monomial(weight, order)
@@ -468,7 +432,7 @@ def build_kn1_sides(j: int, order: int) -> tuple[BiSeries, BiSeries]:
         scalar_by_outer[outer] = scalar if acc is None else acc + scalar
     lhs = BiSeries.zero(order)
     for outer, scalar in sorted(scalar_by_outer.items()):
-        lhs = lhs + _sym_z_poch_zero_start(outer, order).mul_series(scalar)
+        lhs = lhs + _sym_z_pochhammer(outer, 0, order).mul_series(scalar)
 
     # Right side.
     prefactor = (
@@ -480,7 +444,7 @@ def build_kn1_sides(j: int, order: int) -> tuple[BiSeries, BiSeries]:
     while n * ((2 * j + 1) * n + 1) // 2 <= order:
         e = n * ((2 * j + 1) * n + 1) // 2
         sign = -1 if n % 2 == 1 else 1
-        num = _sym_z_poch_zero_start(n, order)
+        num = _sym_z_pochhammer(n, 0, order)
         term = (num * _inv_sym_z_pochhammer(n, order)).shift(e)
         one_plus = TruncSeries.one(order) + TruncSeries.monomial(n, order)
         term = term.mul_series(one_plus.scale(sign))

@@ -10,7 +10,14 @@ the two orders.
 from __future__ import annotations
 
 import functools
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
+
+
+class DiscrepancyError(ArithmeticError):
+    """A mathematical discrepancy: an inexact division or disagreeing routes.
+
+    Raised explicitly, so the exactness checks hold under ``python -O`` too.
+    """
 
 
 class TruncSeries:
@@ -144,7 +151,6 @@ def pochhammer_finite(a_exp: int, n: int, order: int) -> TruncSeries:
     return TruncSeries(out)
 
 
-@functools.lru_cache(maxsize=None)
 def pochhammer_inf(a_exp: int, order: int) -> TruncSeries:
     """(q**a_exp; q)_infinity truncated at ``order``.
 
@@ -152,12 +158,7 @@ def pochhammer_inf(a_exp: int, order: int) -> TruncSeries:
     the retained coefficients.  a_exp = 0 would make the product vanish
     identically, so it is rejected.
     """
-    if a_exp < 1:
-        raise ValueError("a_exp must be a positive integer")
-    out = [1] + [0] * order
-    for e in range(a_exp, order + 1):
-        _mul_one_minus(out, e)
-    return TruncSeries(out)
+    return pochhammer_finite(a_exp, order + 1, order)
 
 
 @functools.lru_cache(maxsize=None)
@@ -223,9 +224,28 @@ def gauss_binomial(n: int, m: int, order: int) -> TruncSeries:
     return TruncSeries(out)
 
 
-def prod(factors: Sequence[TruncSeries], order: int) -> TruncSeries:
-    """Product of a sequence of series, truncated at ``order``."""
-    out = TruncSeries.one(order)
-    for f in factors:
-        out = out * f.truncate(min(order, f.order))
-    return out
+def weighted_tuples(n_square: int, n_linear: int, bound: int,
+                    lo: int = 1) -> Iterator[tuple[int, ...]]:
+    """Weakly increasing tuples lo <= t_1 <= ... <= t_d, d = n_square + n_linear.
+
+    The first ``n_square`` entries weigh t**2 and the rest weigh t; the tuples
+    of total weight <= bound are yielded in lexicographic order.  Every nested
+    sum in the package runs over one of these index sets.
+    """
+    depth = n_square + n_linear
+
+    def rec(prefix: list[int], v: int, used: int):
+        pos = len(prefix)
+        if pos == depth:
+            yield tuple(prefix)
+            return
+        squares_left = max(n_square - pos, 0)
+        linear_left = depth - pos - squares_left
+        # the lightest completion repeats v in every remaining position
+        while used + squares_left * v * v + linear_left * v <= bound:
+            prefix.append(v)
+            yield from rec(prefix, v, used + (v * v if pos < n_square else v))
+            prefix.pop()
+            v += 1
+
+    yield from rec([], lo, 0)

@@ -3,30 +3,33 @@
 Each family is computable by several independent routes -- generating
 function, combinatorial weight over partitions, and moment differences --
 and the routes are required to agree.  Every division along the way is on a
-provably divisible integer and is asserted exact.
+provably divisible integer and is checked exact.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass
+from typing import Callable, Iterator
 
 from .laurent import integer_binomial
 from .partitions import (
     Partition,
     enumerate_partitions,
+    marks,
     partition_count,
     successive_lower_durfee,
 )
 from .series import (
+    DiscrepancyError,
     TruncSeries,
     gauss_binomial,
     inv_one_minus,
     inv_pochhammer_finite,
     inv_pochhammer_inf,
     pochhammer_finite,
+    weighted_tuples,
 )
 from .stats import moment, sym_mu
 
@@ -35,14 +38,25 @@ from .stats import moment, sym_mu
 # spt(n)
 
 
-@functools.lru_cache(maxsize=None)
+# _MIN_PART_COLUMNS[v][lo] = number of partitions of v with every part >= lo,
+# for 1 <= lo <= v + 1.  Columns are appended in ascending v, so filling the
+# table never recurses and a loop over n = 1..N builds it once.
+_MIN_PART_COLUMNS: list[list[int]] = [[1, 1]]
+
+
 def _count_min_parts(v: int, lo: int) -> int:
-    """Number of partitions of v with every part >= lo."""
-    if v == 0:
-        return 1
+    """Number of partitions of v with every part >= lo (lo >= 1)."""
     if lo > v:
-        return 0
-    return _count_min_parts(v - lo, lo) + _count_min_parts(v, lo + 1)
+        return int(v == 0)
+    cols = _MIN_PART_COLUMNS
+    for w in range(len(cols), v + 1):
+        col = [0] * (w + 2)
+        for low in range(w, 0, -1):
+            # partitions with no part equal to low, plus those with one removed
+            rest = w - low
+            col[low] = col[low + 1] + (cols[rest][low] if low <= rest else int(rest == 0))
+        cols.append(col)
+    return cols[v][lo]
 
 
 def spt_weight(n: int) -> int:
@@ -63,35 +77,13 @@ def spt_weight(n: int) -> int:
     return total
 
 
-@functools.lru_cache(maxsize=None)
 def gf_spt(order: int) -> TruncSeries:
-    """sum_{m>=1} q^m / ((1-q^m)^2 (q^(m+1); q)_inf), truncated."""
-    acc = TruncSeries.zero(order)
-    for m in range(1, order + 1):
-        term = inv_one_minus(m, order, 2) * inv_pochhammer_inf(m + 1, order)
-        acc = acc + term.shift(m)
-    return acc
+    """sum_{m>=1} q^m / ((1-q^m)^2 (q^(m+1); q)_inf), truncated: gf_spt_j at j = 1."""
+    return gf_spt_j(1, order)
 
 
 # ---------------------------------------------------------------------------
 # combinatorial weights
-
-
-def _increasing_marks(parts_increasing: list[int]) -> list[int]:
-    # mark of the i-th smallest part = number of equal parts at position >= i,
-    # i.e. repeated parts are marked 1, 2, ... from the top row of the diagram
-    # downwards.
-    n = len(parts_increasing)
-    out = [0] * n
-    i = 0
-    while i < n:
-        j = i
-        while j < n and parts_increasing[j] == parts_increasing[i]:
-            j += 1
-        for t in range(i, j):
-            out[t] = j - t
-        i = j
-    return out
 
 
 def _split_point_count(p: Partition, j: int) -> int:
@@ -115,9 +107,8 @@ def mark_weight(p: Partition, j: int) -> int:
         raise ValueError("j must be >= 1")
     if not p.parts:
         return 0
-    inc = sorted(p.parts)
-    marks = _increasing_marks(inc)
-    return sum(marks[: _split_point_count(p, j)])
+    bottom_up = marks(p)[::-1]
+    return sum(mark for _, mark in bottom_up[: _split_point_count(p, j)])
 
 
 def _compositions(k: int) -> Iterator[tuple[int, ...]]:
@@ -195,16 +186,14 @@ def split_chain_weight(p: Partition, j: int, k: int) -> int:
         raise ValueError("j and k must be >= 1")
     if not p.parts:
         return 0
-    inc = sorted(p.parts)
-    marks = _increasing_marks(inc)
+    bottom_up = marks(p)[::-1]
     freqs: dict[int, int] = {}
     for part in p.parts:
         freqs[part] = freqs.get(part, 0) + 1
     values = sorted(freqs)
     total = 0
     for i in _split_positions(p, j):
-        t1 = inc[i]
-        mark = marks[i]
+        t1, mark = bottom_up[i]
         larger = [v for v in values if v > t1]
         for comp in _compositions(k):
             head = integer_binomial(mark + comp[0] - 1, 2 * comp[0] - 1)
@@ -216,42 +205,6 @@ def split_chain_weight(p: Partition, j: int, k: int) -> int:
 
 # ---------------------------------------------------------------------------
 # nested-sum generating functions
-
-
-def _sptjn_tuples(j: int, bound: int) -> Iterator[tuple[int, ...]]:
-    # 0 <= n_1 <= ... <= n_{j-1} <= n_j with n_j >= 1 and
-    # n_1^2 + ... + n_{j-1}^2 + n_j <= bound
-    def rec(prefix: list[int], lo: int, used: int):
-        if len(prefix) == j - 1:
-            v = max(lo, 1)
-            while used + v <= bound:
-                yield tuple(prefix) + (v,)
-                v += 1
-            return
-        v = lo
-        while used + v * v + max(v, 1) <= bound:
-            prefix.append(v)
-            yield from rec(prefix, v, used + v * v)
-            prefix.pop()
-            v += 1
-
-    yield from rec([], 0, 0)
-
-
-def _linear_tuples(k: int, bound: int) -> Iterator[tuple[int, ...]]:
-    # 1 <= n_1 <= ... <= n_k with sum <= bound
-    def rec(prefix: list[int], lo: int, used: int):
-        if len(prefix) == k:
-            yield tuple(prefix)
-            return
-        v = lo
-        while used + v * (k - len(prefix)) <= bound:
-            prefix.append(v)
-            yield from rec(prefix, v, used + v)
-            prefix.pop()
-            v += 1
-
-    yield from rec([], 1, 0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -270,9 +223,11 @@ def gf_spt_j(j: int, order: int) -> TruncSeries:
     if j < 1:
         raise ValueError("j must be >= 1")
     acc = TruncSeries.zero(order)
-    for tup in _sptjn_tuples(j, order):
-        weight = sum(v * v for v in tup[:-1]) + tup[-1]
+    for tup in weighted_tuples(j - 1, 1, order, lo=0):
         nj = tup[-1]
+        if nj == 0:
+            continue  # the sum runs over n_j >= 1
+        weight = sum(v * v for v in tup[:-1]) + nj
         term = inv_one_minus(nj, order, 2) * inv_pochhammer_inf(nj + 1, order)
         for a, b in zip(tup, tup[1:]):
             term = term * gauss_binomial(b, a, order)
@@ -289,9 +244,11 @@ def gf_genn1_lhs(j: int, order: int) -> TruncSeries:
     expansion used to cross-check it.
     """
     acc = TruncSeries.zero(order)
-    for tup in _sptjn_tuples(j, order):
-        weight = sum(v * v for v in tup[:-1]) + tup[-1]
+    for tup in weighted_tuples(j - 1, 1, order, lo=0):
         nj = tup[-1]
+        if nj == 0:
+            continue  # the sum runs over n_j >= 1
+        weight = sum(v * v for v in tup[:-1]) + nj
         term = pochhammer_finite(1, nj, order)
         term = term * inv_one_minus(nj, order, 2) * inv_pochhammer_inf(nj + 1, order)
         diffs = [tup[0]] + [b - a for a, b in zip(tup, tup[1:])]
@@ -301,102 +258,73 @@ def gf_genn1_lhs(j: int, order: int) -> TruncSeries:
     return acc
 
 
+def _signed_sum(exponent, power: int, order: int) -> TruncSeries:
+    """sum_{n>=1} (-1)^n q^exponent(n) (1+q^n) / (1-q^n)^power, exponent increasing."""
+    acc = TruncSeries.zero(order)
+    n = 1
+    while exponent(n) <= order:
+        one_plus = TruncSeries.one(order) + TruncSeries.monomial(n, order)
+        term = inv_one_minus(n, order, power) * one_plus
+        acc = acc + term.shift(exponent(n)).scale(-1 if n % 2 == 1 else 1)
+        n += 1
+    return acc
+
+
 @functools.lru_cache(maxsize=None)
 def gf_genn1_rhs(j: int, order: int) -> TruncSeries:
     """Right side: n*p(n) part plus the alternating pentagonal-like correction."""
-    acc = TruncSeries.zero(order)
-    n = 1
-    while True:
-        e = n * ((2 * j + 1) * n + 1) // 2
-        if e > order:
-            break
-        sign = -1 if n % 2 == 1 else 1
-        term = inv_one_minus(n, order, 2)
-        one_plus = TruncSeries.one(order) + TruncSeries.monomial(n, order)
-        acc = acc + (term * one_plus).shift(e).scale(sign)
-        n += 1
+    acc = _signed_sum(lambda n: n * ((2 * j + 1) * n + 1) // 2, 2, order)
     return gf_np(order) + acc * inv_pochhammer_inf(1, order)
 
 
+def _spt_j_moments(j: int, n: int) -> int:
+    half, rem = divmod(moment(j + 1, 2, n), 2)
+    if rem:
+        raise DiscrepancyError(f"second moment of the {j + 1}-rank is odd at n={n}")
+    return n * partition_count(n) - half
+
+
 def spt_j(j: int, n: int, route: str = "moments") -> int:
-    """Spt_j(n) by the requested route ("gf", "weight", "moments" or "all")."""
+    """Spt_j(n) by the requested route ("moments", "gf", "weight" or "all")."""
     if j < 1 or n < 1:
         raise ValueError("j and n must be >= 1")
-    if route == "gf":
-        return gf_spt_j(j, n).coefficient(n)
-    if route == "weight":
-        return sum(mark_weight(p, j) for p in enumerate_partitions(n))
-    if route == "moments":
-        half = moment(j + 1, 2, n)
-        quot, rem = divmod(half, 2)
-        assert rem == 0, "second moment of the (j+1)-rank must be even"
-        return n * partition_count(n) - quot
-    if route == "all":
-        vals = {r: spt_j(j, n, r) for r in ("gf", "weight", "moments")}
-        if len(set(vals.values())) != 1:
-            raise AssertionError(f"route disagreement for Spt_{j}({n}): {vals}")
-        return vals["moments"]
-    raise ValueError(f"unknown route {route!r}")
+    return _evaluate("Spt_j", (j,), n, route)
 
 
 @functools.lru_cache(maxsize=None)
 def gf_spt_k(k: int, order: int) -> TruncSeries:
-    """Nested-sum generating function of the order-k smallest-part family."""
+    """Nested-sum generating function of the order-k smallest-part family.
+
+    It is the j = 1 case of the binomial form of :func:`gf_jspt_k`.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    acc = TruncSeries.zero(order)
-    for tup in _linear_tuples(k, order):
-        weight = sum(tup)
-        term = inv_pochhammer_inf(tup[0] + 1, order)
-        for v in tup:
-            term = term * inv_one_minus(v, order, 2)
-        acc = acc + term.shift(weight)
-    return acc
+    return gf_jspt_k(1, k, order, "binomial")
 
 
 def spt_k(k: int, n: int, route: str = "moments") -> int:
     """spt_k(n) by the requested route."""
     if k < 1 or n < 1:
         raise ValueError("k and n must be >= 1")
-    if route == "gf":
-        return gf_spt_k(k, n).coefficient(n)
-    if route == "weight":
-        return sum(chain_weight(p, k) for p in enumerate_partitions(n))
-    if route == "moments":
-        return sym_mu(1, 2 * k, n) - sym_mu(2, 2 * k, n)
-    if route == "all":
-        vals = {r: spt_k(k, n, r) for r in ("gf", "weight", "moments")}
-        if len(set(vals.values())) != 1:
-            raise AssertionError(f"route disagreement for spt_{k}({n}): {vals}")
-        return vals["moments"]
-    raise ValueError(f"unknown route {route!r}")
-
-
-def _beta_diffs(n1: int, ms: tuple[int, ...]) -> list[int]:
-    # difference chain n1-m1, m1-m2, ..., m_{r-1}; with no m's this is [n1]
-    if not ms:
-        return [n1]
-    return [n1 - ms[0]] + [a - b for a, b in zip(ms, ms[1:])] + [ms[-1]]
+    return _evaluate("spt_k", (k,), n, route)
 
 
 @functools.lru_cache(maxsize=None)
 def _beta_sum(n1: int, r: int, order: int, min_m: int = 0) -> TruncSeries:
-    """sum over n1 >= m_1 >= ... >= m_{r-1} >= min_m of q^(sum m_i^2) / diff products."""
+    """sum over n1 >= m_1 >= ... >= m_{r-1} >= min_m of q^(sum m_i^2) / diff products.
+
+    The diff products are 1/(q)_d over the gaps d of the chain
+    0 <= m_{r-1} <= ... <= m_1 <= n1.
+    """
     acc = TruncSeries.zero(order)
-
-    def rec(ms: list[int], hi: int, used: int):
-        nonlocal acc
-        if len(ms) == r - 1:
-            term = TruncSeries.monomial(used, order)
-            for d in _beta_diffs(n1, tuple(ms)):
-                term = term * inv_pochhammer_finite(1, d, order)
-            acc = acc + term
-            return
-        for v in range(min_m, hi + 1):
-            if used + v * v <= order:
-                rec(ms + [v], v, used + v * v)
-
-    rec([], n1, 0)
+    for ms in weighted_tuples(r - 1, 0, order, lo=min_m):
+        chain = ms + (n1,)
+        if len(chain) > 1 and chain[-2] > n1:
+            continue
+        term = TruncSeries.monomial(sum(v * v for v in ms), order)
+        for d in [chain[0]] + [b - a for a, b in zip(chain, chain[1:])]:
+            term = term * inv_pochhammer_finite(1, d, order)
+        acc = acc + term
     return acc
 
 
@@ -411,18 +339,18 @@ def gf_jspt_k(j: int, k: int, order: int, form: str = "nested") -> TruncSeries:
         raise ValueError("j and k must be >= 1")
     acc = TruncSeries.zero(order)
     if form == "nested":
-        for tup in _linear_tuples(k, order):
+        for tup in weighted_tuples(0, k, order):
             n1 = tup[0]
             base = pochhammer_finite(1, n1, order) * inv_pochhammer_inf(n1 + 1, order)
             for v in tup:
                 base = base * inv_one_minus(v, order, 2)
             base = base.shift(sum(tup))
             # inner sum over 1 <= m_{j-1} <= ... <= m_1 <= n_1
-            inner = _beta_sum(n1, j, order, 1) if j >= 2 else _beta_sum(n1, 1, order)
+            inner = _beta_sum(n1, j, order, 1)
             acc = acc + base * inner
         return acc
     if form == "binomial":
-        for tup in _remark_tuples(j, k, order):
+        for tup in weighted_tuples(j - 1, k, order):
             inner, outer = tup[: j - 1], tup[j - 1 :]
             weight = sum(v * v for v in inner) + sum(outer)
             nj = outer[0]
@@ -437,46 +365,11 @@ def gf_jspt_k(j: int, k: int, order: int, form: str = "nested") -> TruncSeries:
     raise ValueError(f"unknown form {form!r}")
 
 
-def _remark_tuples(j: int, k: int, bound: int) -> Iterator[tuple[int, ...]]:
-    # 1 <= n_1 <= ... <= n_{j+k-1}; the first j-1 entries weigh quadratically,
-    # the last k linearly
-    total = j + k - 1
-
-    def rec(prefix: list[int], lo: int, used: int):
-        pos = len(prefix)
-        if pos == total:
-            yield tuple(prefix)
-            return
-        v = lo
-        while True:
-            w = v * v if pos < j - 1 else v
-            tail = max(v, 1) * (k if pos < j - 1 else total - pos - 1)
-            if used + w + tail > bound:
-                break
-            prefix.append(v)
-            yield from rec(prefix, v, used + w)
-            prefix.pop()
-            v += 1
-
-    yield from rec([], 1, 0)
-
-
 def jspt_k(j: int, k: int, n: int, route: str = "moments") -> int:
     """The two-parameter smallest-part value by the requested route."""
     if j < 1 or k < 1 or n < 1:
         raise ValueError("j, k and n must be >= 1")
-    if route == "moments":
-        return sym_mu(j, 2 * k, n) - sym_mu(j + 1, 2 * k, n)
-    if route == "gf":
-        return gf_jspt_k(j, k, n).coefficient(n)
-    if route == "weight":
-        return sum(split_chain_weight(p, j, k) for p in enumerate_partitions(n))
-    if route == "all":
-        vals = {r: jspt_k(j, k, n, r) for r in ("gf", "weight", "moments")}
-        if len(set(vals.values())) != 1:
-            raise AssertionError(f"route disagreement for jspt({j},{k},{n}): {vals}")
-        return vals["moments"]
-    raise ValueError(f"unknown route {route!r}")
+    return _evaluate("jspt_k", (j, k), n, route)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +382,7 @@ def appbp_sides(r: int, k: int, order: int) -> tuple[TruncSeries, TruncSeries]:
         raise ValueError("r and k must be >= 1")
     lhs = TruncSeries.zero(order)
     rhs = TruncSeries.zero(order)
-    for tup in _linear_tuples(k, order):
+    for tup in weighted_tuples(0, k, order):
         n1 = tup[0]
         base = TruncSeries.monomial(sum(tup), order)
         for v in tup:
@@ -497,16 +390,7 @@ def appbp_sides(r: int, k: int, order: int) -> tuple[TruncSeries, TruncSeries]:
         rhs = rhs + base
         poch = pochhammer_finite(1, n1, order)
         lhs = lhs + base * poch * poch * _beta_sum(n1, r, order)
-    n = 1
-    while True:
-        e = n * (n - 1) // 2 + r * n * n + k * n
-        if e > order:
-            break
-        sign = -1 if n % 2 == 1 else 1
-        term = inv_one_minus(n, order, 2 * k)
-        one_plus = TruncSeries.one(order) + TruncSeries.monomial(n, order)
-        rhs = rhs + (term * one_plus).shift(e).scale(sign)
-        n += 1
+    rhs = rhs + _signed_sum(lambda n: n * (n - 1) // 2 + r * n * n + k * n, 2 * k, order)
     return lhs, rhs
 
 
@@ -524,7 +408,7 @@ def relation_sum(j: int, n: int) -> int:
     via_telescope = sum(jspt_k(ell, 1, n, "moments") for ell in range(1, j + 1))
     via_sym = sym_mu(1, 2, n) - sym_mu(j + 1, 2, n)
     if not via_moments == via_telescope == via_sym:
-        raise AssertionError(
+        raise DiscrepancyError(
             f"relation mismatch at (j={j}, n={n}): "
             f"{via_moments}, {via_telescope}, {via_sym}"
         )
@@ -535,42 +419,102 @@ def relation_sum(j: int, n: int) -> int:
 # request plumbing
 
 
-_FAMILIES = {"p", "spt", "spt_k", "Spt_j", "jspt_k"}
+@dataclass(frozen=True)
+class Family:
+    """One smallest-part family: the parameters it takes before n, and its routes.
+
+    Every route is a function of (*params, n); the first route is the default.
+    """
+
+    params: tuple[str, ...]
+    routes: dict[str, Callable[..., int]]
+
+
+# The routes are lambdas so that they look up the module's functions when
+# called, not when this table is built.
+FAMILIES: dict[str, Family] = {
+    "p": Family((), {"recurrence": lambda n: partition_count(n)}),
+    "spt": Family((), {
+        "weight": lambda n: spt_weight(n),
+        "gf": lambda n: gf_spt(n).coefficient(n),
+    }),
+    "spt_k": Family(("k",), {
+        "moments": lambda k, n: sym_mu(1, 2 * k, n) - sym_mu(2, 2 * k, n),
+        "gf": lambda k, n: gf_spt_k(k, n).coefficient(n),
+        "weight": lambda k, n: sum(chain_weight(p, k) for p in enumerate_partitions(n)),
+    }),
+    "Spt_j": Family(("j",), {
+        "moments": _spt_j_moments,
+        "gf": lambda j, n: gf_spt_j(j, n).coefficient(n),
+        "weight": lambda j, n: sum(mark_weight(p, j) for p in enumerate_partitions(n)),
+    }),
+    "jspt_k": Family(("j", "k"), {
+        "moments": lambda j, k, n: sym_mu(j, 2 * k, n) - sym_mu(j + 1, 2 * k, n),
+        "gf": lambda j, k, n: gf_jspt_k(j, k, n).coefficient(n),
+        "weight": lambda j, k, n: sum(
+            split_chain_weight(p, j, k) for p in enumerate_partitions(n)
+        ),
+    }),
+}
+
+# Every route name of some family, plus "all" (every route of the family,
+# checked to agree).
+ROUTES: tuple[str, ...] = (
+    *dict.fromkeys(route for fam in FAMILIES.values() for route in fam.routes), "all"
+)
+
+
+def _check_route(family: str, route: str) -> None:
+    routes = FAMILIES[family].routes
+    if route != "all" and route not in routes:
+        raise ValueError(
+            f"family {family} has no route {route!r}; known: {', '.join(routes)}, all"
+        )
+
+
+def _evaluate(family: str, args: tuple[int, ...], n: int, route: str) -> int:
+    """One family value by one route, or by every route ("all") checked to agree."""
+    _check_route(family, route)
+    routes = FAMILIES[family].routes
+    if route != "all":
+        return routes[route](*args, n)
+    vals = {name: fn(*args, n) for name, fn in routes.items()}
+    if len(set(vals.values())) != 1:
+        label = ", ".join(str(a) for a in (*args, n))
+        raise DiscrepancyError(f"route disagreement for {family}({label}): {vals}")
+    return next(iter(vals.values()))
 
 
 @dataclass(frozen=True)
 class SptRequest:
-    """A validated computation request for one of the spt families."""
+    """A validated computation request for one of the families in FAMILIES.
+
+    ``route=None`` selects the family's default route.
+    """
 
     family: str
     n_max: int
     j: int | None = None
     k: int | None = None
-    route: str = "moments"
+    route: str | None = None
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
+        fam = FAMILIES.get(self.family)
+        if fam is None:
             raise ValueError(f"unknown family {self.family!r}")
         if self.n_max < 1:
             raise ValueError("n_max must be >= 1")
-        needs_j = self.family in ("Spt_j", "jspt_k")
-        needs_k = self.family in ("spt_k", "jspt_k")
-        if needs_j != (self.j is not None):
-            raise ValueError(f"family {self.family} and j parameter are inconsistent")
-        if needs_k != (self.k is not None):
-            raise ValueError(f"family {self.family} and k parameter are inconsistent")
-        if self.route not in ("gf", "weight", "moments", "all"):
-            raise ValueError(f"unknown route {self.route!r}")
+        for name in ("j", "k"):
+            value = getattr(self, name)
+            if (name in fam.params) != (value is not None):
+                raise ValueError(f"family {self.family} and {name} parameter are inconsistent")
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.route is None:
+            object.__setattr__(self, "route", next(iter(fam.routes)))
+        _check_route(self.family, self.route)
 
     def values(self) -> list[int]:
         """Values for n = 1..n_max."""
-        fam = self.family
-        if fam == "p":
-            return [partition_count(n) for n in range(1, self.n_max + 1)]
-        if fam == "spt":
-            return [spt_weight(n) for n in range(1, self.n_max + 1)]
-        if fam == "Spt_j":
-            return [spt_j(self.j, n, self.route) for n in range(1, self.n_max + 1)]
-        if fam == "spt_k":
-            return [spt_k(self.k, n, self.route) for n in range(1, self.n_max + 1)]
-        return [jspt_k(self.j, self.k, n, self.route) for n in range(1, self.n_max + 1)]
+        args = tuple(getattr(self, name) for name in FAMILIES[self.family].params)
+        return [_evaluate(self.family, args, n, self.route) for n in range(1, self.n_max + 1)]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .laurent import integer_binomial
 from .partitions import Partition, successive_durfee
-from .series import TruncSeries, inv_pochhammer_inf
+from .series import DiscrepancyError, TruncSeries, inv_pochhammer_inf
 
 
 def rank(p: Partition) -> int:
@@ -205,7 +205,8 @@ def stirling_star(size: int) -> StirlingStarTable:
             if c:
                 for d, gc in enumerate(g[k]):
                     residual[d] -= c * gc
-        assert not any(residual), "change of basis did not close"
+        if any(residual):
+            raise DiscrepancyError("change of basis did not close")
         rows.append(tuple(row))
     return StirlingStarTable(size, tuple(rows))
 
@@ -241,12 +242,8 @@ class MomentTable:
 
     @classmethod
     def build(cls, kind: str, j: int, index: int, n_max: int) -> "MomentTable":
-        if kind == "count":
-            vals = tuple(count_njm(j, index, n) for n in range(n_max + 1))
-        elif kind == "moment":
-            vals = tuple(moment(j, index, n) for n in range(n_max + 1))
-        elif kind == "symmetrized":
-            vals = tuple(sym_mu(j, index, n) for n in range(n_max + 1))
-        else:
+        stat = {"count": count_njm, "moment": moment, "symmetrized": sym_mu}.get(kind)
+        if stat is None:
             raise ValueError(f"unknown table kind {kind!r}")
+        vals = tuple(stat(j, index, n) for n in range(n_max + 1))
         return cls(kind, j, index, vals, "generating-function")

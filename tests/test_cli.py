@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from qspt import identities
 from qspt.cli import main
 
 
@@ -51,6 +52,24 @@ class TestCompute:
         result = runner.invoke(main, ["compute", "--family", "spt", "--j", "2",
                                       "--n-max", "3"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("extra", [
+        ["--family", "Spt_j", "--j", "0"],
+        # a route the family lacks
+        ["--family", "p", "--route", "moments"],
+        ["--family", "spt", "--route", "moments"],
+    ])
+    def test_invalid_request_exit_2(self, runner, extra):
+        result = runner.invoke(main, ["compute", "--n-max", "3"] + extra)
+        assert result.exit_code == 2
+
+    @pytest.mark.parametrize("route", ["gf", "all"])
+    def test_spt_routes_match_default(self, runner, route):
+        args = ["compute", "--family", "spt", "--n-max", "12"]
+        default = runner.invoke(main, args)
+        result = runner.invoke(main, args + ["--route", route])
+        assert result.exit_code == 0
+        assert result.output == default.output
 
     def test_missing_family_exit_2(self, runner):
         result = runner.invoke(main, ["compute", "--n-max", "3"])
@@ -113,6 +132,17 @@ class TestVerify:
     def test_bad_parameter_exit_2(self, runner):
         result = runner.invoke(main, ["verify", "kn1", "--j", "0"])
         assert result.exit_code == 2
+
+    def test_out_of_range_parameter_exit_2(self, runner):
+        result = runner.invoke(main, ["verify", "sptdiff", "--j", "1"])
+        assert result.exit_code == 2
+
+    def test_library_raises_value_error(self):
+        # the identity registry knows nothing of click; the CLI maps this to exit 2
+        with pytest.raises(ValueError):
+            identities.verify("sptdiff", j=1)
+        order, rows, notes = identities.verify("fdyson", order=5)
+        assert order == 5 and rows[0] == ("n=2", 4, 4, True) and notes
 
     def test_csv_rows(self, runner):
         result = runner.invoke(main, ["verify", "fdyson", "--n-max", "5",

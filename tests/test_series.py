@@ -1,5 +1,7 @@
 """Ring axioms, inversion, Pochhammer and Gaussian-binomial oracles."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from qspt.series import (
     inv_pochhammer_inf,
     pochhammer_finite,
     pochhammer_inf,
+    weighted_tuples,
 )
 
 ORDER = 8
@@ -206,3 +209,19 @@ class TestGaussBinomial:
             assert all(c >= 0 for c in a.coeffs)
             nonzero = [i for i, c in enumerate(a.coeffs) if c]
             assert max(nonzero) == m * (n - m)
+
+
+class TestWeightedTuples:
+    @pytest.mark.parametrize("lo", [0, 1])
+    @pytest.mark.parametrize("n_square,n_linear",
+                             [(s, d - s) for d in range(5) for s in range(d + 1)])
+    def test_matches_brute_force(self, n_square, n_linear, lo):
+        # every weakly increasing tuple over lo..30, in lexicographic order
+        depth = n_square + n_linear
+        weighed = [
+            (t, sum(v * v for v in t[:n_square]) + sum(t[n_square:]))
+            for t in itertools.combinations_with_replacement(range(lo, 31), depth)
+        ]
+        for bound in range(31):
+            expected = [t for t, w in weighed if w <= bound]
+            assert list(weighted_tuples(n_square, n_linear, bound, lo)) == expected

@@ -1,10 +1,14 @@
 """The four smallest-part families: weights, generating functions, relations."""
 
+import functools
+
 import pytest
 
 from qspt.partitions import Partition, enumerate_partitions, partition_count
 from qspt.spt import (
+    FAMILIES,
     SptRequest,
+    _count_min_parts,
     appbp_sides,
     chain_weight,
     gf_genn1_lhs,
@@ -26,9 +30,35 @@ from qspt.spt import (
 from qspt.stats import moment, sym_mu
 
 
+@functools.lru_cache(maxsize=None)
+def _count_min_parts_recursive(v, lo):
+    """The former recursive count, kept as the oracle for the iterative table."""
+    if v == 0:
+        return 1
+    if lo > v:
+        return 0
+    return _count_min_parts_recursive(v - lo, lo) + _count_min_parts_recursive(v, lo + 1)
+
+
 class TestSptWeight:
     def test_small_values(self):
         assert [spt_weight(n) for n in (1, 2, 3, 4, 5)] == [1, 3, 5, 10, 14]
+
+    def test_min_part_counts_match_recursion(self):
+        for v in range(301):
+            for lo in (1, 2, 3, v // 2 + 1, v, v + 1, v + 2):
+                if lo >= 1:
+                    assert _count_min_parts(v, lo) == _count_min_parts_recursive(v, lo), (v, lo)
+
+    def test_matches_recursive_oracle(self):
+        for n in range(1, 301):
+            expected = sum(m * _count_min_parts_recursive(n - m * s, s + 1)
+                           for s in range(1, n + 1) for m in range(1, n // s + 1))
+            assert spt_weight(n) == expected, n
+
+    def test_large_n(self):
+        # the recursive count overflowed the stack from n = 494
+        assert spt_weight(600) == 8888411766488029369776182
 
     def test_matches_enumeration(self):
         for n in range(1, 26):
@@ -267,6 +297,8 @@ class TestSptRequest:
             SptRequest("Spt_j", 5)
         with pytest.raises(ValueError):
             SptRequest("jspt_k", 5, j=1)
+        with pytest.raises(ValueError):
+            SptRequest("Spt_j", 5, j=0)
 
     def test_rejects_unknown_family(self):
         with pytest.raises(ValueError):
@@ -275,3 +307,24 @@ class TestSptRequest:
     def test_rejects_bad_route(self):
         with pytest.raises(ValueError):
             SptRequest("spt", 5, route="magic")
+
+    @pytest.mark.parametrize("family,route", [
+        ("spt", "moments"), ("p", "moments"), ("p", "gf"),
+    ])
+    def test_rejects_route_family_lacks(self, family, route):
+        with pytest.raises(ValueError):
+            SptRequest(family, 5, route=route)
+
+    def test_default_route_is_first(self):
+        for family, fam in FAMILIES.items():
+            params = {name: 1 for name in fam.params}
+            assert SptRequest(family, 3, **params).route == next(iter(fam.routes))
+
+    @pytest.mark.parametrize("family,params", [
+        ("p", {}), ("spt", {}), ("spt_k", {"k": 2}), ("Spt_j", {"j": 2}),
+        ("jspt_k", {"j": 2, "k": 1}),
+    ])
+    def test_every_route_agrees(self, family, params):
+        default = SptRequest(family, 10, **params).values()
+        for route in (*FAMILIES[family].routes, "all"):
+            assert SptRequest(family, 10, route=route, **params).values() == default
