@@ -56,20 +56,48 @@ def _verdict(rows: list[tuple], fmt: str, passed: str, failed) -> None:
 
 
 def _load_cache(path: str | None) -> dict:
+    """The cache document; a missing, unreadable or malformed file counts as empty."""
+    empty = {"version": CACHE_VERSION, "entries": {}}
     if not path or not os.path.exists(path):
-        return {"version": CACHE_VERSION, "entries": {}}
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("version") != CACHE_VERSION:
-        return {"version": CACHE_VERSION, "entries": {}}
+        return empty
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        click.echo(f"warning: ignoring cache {path}: {exc}", err=True)
+        return empty
+    if not (isinstance(doc, dict) and doc.get("version") == CACHE_VERSION
+            and isinstance(doc.get("entries"), dict)):
+        click.echo(f"warning: ignoring cache {path}: not a version {CACHE_VERSION} "
+                   "cache document", err=True)
+        return empty
     return doc
 
 
+def _cached_values(entry, n_max: int) -> list[int] | None:
+    """The values of a cache entry, or None unless it holds n_max integer strings."""
+    if not (isinstance(entry, list) and len(entry) == n_max
+            and all(isinstance(v, str) for v in entry)):
+        return None
+    try:
+        return [int(v) for v in entry]
+    except ValueError:
+        return None
+
+
 def _save_cache(path: str | None, doc: dict) -> None:
+    """Write the cache through a temporary file, so readers never see a partial one."""
     if not path:
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, sort_keys=True)
+        os.replace(tmp, path)
+    except OSError as exc:
+        click.echo(f"warning: cache {path} not written: {exc}", err=True)
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +138,8 @@ def compute(family, j, k, n_max, route, fmt, cache) -> None:
         raise click.UsageError(str(exc))
     key = f"{family}|j={j}|k={k}|route={request.route}|N={n_max}"
     doc = _load_cache(cache)
-    entry = doc["entries"].get(key)
-    if entry is not None:
-        values = [int(v) for v in entry]
-    else:
+    values = _cached_values(doc["entries"].get(key), n_max)
+    if values is None:
         values = request.values()
         doc["entries"][key] = [str(v) for v in values]
         _save_cache(cache, doc)
@@ -152,8 +178,10 @@ def table(kind, j, index, n_max, fmt) -> None:
     """Print a statistics table (counts, moments, or symmetrized moments)."""
     if j < 1 or n_max < 1:
         raise click.UsageError("j and n-max must be >= 1")
-    if kind != "count" and index < 0:
+    if kind == "moment" and index < 0:
         raise click.UsageError("index must be nonnegative")
+    if kind == "symmetrized" and index < 1:
+        raise click.UsageError("index must be >= 1 for symmetrized moments")
     if kind == "moment" and index % 2 == 1:
         click.echo("# odd moments vanish identically", err=True)
     mt = stats.MomentTable.build(kind, j, index, n_max)

@@ -90,8 +90,9 @@ def _verify_genjmu2k(j, k, r, order):
     extracted = symmetrized_extract(build_jrank_gf(j, order), k)
     closed = stats.gf_sym_mu(j, k, order)
     rows = _rows(extracted.coefficient, closed.coefficient, order)
-    table = _rows(extracted.coefficient, lambda n: stats.sym_mu(j, 2 * k, n), order,
-                  tag=":table")
+    # the same weights applied straight to the counts N_j(m, n)
+    counts = symmetrized_extract(build_jrank_gf(j, order, "counts"), k)
+    table = _rows(extracted.coefficient, counts.coefficient, order, tag=":table")
     return rows + table, []
 
 
@@ -109,7 +110,8 @@ def _verify_gtjsptk(j, k, r, order):
 
 
 def _verify_relos(j, k, r, order):
-    return _rows(lambda n: stats.moment(j, 2 * k, n),
+    counts = build_jrank_gf(j, order, "counts")  # moments straight from N_j(m, n)
+    return _rows(lambda n: counts.coefficient(n).weighted_sum(lambda m: m ** (2 * k)),
                  lambda n: stats.moment_via_sym(j, k, n), order), []
 
 

@@ -7,7 +7,6 @@ extractions that turn them into single-variable series.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Iterable
 
@@ -16,9 +15,11 @@ from .series import (
     TruncSeries,
     inv_pochhammer_finite,
     inv_pochhammer_inf,
+    memo,
     pochhammer_inf,
     weighted_tuples,
 )
+from .stats import count_njm
 
 
 def falling_factorial(x: int, t: int) -> int:
@@ -275,7 +276,7 @@ def bi_geometric(z_exp: int, q_exp: int, order: int) -> BiSeries:
     return BiSeries(out)
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def _sym_z_pochhammer(n: int, q_start: int, order: int) -> BiSeries:
     """(z q**q_start; q)_n (z^{-1} q**q_start; q)_n, built incrementally in n."""
     if n == 0:
@@ -285,20 +286,20 @@ def _sym_z_pochhammer(n: int, q_start: int, order: int) -> BiSeries:
     return _sym_z_pochhammer(n - 1, q_start, order) * factor
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def _inv_sym_z_pochhammer(n: int, order: int) -> BiSeries:
     """1 / ((zq; q)_n (z^{-1} q; q)_n)."""
     return _sym_z_pochhammer(n, 1, order).inverse()
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def build_crank_gf(order: int) -> BiSeries:
     """The two-variable crank generating function (q)_inf / ((zq)_inf (z^{-1}q)_inf)."""
     denom = bi_pochhammer(1, 1, None, order) * bi_pochhammer(-1, 1, None, order)
     return denom.inverse().mul_series(pochhammer_inf(1, order))
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def build_rank_gf(order: int) -> BiSeries:
     """The two-variable rank generating function.
 
@@ -313,7 +314,7 @@ def build_rank_gf(order: int) -> BiSeries:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def build_jrank_gf(j: int, order: int, form: str = "nested") -> BiSeries:
     """The two-variable j-rank generating function, normalized to constant term 1.
 
@@ -341,20 +342,10 @@ def build_jrank_gf(j: int, order: int, form: str = "nested") -> BiSeries:
     if form == "bilateral":
         return _jrank_gf_bilateral(j, order)
     if form == "counts":
-        from .stats import gf_njm
-
-        out = [LaurentPoly.const(1 if n == 0 else 0) for n in range(order + 1)]
-        for m in range(0, order + 1):
-            col = gf_njm(j, m, order)
-            for n in range(1, order + 1):
-                c = col.coefficient(n)
-                if c == 0:
-                    continue
-                if m == 0:
-                    out[n] = out[n] + LaurentPoly.const(c)
-                else:
-                    out[n] = out[n] + LaurentPoly({m: c, -m: c})
-        return BiSeries(out)
+        return BiSeries([LaurentPoly.const(1)] + [
+            LaurentPoly({m: count_njm(j, m, n) for m in range(-n, n + 1)})
+            for n in range(1, order + 1)
+        ])
     raise ValueError(f"unknown form {form!r}")
 
 

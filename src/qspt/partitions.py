@@ -92,12 +92,16 @@ def _partition_tuples(n: int) -> Iterator[tuple[int, ...]]:
             rem -= step
 
 
+# _PARTITION_COUNTS[m] = p(m), grown in place, so each p(m) is computed once.
+_PARTITION_COUNTS: list[int] = [1]
+
+
 def partition_count(n: int) -> int:
     """p(n) by the pentagonal-number recurrence (exact)."""
     if n < 0:
         return 0
-    table = [1] + [0] * n
-    for m in range(1, n + 1):
+    table = _PARTITION_COUNTS
+    for m in range(len(table), n + 1):
         total = 0
         k = 1
         while True:
@@ -111,7 +115,7 @@ def partition_count(n: int) -> int:
             if g2 <= m:
                 total += sign * table[m - g2]
             k += 1
-        table[m] = total
+        table.append(total)
     return table[n]
 
 

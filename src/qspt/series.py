@@ -10,6 +10,8 @@ the two orders.
 from __future__ import annotations
 
 import functools
+import inspect
+from collections import namedtuple
 from typing import Iterable, Iterator
 
 
@@ -129,13 +131,58 @@ class TruncSeries:
         return f"TruncSeries({body}; order={self.order})"
 
 
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+def memo(builder):
+    """Memoize a series builder by its arguments other than ``order``.
+
+    Only the largest-order series built for each argument tuple is kept, and
+    any order at or below it is answered by ``.truncate(order)``: truncated
+    series agree on every coefficient they share.  A miss builds at
+    ``max(order, 2 * largest)``, so reading orders in ascending sequence
+    costs O(log order) builds.  ``cache_info()`` and ``cache_clear()`` work
+    as on the functools caches.
+    """
+    sig = inspect.signature(builder)
+    at = list(sig.parameters).index("order")
+    built: dict[tuple, object] = {}
+    counts = [0, 0]  # hits, misses
+
+    @functools.wraps(builder)
+    def wrapper(*args, **kwargs):
+        if kwargs or len(args) != len(sig.parameters):
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args
+        order = args[at]
+        key = args[:at] + args[at + 1 :]
+        series = built.get(key)
+        if series is not None and series.order >= order:
+            counts[0] += 1
+        else:
+            counts[1] += 1
+            size = order if series is None else max(order, 2 * series.order)
+            series = built[key] = builder(*args[:at], size, *args[at + 1 :])
+        return series if series.order == order else series.truncate(order)
+
+    wrapper.cache_info = lambda: CacheInfo(counts[0], counts[1], None, len(built))
+
+    def cache_clear() -> None:
+        built.clear()
+        counts[:] = [0, 0]
+
+    wrapper.cache_clear = cache_clear
+    return wrapper
+
+
 def _mul_one_minus(coeffs: list[int], exp: int) -> None:
     """In-place multiply a coefficient list by (1 - q**exp)."""
     for i in range(len(coeffs) - 1, exp - 1, -1):
         coeffs[i] -= coeffs[i - exp]
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def pochhammer_finite(a_exp: int, n: int, order: int) -> TruncSeries:
     """(q**a_exp; q)_n = product of (1 - q**(a_exp+i)) for i = 0..n-1."""
     if a_exp < 1:
@@ -161,18 +208,18 @@ def pochhammer_inf(a_exp: int, order: int) -> TruncSeries:
     return pochhammer_finite(a_exp, order + 1, order)
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def inv_pochhammer_inf(a_exp: int, order: int) -> TruncSeries:
     """1 / (q**a_exp; q)_infinity, memoized (used by nearly every builder)."""
     return pochhammer_inf(a_exp, order).inverse()
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def inv_pochhammer_finite(a_exp: int, n: int, order: int) -> TruncSeries:
     return pochhammer_finite(a_exp, n, order).inverse()
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def inv_one_minus(exp: int, order: int, power: int = 1) -> TruncSeries:
     """1 / (1 - q**exp)**power as a truncated series, for exp >= 1."""
     if exp < 1 or power < 1:
@@ -187,41 +234,20 @@ def inv_one_minus(exp: int, order: int, power: int = 1) -> TruncSeries:
     return TruncSeries(out)
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_binomial_poly(n: int, m: int) -> tuple[int, ...]:
-    """Coefficients of the Gaussian binomial [n, m] via the q-Pascal recurrence.
-
-    [n, m] = [n-1, m] + q**(n-m) * [n-1, m-1]; the result is a polynomial of
-    degree m*(n-m) with nonnegative coefficients.
-    """
-    if m < 0 or m > n:
-        return (0,)
-    if m == 0 or m == n:
-        return (1,)
-    low = _gauss_binomial_poly(n - 1, m)
-    high = _gauss_binomial_poly(n - 1, m - 1)
-    deg = m * (n - m)
-    out = [0] * (deg + 1)
-    for i, c in enumerate(low):
-        out[i] += c
-    s = n - m
-    for i, c in enumerate(high):
-        out[i + s] += c
-    return tuple(out)
-
-
+@memo
 def gauss_binomial(n: int, m: int, order: int) -> TruncSeries:
     """The Gaussian binomial coefficient [n, m] truncated at ``order``.
 
-    Returns the zero series when m < 0 or m > n.
+    Built by the q-Pascal recurrence [n, m] = [n-1, m] + q**(n-m) * [n-1, m-1];
+    the zero series when m < 0 or m > n.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    poly = _gauss_binomial_poly(n, m)
-    out = [0] * (order + 1)
-    for i, c in enumerate(poly[: order + 1]):
-        out[i] = c
-    return TruncSeries(out)
+    if m < 0 or m > n:
+        return TruncSeries.zero(order)
+    if m == 0 or m == n:
+        return TruncSeries.one(order)
+    return gauss_binomial(n - 1, m, order) + gauss_binomial(n - 1, m - 1, order).shift(n - m)
 
 
 def weighted_tuples(n_square: int, n_linear: int, bound: int,

@@ -8,7 +8,6 @@ provably divisible integer and is checked exact.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -28,6 +27,7 @@ from .series import (
     inv_one_minus,
     inv_pochhammer_finite,
     inv_pochhammer_inf,
+    memo,
     pochhammer_finite,
     weighted_tuples,
 )
@@ -207,7 +207,7 @@ def split_chain_weight(p: Partition, j: int, k: int) -> int:
 # nested-sum generating functions
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def gf_np(order: int) -> TruncSeries:
     """Generating function of n*p(n): 1/(q)_inf * sum n q^n/(1-q^n)."""
     sigma = [0] * (order + 1)
@@ -217,7 +217,7 @@ def gf_np(order: int) -> TruncSeries:
     return TruncSeries(sigma) * inv_pochhammer_inf(1, order)
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def gf_spt_j(j: int, order: int) -> TruncSeries:
     """The defining Gaussian-binomial sum for the Spt_j family."""
     if j < 1:
@@ -235,7 +235,7 @@ def gf_spt_j(j: int, order: int) -> TruncSeries:
     return acc
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def gf_genn1_lhs(j: int, order: int) -> TruncSeries:
     """Left side of the depth-j smallest-part identity, in telescoped form.
 
@@ -270,7 +270,7 @@ def _signed_sum(exponent, power: int, order: int) -> TruncSeries:
     return acc
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def gf_genn1_rhs(j: int, order: int) -> TruncSeries:
     """Right side: n*p(n) part plus the alternating pentagonal-like correction."""
     acc = _signed_sum(lambda n: n * ((2 * j + 1) * n + 1) // 2, 2, order)
@@ -291,7 +291,6 @@ def spt_j(j: int, n: int, route: str = "moments") -> int:
     return _evaluate("Spt_j", (j,), n, route)
 
 
-@functools.lru_cache(maxsize=None)
 def gf_spt_k(k: int, order: int) -> TruncSeries:
     """Nested-sum generating function of the order-k smallest-part family.
 
@@ -309,7 +308,7 @@ def spt_k(k: int, n: int, route: str = "moments") -> int:
     return _evaluate("spt_k", (k,), n, route)
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def _beta_sum(n1: int, r: int, order: int, min_m: int = 0) -> TruncSeries:
     """sum over n1 >= m_1 >= ... >= m_{r-1} >= min_m of q^(sum m_i^2) / diff products.
 
@@ -328,7 +327,7 @@ def _beta_sum(n1: int, r: int, order: int, min_m: int = 0) -> TruncSeries:
     return acc
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def gf_jspt_k(j: int, k: int, order: int, form: str = "nested") -> TruncSeries:
     """Generating function of the two-parameter smallest-part family.
 
@@ -517,4 +516,5 @@ class SptRequest:
     def values(self) -> list[int]:
         """Values for n = 1..n_max."""
         args = tuple(getattr(self, name) for name in FAMILIES[self.family].params)
-        return [_evaluate(self.family, args, n, self.route) for n in range(1, self.n_max + 1)]
+        # descending, so each series behind the route is built once, at n_max
+        return [_evaluate(self.family, args, n, self.route) for n in range(self.n_max, 0, -1)][::-1]

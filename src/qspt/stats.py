@@ -1,17 +1,15 @@
 """Rank, crank and j-rank statistics, their counts, and moment tables.
 
-The numeric count tables are sourced from the single-variable generating
+Counts and moments are coefficients of the single-variable generating
 functions; counting over enumerated partitions is kept as a test oracle.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
-from .laurent import integer_binomial
 from .partitions import Partition, successive_durfee
-from .series import DiscrepancyError, TruncSeries, inv_pochhammer_inf
+from .series import DiscrepancyError, TruncSeries, inv_one_minus, inv_pochhammer_inf, memo
 
 
 def rank(p: Partition) -> int:
@@ -56,7 +54,7 @@ def jrank(p: Partition, j: int) -> int | None:
     return cols - below
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def gf_njm(j: int, m: int, order: int) -> TruncSeries:
     """Generating function of the count of partitions with j-rank m.
 
@@ -80,55 +78,32 @@ def gf_njm(j: int, m: int, order: int) -> TruncSeries:
     return acc * inv_pochhammer_inf(1, order)
 
 
-@functools.lru_cache(maxsize=None)
-def _count_table(j: int, order: int) -> tuple[tuple[int, ...], ...]:
-    """table[m][n] = count of partitions of n with j-rank m, for 0 <= m, n <= order."""
-    return tuple(tuple(gf_njm(j, m, order).coeffs) for m in range(order + 1))
-
-
-def _table_order(n: int) -> int:
-    # Round the table order up so repeated small queries share one table.
-    return max(16, -(-n // 16) * 16)
-
-
 def count_njm(j: int, m: int, n: int) -> int:
-    """N_j(m, n) read from the generating-function table (symmetric in m)."""
-    if n < 0:
+    """N_j(m, n), read from the count generating function (symmetric in m)."""
+    if n < 0 or abs(m) > n:
         return 0
-    am = abs(m)
-    if am > n:
-        return 0
-    return _count_table(j, _table_order(n))[am][n]
+    return gf_njm(j, abs(m), n).coefficient(n)
 
 
 def moment(j: int, t: int, n: int) -> int:
     """The t-th ordinary j-rank moment: sum of m**t * N_j(m, n) over m in [-n, n]."""
     if t % 2 == 1:
         return 0
-    table = _count_table(j, _table_order(n))
-    total = table[0][n] if t == 0 else 0
-    for m in range(1, n + 1):
-        c = table[m][n]
-        if c:
-            total += 2 * (m**t) * c
-    return total
+    if t == 0:
+        return sum(count_njm(j, m, n) for m in range(-n, n + 1))
+    return moment_via_sym(j, t // 2, n)
 
 
 def sym_mu(j: int, k: int, n: int) -> int:
     """The k-th symmetrized j-rank moment, binom(m + floor((k-1)/2), k)-weighted."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    shift = (k - 1) // 2
-    table = _count_table(j, _table_order(n))
-    total = 0
-    for m in range(-n, n + 1):
-        c = table[abs(m)][n]
-        if c:
-            total += integer_binomial(m + shift, k) * c
-    return total
+    if k % 2 == 1 or n < 0:  # an odd k weighs m oddly, so the symmetric counts cancel
+        return 0
+    return gf_sym_mu(j, k // 2, n).coefficient(n)
 
 
-@functools.lru_cache(maxsize=None)
+@memo
 def gf_sym_mu(j: int, k: int, order: int) -> TruncSeries:
     """Closed-form generating function of the 2k-th symmetrized j-rank moments.
 
@@ -136,8 +111,6 @@ def gf_sym_mu(j: int, k: int, order: int) -> TruncSeries:
     1/(q)_inf * sum_{n>=1} (-1)^(n-1)
         (q^(n((2j-1)n+1)/2 + kn) + q^(n((2j-1)n-1)/2 + kn)) / (1-q^n)^(2k).
     """
-    from .series import inv_one_minus
-
     acc = TruncSeries.zero(order)
     n = 1
     while True:
@@ -214,8 +187,8 @@ def stirling_star(size: int) -> StirlingStarTable:
 def moment_via_sym(j: int, k: int, n: int) -> int:
     """The 2k-th ordinary moment recovered from symmetrized moments.
 
-    Uses the factorial-weighted change of basis; must agree with
-    :func:`moment` (tested as an invariant).
+    Uses the factorial-weighted change of basis; :func:`moment` takes this
+    route, and the tests hold it to sums straight over the counts.
     """
     import math
 
@@ -245,5 +218,6 @@ class MomentTable:
         stat = {"count": count_njm, "moment": moment, "symmetrized": sym_mu}.get(kind)
         if stat is None:
             raise ValueError(f"unknown table kind {kind!r}")
-        vals = tuple(stat(j, index, n) for n in range(n_max + 1))
+        # descending, so each series behind the table is built once, at n_max
+        vals = tuple(reversed([stat(j, index, n) for n in range(n_max, -1, -1)]))
         return cls(kind, j, index, vals, "generating-function")

@@ -1,11 +1,12 @@
 """CLI subcommands: formats, exit codes, cache behavior, determinism."""
 
 import json
+import os
 
 import pytest
 from click.testing import CliRunner
 
-from qspt import identities
+from qspt import cli, identities
 from qspt.cli import main
 
 
@@ -94,6 +95,82 @@ class TestCompute:
         assert result.exit_code == 0
         assert cache.exists()
 
+    P_ARGS = ["compute", "--family", "p", "--n-max", "3"]
+    P_KEY = "p|j=None|k=None|route=recurrence|N=3"
+
+    def _assert_recomputed(self, result, cache):
+        assert result.exit_code == 0
+        assert result.stdout.splitlines() == ["1 1", "2 2", "3 3"]
+        doc = json.loads(cache.read_text())
+        assert doc["version"] == 1 and doc["entries"][self.P_KEY] == ["1", "2", "3"]
+
+    @pytest.mark.parametrize("text", [
+        b'{"version": 1, "entries": {',  # truncated: used to die with a traceback
+        b"not json at all",
+        b"\xff",  # not UTF-8
+    ])
+    def test_cache_not_json_warns_and_recomputes(self, runner, tmp_path, text):
+        cache = tmp_path / "cache.json"
+        cache.write_bytes(text)
+        result = runner.invoke(main, self.P_ARGS + ["--cache", str(cache)])
+        self._assert_recomputed(result, cache)
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("warning:")
+
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        {"entries": {}},
+        {"version": 2, "entries": {}},
+        {"version": 1, "entries": []},
+    ])
+    def test_cache_wrong_shape_warns_and_recomputes(self, runner, tmp_path, doc):
+        cache = tmp_path / "cache.json"
+        cache.write_text(json.dumps(doc))
+        result = runner.invoke(main, self.P_ARGS + ["--cache", str(cache)])
+        self._assert_recomputed(result, cache)
+        assert len(result.stderr.splitlines()) == 1
+        assert result.stderr.startswith("warning:")
+
+    def test_cache_unreadable_warns_and_computes(self, runner, tmp_path):
+        cache = tmp_path / "cache.json"
+        cache.mkdir()  # exists, but cannot be read (or replaced) as a file
+        result = runner.invoke(main, self.P_ARGS + ["--cache", str(cache)])
+        assert result.exit_code == 0
+        assert result.stdout.splitlines() == ["1 1", "2 2", "3 3"]
+        assert result.stderr.startswith("warning:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json"]
+
+    @pytest.mark.parametrize("entry", [
+        ["1"],  # too short: used to print one row
+        ["1", "2", "3", "5"],  # too long
+        ["1", "x", "3"],  # not an integer: used to die with a traceback
+        ["1", 2, "3"],  # not a string
+        "123",
+    ])
+    def test_cache_bad_entry_is_recomputed(self, runner, tmp_path, entry):
+        cache = tmp_path / "cache.json"
+        cache.write_text(json.dumps({"version": 1, "entries": {self.P_KEY: entry}}))
+        result = runner.invoke(main, self.P_ARGS + ["--cache", str(cache)])
+        self._assert_recomputed(result, cache)
+
+    def test_cache_written_by_replace(self, runner, tmp_path, monkeypatch):
+        moves = []
+        real_replace = os.replace
+
+        def spy(src, dst):
+            moves.append((src, dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", spy)
+        cache = tmp_path / "cache.json"
+        cache.write_text(json.dumps({"version": 1, "entries": {}}))
+        result = runner.invoke(main, self.P_ARGS + ["--cache", str(cache)])
+        self._assert_recomputed(result, cache)
+        ((src, dst),) = moves
+        assert dst == str(cache) and src != dst
+        assert os.path.dirname(src) == str(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.json"]
+
     def test_determinism(self, runner):
         args = ["compute", "--family", "spt_k", "--k", "2", "--n-max", "8",
                 "--format", "csv"]
@@ -179,6 +256,13 @@ class TestTable:
         result = runner.invoke(main, ["table", "--kind", "count", "--j", "0",
                                       "--index", "0", "--n-max", "3"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("index", ["0", "-1"])
+    def test_symmetrized_index_below_one_exit_2(self, runner, index):
+        result = runner.invoke(main, ["table", "--kind", "symmetrized", "--j", "2",
+                                      "--index", index, "--n-max", "3"])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.output
 
 
 class TestCongruence:

@@ -1,4 +1,4 @@
-"""Ring axioms, inversion, Pochhammer and Gaussian-binomial oracles."""
+"""Ring axioms, inversion, Pochhammer and Gaussian-binomial oracles, the memo."""
 
 import itertools
 
@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qspt import laurent, series, spt, stats
 from qspt.series import (
     TruncSeries,
     gauss_binomial,
@@ -225,3 +226,115 @@ class TestWeightedTuples:
         for bound in range(31):
             expected = [t for t, w in weighed if w <= bound]
             assert list(weighted_tuples(n_square, n_linear, bound, lo)) == expected
+
+
+# Every memoized builder, with sample arguments: (builder, before order, after order).
+SERIES_BUILDERS = [
+    (series.pochhammer_finite, (2, 5), ()),
+    (series.inv_pochhammer_inf, (1,), ()),
+    (series.inv_pochhammer_finite, (1, 4), ()),
+    (series.inv_one_minus, (3,), (2,)),
+    (series.gauss_binomial, (7, 3), ()),
+    (stats.gf_njm, (2, 1), ()),
+    (stats.gf_sym_mu, (3, 2), ()),
+    (spt.gf_np, (), ()),
+    (spt.gf_spt_j, (2,), ()),
+    (spt.gf_genn1_lhs, (2,), ()),
+    (spt.gf_genn1_rhs, (3,), ()),
+    (spt._beta_sum, (3, 2), (1,)),
+    (spt.gf_jspt_k, (2, 1), ("nested",)),
+    (spt.gf_jspt_k, (2, 2), ("binomial",)),
+]
+BISERIES_BUILDERS = [
+    (laurent._sym_z_pochhammer, (3, 0), ()),
+    (laurent._inv_sym_z_pochhammer, (2,), ()),
+    (laurent.build_crank_gf, (), ()),
+    (laurent.build_rank_gf, (), ()),
+    (laurent.build_jrank_gf, (2,), ("nested",)),
+    (laurent.build_jrank_gf, (2,), ("bilateral",)),
+    (laurent.build_jrank_gf, (3,), ("counts",)),
+]
+# the builders whose own memo holds only the arguments they are called with
+NONRECURSIVE = [case for case in SERIES_BUILDERS if case[0] is not series.gauss_binomial]
+
+
+def _ids(cases):
+    return [f"{fn.__name__}{before + after}" for fn, before, after in cases]
+
+
+def memoized():
+    """Every memoized function defined in the package."""
+    mods = (series, stats, spt, laurent)
+    return {v for m in mods for v in vars(m).values()
+            if hasattr(v, "cache_info") and v.__module__ == m.__name__}
+
+
+def clear_memos():
+    for fn in memoized():
+        fn.cache_clear()
+
+
+def read(case, order):
+    fn, before, after = case
+    return fn(*before, order, *after)
+
+
+def fresh(case, order):
+    clear_memos()
+    return read(case, order)
+
+
+class TestMemo:
+    def test_every_memoized_builder_is_tested(self):
+        assert memoized() == {fn for fn, _, _ in SERIES_BUILDERS + BISERIES_BUILDERS}
+
+    @pytest.mark.parametrize("case", SERIES_BUILDERS, ids=_ids(SERIES_BUILDERS))
+    @given(orders=st.lists(st.integers(min_value=0, max_value=24), min_size=1, max_size=6))
+    @settings(max_examples=15, deadline=None)
+    def test_reads_match_fresh_builds(self, case, orders):
+        # whatever was read before, a read equals a build at that order alone
+        expected = {order: fresh(case, order) for order in set(orders)}
+        clear_memos()
+        for order in orders:
+            got = read(case, order)
+            assert got == expected[order] and got.order == order
+
+    @pytest.mark.parametrize("case", BISERIES_BUILDERS, ids=_ids(BISERIES_BUILDERS))
+    def test_bivariate_reads_match_fresh_builds(self, case):
+        small, large = 6, 9
+        expected_small, expected_large = fresh(case, small), fresh(case, large)
+        clear_memos()
+        read(case, large)
+        assert read(case, small) == expected_small  # a truncation of the order-9 build
+        clear_memos()
+        read(case, small)
+        assert read(case, large) == expected_large  # rebuilt at max(9, 2 * 6)
+
+    @pytest.mark.parametrize("case", NONRECURSIVE, ids=_ids(NONRECURSIVE))
+    def test_ascending_reads_keep_one_entry(self, case):
+        clear_memos()
+        for order in range(1, 41):
+            read(case, order)
+        info = case[0].cache_info()
+        assert info.currsize == 1
+        # built at orders 1, 2, 4, ..., 64 and read by truncation in between
+        assert (info.misses, info.hits) == (7, 33)
+
+    def test_spellings_of_one_call_share_an_entry(self):
+        clear_memos()
+        calls = [inv_one_minus(3, 10), inv_one_minus(3, 10, 1),
+                 inv_one_minus(3, order=10), inv_one_minus(exp=3, power=1, order=10)]
+        assert all(c == calls[0] for c in calls)
+        assert inv_one_minus.cache_info()[:2] == (3, 1)  # hits, misses
+        assert inv_one_minus.cache_info().currsize == 1
+
+    def test_cache_clear_resets(self):
+        series.inv_one_minus(2, 10)
+        series.inv_one_minus.cache_clear()
+        assert series.inv_one_minus.cache_info() == (0, 0, None, 0)
+
+    def test_request_builds_its_series_once(self):
+        clear_memos()
+        values = spt.SptRequest("Spt_j", 60, j=2, route="gf").values()
+        assert spt.gf_spt_j.cache_info().misses == 1
+        assert values == [spt.spt_j(2, n, "moments") for n in range(1, 61)]

@@ -149,10 +149,11 @@ class TestSymmetrizedMoments:
     def test_direct_sum_oracle(self):
         from qspt.laurent import integer_binomial
 
-        for j in (1, 2):
-            for k in (2, 3, 4):
+        # sym_mu reads gf_sym_mu; the oracle sums straight over the counts
+        for j in (1, 2, 3, 4):
+            for k in (1, 2, 3, 4, 5, 6):
                 shift = (k - 1) // 2
-                for n in range(1, 12):
+                for n in range(1, 41):
                     direct = sum(
                         integer_binomial(m + shift, k) * count_njm(j, m, n)
                         for m in range(-n, n + 1)
@@ -203,9 +204,13 @@ class TestMomentViaSym:
                 assert moment_via_sym(j, 1, n) == moment(j, 2, n)
 
     def test_fourth_crank_moment(self):
-        n = 5
-        direct = sum(m**4 * count_njm(1, m, n) for m in range(-n, n + 1))
-        assert moment_via_sym(1, 2, n) == direct
+        # and every other 2k-th moment, k <= 3, against sums straight over the counts
+        for j in (1, 2, 3, 4):
+            for k in (1, 2, 3):
+                for n in range(1, 41):
+                    direct = sum(m ** (2 * k) * count_njm(j, m, n) for m in range(-n, n + 1))
+                    assert moment_via_sym(j, k, n) == direct, (j, k, n)
+                    assert moment(j, 2 * k, n) == direct, (j, k, n)
 
     @pytest.mark.parametrize("j", [1, 2, 3])
     @pytest.mark.parametrize("k", [1, 2, 3])
