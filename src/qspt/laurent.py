@@ -3,6 +3,13 @@
 This module houses the two-variable generating functions for the crank, the
 rank and the j-rank, together with the z-derivative and symmetrized-moment
 extractions that turn them into single-variable series.
+
+Every bivariate product and quotient in these builders is by one-term
+factors (1 - z**a * q**e), so the builders apply them with the factor kernels
+``BiSeries.mul_factor`` and ``BiSeries.div_factor``: one pass over the rows,
+O(N * width) each, where a general ``BiSeries`` product or inverse costs
+O(N**2 * width**2).  The general ``__mul__`` and ``inverse`` remain, and the
+tests pin the kernels and builders to them.
 """
 
 from __future__ import annotations
@@ -125,6 +132,24 @@ class LaurentPoly:
         return f"LaurentPoly({body})"
 
 
+def _add_shifted(a: LaurentPoly, b: LaurentPoly, z_exp: int, sign: int) -> LaurentPoly:
+    """a + sign * z**z_exp * b, for sign = +-1 (the row step of the factor kernels)."""
+    if not b.terms:
+        return a
+    acc = dict(a.terms)
+    get = acc.get
+    for m, c in b.terms.items():
+        m += z_exp
+        v = get(m, 0) + sign * c
+        if v:
+            acc[m] = v
+        else:
+            del acc[m]  # c != 0, so v == 0 only cancels a present term
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.terms = acc  # zero-free by construction
+    return out
+
+
 _LP_ZERO = LaurentPoly()
 _LP_ONE = LaurentPoly.const(1)
 
@@ -226,6 +251,32 @@ class BiSeries:
             out[i] = -(lead_inv * acc)
         return BiSeries(out)
 
+    def mul_factor(self, z_exp: int, q_exp: int) -> "BiSeries":
+        """Multiply by the one-term factor (1 - z**z_exp * q**q_exp), q_exp >= 0.
+
+        One pass over the rows: row i loses row i - q_exp shifted by z**z_exp.
+        """
+        if q_exp < 0:
+            raise ValueError("q_exp must be >= 0")
+        rows = self.coeffs
+        out = list(rows)
+        for i in range(q_exp, len(rows)):
+            out[i] = _add_shifted(rows[i], rows[i - q_exp], z_exp, -1)
+        return BiSeries(out)
+
+    def div_factor(self, z_exp: int, q_exp: int) -> "BiSeries":
+        """Divide by the one-term factor (1 - z**z_exp * q**q_exp), q_exp >= 1.
+
+        One ascending pass: row i of the quotient is row i of ``self`` plus
+        quotient row i - q_exp shifted by z**z_exp.
+        """
+        if q_exp < 1:
+            raise ValueError("q_exp must be >= 1")
+        out = list(self.coeffs)
+        for i in range(q_exp, len(out)):
+            out[i] = _add_shifted(out[i], out[i - q_exp], z_exp, 1)
+        return BiSeries(out)
+
     def substitute_inverse(self) -> "BiSeries":
         """z -> 1/z coefficientwise."""
         return BiSeries([c.substitute_inverse() for c in self.coeffs])
@@ -246,21 +297,10 @@ def bi_pochhammer(z_exp: int, q_start: int, n_factors: int | None, order: int) -
     """
     if n_factors is None and q_start < 1:
         raise ValueError("infinite product needs q_start >= 1")
+    stop = order + 1 if n_factors is None else min(q_start + n_factors, order + 1)
     out = BiSeries.one(order)
-    i = 0
-    while True:
-        if n_factors is not None and i >= n_factors:
-            break
-        e = q_start + i
-        if e > order:
-            break
-        terms = [_LP_ONE] + [_LP_ZERO] * order
-        if e == 0:
-            terms[0] = LaurentPoly({0: 1, z_exp: -1})
-        else:
-            terms[e] = LaurentPoly.z_power(z_exp, -1)
-        out = out * BiSeries(terms)
-        i += 1
+    for e in range(q_start, stop):
+        out = out.mul_factor(z_exp, e)
     return out
 
 
@@ -282,21 +322,28 @@ def _sym_z_pochhammer(n: int, q_start: int, order: int) -> BiSeries:
     if n == 0:
         return BiSeries.one(order)
     e = q_start + n - 1
-    factor = bi_pochhammer(1, e, 1, order) * bi_pochhammer(-1, e, 1, order)
-    return _sym_z_pochhammer(n - 1, q_start, order) * factor
+    return _sym_z_pochhammer(n - 1, q_start, order).mul_factor(1, e).mul_factor(-1, e)
 
 
 @memo
 def _inv_sym_z_pochhammer(n: int, order: int) -> BiSeries:
-    """1 / ((zq; q)_n (z^{-1} q; q)_n)."""
-    return _sym_z_pochhammer(n, 1, order).inverse()
+    """1 / ((zq; q)_n (z^{-1} q; q)_n), built incrementally in n."""
+    if n == 0:
+        return BiSeries.one(order)
+    return _inv_sym_z_pochhammer(n - 1, order).div_factor(1, n).div_factor(-1, n)
+
+
+def _div_sym_factors(a: BiSeries, n: int) -> BiSeries:
+    """a / ((zq; q)_n (z^{-1} q; q)_n), as 2n one-term divisions."""
+    for e in range(1, n + 1):
+        a = a.div_factor(1, e).div_factor(-1, e)
+    return a
 
 
 @memo
 def build_crank_gf(order: int) -> BiSeries:
     """The two-variable crank generating function (q)_inf / ((zq)_inf (z^{-1}q)_inf)."""
-    denom = bi_pochhammer(1, 1, None, order) * bi_pochhammer(-1, 1, None, order)
-    return denom.inverse().mul_series(pochhammer_inf(1, order))
+    return _div_sym_factors(BiSeries.one(order), order).mul_series(pochhammer_inf(1, order))
 
 
 @memo
@@ -330,14 +377,18 @@ def build_jrank_gf(j: int, order: int, form: str = "nested") -> BiSeries:
             # The nested sum degenerates at depth 0; by convention the
             # 1-rank is the crank (their count series coincide).
             return build_crank_gf(order)
-        out = BiSeries.one(order)
+        # group the tuples by their first index, so that each bivariate
+        # factor meets one summed scalar series
+        scalar_by_first: dict[int, TruncSeries] = {}
         for tup in weighted_tuples(j - 1, 0, order):
-            weight = sum(v * v for v in tup)
-            scalar = TruncSeries.one(order)
+            scalar = TruncSeries.monomial(sum(v * v for v in tup), order)
             for a, b in zip(tup, tup[1:]):
                 scalar = scalar * inv_pochhammer_finite(1, b - a, order)
-            term = _inv_sym_z_pochhammer(tup[0], order).mul_series(scalar)
-            out = out + term.shift(weight)
+            acc = scalar_by_first.get(tup[0])
+            scalar_by_first[tup[0]] = scalar if acc is None else acc + scalar
+        out = BiSeries.one(order)
+        for first, scalar in sorted(scalar_by_first.items()):
+            out = out + _inv_sym_z_pochhammer(first, order).mul_series(scalar)
         return out
     if form == "bilateral":
         return _jrank_gf_bilateral(j, order)
@@ -363,11 +414,10 @@ def _jrank_gf_bilateral(j: int, order: int) -> BiSeries:
         if e_pos > order and e_neg > order:
             break
         sign = 1 if n % 2 == 1 else -1  # (-1)^(n-1), shared by both halves
-        one_minus = TruncSeries.one(order) - TruncSeries.monomial(n, order)
         for z_dir, z_mul, e in ((1, 1, e_pos), (-1, 0, e_neg)):
             if e > order:
                 continue
-            term = bi_geometric(z_dir, n, order).mul_series(one_minus).shift(e)
+            term = bi_geometric(z_dir, n, order).mul_factor(0, n).shift(e)
             if z_mul:
                 term = BiSeries([c * LaurentPoly.z_power(z_mul) for c in term.coeffs])
             total = total + term if sign == 1 else total - term
@@ -409,8 +459,7 @@ def build_kn1_sides(j: int, order: int) -> tuple[BiSeries, BiSeries]:
     """
     if j < 1:
         raise ValueError("j must be >= 1")
-    # Left side: group terms by n_j so the expensive bivariate factor is
-    # multiplied once per distinct outer index.
+    # Left side: the scalar series S_o sums the terms with outer index n_j = o.
     scalar_by_outer: dict[int, TruncSeries] = {}
     for tup in weighted_tuples(j - 1, 1, order, lo=0):
         weight = sum(v * v for v in tup[:-1]) + tup[-1]
@@ -421,25 +470,28 @@ def build_kn1_sides(j: int, order: int) -> tuple[BiSeries, BiSeries]:
         outer = tup[-1]
         acc = scalar_by_outer.get(outer)
         scalar_by_outer[outer] = scalar if acc is None else acc + scalar
+    # (z)_o (z^{-1})_o grows by the factors at q^o from o to o + 1, so the
+    # sum over o is a Horner suffix sum: acc = S_o + (1-zq^o)(1-z^{-1}q^o) acc.
     lhs = BiSeries.zero(order)
-    for outer, scalar in sorted(scalar_by_outer.items()):
-        lhs = lhs + _sym_z_pochhammer(outer, 0, order).mul_series(scalar)
+    for outer in range(max(scalar_by_outer), -1, -1):
+        lhs = lhs.mul_factor(1, outer).mul_factor(-1, outer)
+        scalar = scalar_by_outer.get(outer)
+        if scalar is not None:
+            lhs = lhs + BiSeries.from_series(scalar)
 
-    # Right side.
-    prefactor = (
-        bi_pochhammer(1, 1, None, order)
-        * bi_pochhammer(-1, 1, None, order)
-    ).mul_series(inv_pochhammer_inf(1, order) * inv_pochhammer_inf(1, order))
+    # Right side: the product form applied to the correction sum, as one-term
+    # factor passes and one pure-q product.
     correction = BiSeries.one(order)
     n = 1
     while n * ((2 * j + 1) * n + 1) // 2 <= order:
         e = n * ((2 * j + 1) * n + 1) // 2
         sign = -1 if n % 2 == 1 else 1
-        num = _sym_z_pochhammer(n, 0, order)
-        term = (num * _inv_sym_z_pochhammer(n, order)).shift(e)
+        term = _div_sym_factors(_sym_z_pochhammer(n, 0, order), n).shift(e)
         one_plus = TruncSeries.one(order) + TruncSeries.monomial(n, order)
         term = term.mul_series(one_plus.scale(sign))
         correction = correction + term
         n += 1
-    rhs = prefactor * correction
+    for e in range(1, order + 1):
+        correction = correction.mul_factor(1, e).mul_factor(-1, e)
+    rhs = correction.mul_series(inv_pochhammer_inf(1, order) * inv_pochhammer_inf(1, order))
     return lhs, rhs

@@ -142,19 +142,26 @@ def memo(builder):
     series agree on every coefficient they share.  A miss builds at
     ``max(order, 2 * largest)``, so reading orders in ascending sequence
     costs O(log order) builds.  ``cache_info()`` and ``cache_clear()`` work
-    as on the functools caches.
+    as on the functools caches; ``holds(*args)`` says whether a call with
+    those arguments would be a hit, without making it.
     """
     sig = inspect.signature(builder)
     at = list(sig.parameters).index("order")
     built: dict[tuple, object] = {}
     counts = [0, 0]  # hits, misses
 
-    @functools.wraps(builder)
-    def wrapper(*args, **kwargs):
+    def positional(args, kwargs):
+        """The arguments of a call as one positional tuple, defaults filled in."""
         if kwargs or len(args) != len(sig.parameters):
             bound = sig.bind(*args, **kwargs)
             bound.apply_defaults()
             args = bound.args
+        return args
+
+    @functools.wraps(builder)
+    def wrapper(*args, **kwargs):
+        if kwargs or len(args) != len(sig.parameters):
+            args = positional(args, kwargs)
         order = args[at]
         key = args[:at] + args[at + 1 :]
         series = built.get(key)
@@ -166,6 +173,13 @@ def memo(builder):
             series = built[key] = builder(*args[:at], size, *args[at + 1 :])
         return series if series.order == order else series.truncate(order)
 
+    def holds(*args, **kwargs) -> bool:
+        """Whether this call would be answered from the memo, without making it."""
+        args = positional(args, kwargs)
+        series = built.get(args[:at] + args[at + 1 :])
+        return series is not None and series.order >= args[at]
+
+    wrapper.holds = holds
     wrapper.cache_info = lambda: CacheInfo(counts[0], counts[1], None, len(built))
 
     def cache_clear() -> None:
@@ -239,7 +253,8 @@ def gauss_binomial(n: int, m: int, order: int) -> TruncSeries:
     """The Gaussian binomial coefficient [n, m] truncated at ``order``.
 
     Built by the q-Pascal recurrence [n, m] = [n-1, m] + q**(n-m) * [n-1, m-1];
-    the zero series when m < 0 or m > n.
+    the zero series when m < 0 or m > n.  Every entry the recurrence reaches
+    is memoized.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -247,6 +262,14 @@ def gauss_binomial(n: int, m: int, order: int) -> TruncSeries:
         return TruncSeries.zero(order)
     if m == 0 or m == n:
         return TruncSeries.one(order)
+    if not ((m == 1 or gauss_binomial.holds(n - 1, m - 1, order))
+            and (m == n - 1 or gauss_binomial.holds(n - 1, m, order))):
+        # Read the interior of the triangle below [n, m] row by row, so that
+        # each entry finds its interior parents memoized: a cold call does not
+        # recurse n - m deep.
+        for r in range(2, n):
+            for c in range(max(1, m - (n - r)), min(m, r - 1) + 1):
+                gauss_binomial(r, c, order)
     return gauss_binomial(n - 1, m, order) + gauss_binomial(n - 1, m - 1, order).shift(n - m)
 
 

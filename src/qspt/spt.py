@@ -456,6 +456,12 @@ FAMILIES: dict[str, Family] = {
     }),
 }
 
+# The weight routes of these families enumerate every partition of each n
+# (p(40) = 37338, p(50) = 204226); SptRequest refuses them, and "all", beyond
+# WEIGHT_N_MAX.  The weight route of spt reads a table and has no limit.
+ENUMERATING_WEIGHT = ("spt_k", "Spt_j", "jspt_k")
+WEIGHT_N_MAX = 40
+
 # Every route name of some family, plus "all" (every route of the family,
 # checked to agree).
 ROUTES: tuple[str, ...] = (
@@ -512,6 +518,10 @@ class SptRequest:
         if self.route is None:
             object.__setattr__(self, "route", next(iter(fam.routes)))
         _check_route(self.family, self.route)
+        if (self.route in ("weight", "all") and self.family in ENUMERATING_WEIGHT
+                and self.n_max > WEIGHT_N_MAX):
+            raise ValueError(f"route {self.route!r} of family {self.family} enumerates "
+                             f"partitions; n_max must be <= {WEIGHT_N_MAX}")
 
     def values(self) -> list[int]:
         """Values for n = 1..n_max."""

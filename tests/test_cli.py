@@ -7,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from qspt import cli, identities
+from qspt import spt as sptmod
 from qspt.cli import main
 
 
@@ -63,6 +64,16 @@ class TestCompute:
     def test_invalid_request_exit_2(self, runner, extra):
         result = runner.invoke(main, ["compute", "--n-max", "3"] + extra)
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("extra", [
+        ["--family", "Spt_j", "--j", "2", "--route", "weight"],
+        ["--family", "jspt_k", "--j", "2", "--k", "1", "--route", "all"],
+    ])
+    def test_enumerating_route_over_limit_exit_2(self, runner, extra):
+        n_max = str(sptmod.WEIGHT_N_MAX + 1)
+        result = runner.invoke(main, ["compute", "--n-max", n_max] + extra)
+        assert result.exit_code == 2
+        assert "enumerates partitions" in result.output
 
     @pytest.mark.parametrize("route", ["gf", "all"])
     def test_spt_routes_match_default(self, runner, route):

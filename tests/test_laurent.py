@@ -1,7 +1,10 @@
 """Bivariate series, the crank/rank/j-rank generating functions, extractions."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qspt import laurent, series, spt, stats
 from qspt.laurent import (
     BiSeries,
     LaurentPoly,
@@ -17,12 +20,82 @@ from qspt.laurent import (
     symmetrized_extract,
 )
 from qspt.partitions import enumerate_partitions
-from qspt.series import TruncSeries, pochhammer_inf
+from qspt.series import (
+    TruncSeries,
+    inv_pochhammer_finite,
+    inv_pochhammer_inf,
+    pochhammer_inf,
+    weighted_tuples,
+)
 from qspt.stats import crank, gf_sym_mu, rank
 
 
 def lp(d):
     return LaurentPoly(d)
+
+
+def clear_memos():
+    """Empty every memo, so that a build at one order is not followed by a rebuild
+    at twice that order."""
+    for mod in (series, stats, spt, laurent):
+        for v in vars(mod).values():
+            if hasattr(v, "cache_clear") and v.__module__ == mod.__name__:
+                v.cache_clear()
+
+
+def factor(z_exp, q_exp, order):
+    """The one-term factor (1 - z**z_exp * q**q_exp) as a dense BiSeries."""
+    rows = [lp({0: 1})] + [lp({})] * order
+    if q_exp <= order:
+        rows[q_exp] = rows[q_exp] - lp({z_exp: 1})
+    return BiSeries(rows)
+
+
+# Dense constructions by full BiSeries products and inverses: the oracles the
+# factor kernels replace.
+
+def dense_pochhammer(z_exp, q_start, n_factors, order):
+    stop = order + 1 if n_factors is None else min(q_start + n_factors, order + 1)
+    out = BiSeries.one(order)
+    for e in range(q_start, stop):
+        out = out * factor(z_exp, e, order)
+    return out
+
+
+def dense_sym_pochhammer(n, q_start, order):
+    return dense_pochhammer(1, q_start, n, order) * dense_pochhammer(-1, q_start, n, order)
+
+
+def dense_crank_gf(order):
+    denom = dense_pochhammer(1, 1, None, order) * dense_pochhammer(-1, 1, None, order)
+    return denom.inverse().mul_series(pochhammer_inf(1, order))
+
+
+def dense_kn1_sides(j, order):
+    lhs = BiSeries.zero(order)
+    for tup in weighted_tuples(j - 1, 1, order, lo=0):
+        weight = sum(v * v for v in tup[:-1]) + tup[-1]
+        diffs = [tup[0]] + [b - a for a, b in zip(tup, tup[1:])]
+        scalar = TruncSeries.monomial(weight, order)
+        for d in diffs:
+            scalar = scalar * inv_pochhammer_finite(1, d, order)
+        lhs = lhs + dense_sym_pochhammer(tup[-1], 0, order).mul_series(scalar)
+    prefactor = dense_sym_pochhammer(order, 1, order).mul_series(
+        inv_pochhammer_inf(1, order) * inv_pochhammer_inf(1, order))
+    correction = BiSeries.one(order)
+    n = 1
+    while n * ((2 * j + 1) * n + 1) // 2 <= order:
+        e = n * ((2 * j + 1) * n + 1) // 2
+        sign = -1 if n % 2 == 1 else 1
+        ratio = dense_sym_pochhammer(n, 0, order) * dense_sym_pochhammer(n, 1, order).inverse()
+        one_plus = TruncSeries.one(order) + TruncSeries.monomial(n, order)
+        correction = correction + ratio.shift(e).mul_series(one_plus.scale(sign))
+        n += 1
+    return lhs, prefactor * correction
+
+
+laurent_polys = st.dictionaries(st.integers(-4, 4), st.integers(-5, 5), max_size=4).map(lp)
+bi_series = st.lists(laurent_polys, min_size=1, max_size=11).map(BiSeries)
 
 
 class TestIntegerBinomial:
@@ -92,6 +165,48 @@ class TestBiSeries:
         assert a.mul_series(s) == a * BiSeries.from_series(s)
 
 
+class TestFactorKernels:
+    @given(a=bi_series, z_exp=st.integers(-3, 3), q_exp=st.integers(0, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_mul_factor_matches_product(self, a, z_exp, q_exp):
+        assert a.mul_factor(z_exp, q_exp) == a * factor(z_exp, q_exp, a.order)
+
+    @given(a=bi_series, z_exp=st.integers(-3, 3), q_exp=st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_div_factor_matches_inverse(self, a, z_exp, q_exp):
+        assert a.div_factor(z_exp, q_exp) == a * factor(z_exp, q_exp, a.order).inverse()
+
+    @given(a=bi_series, z_exp=st.integers(-3, 3), q_exp=st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_div_then_mul_round_trips(self, a, z_exp, q_exp):
+        assert a.div_factor(z_exp, q_exp).mul_factor(z_exp, q_exp) == a
+
+    def test_bad_exponents(self):
+        with pytest.raises(ValueError):
+            BiSeries.one(3).mul_factor(1, -1)
+        with pytest.raises(ValueError):
+            BiSeries.one(3).div_factor(1, 0)
+
+    @pytest.mark.parametrize("order", [0, 1, 7, 16])
+    def test_pochhammers_match_dense(self, order):
+        for n in range(order + 2):
+            for q_start in (0, 1, 2):
+                assert laurent._sym_z_pochhammer(n, q_start, order) == \
+                    dense_sym_pochhammer(n, q_start, order)
+            assert laurent._inv_sym_z_pochhammer(n, order) == \
+                laurent._sym_z_pochhammer(n, 1, order).inverse()
+        for z_exp in (-2, 1):
+            assert bi_pochhammer(z_exp, 1, None, order) == dense_pochhammer(z_exp, 1, None, order)
+
+    @pytest.mark.parametrize("order", [0, 1, 7, 16])
+    def test_crank_gf_matches_dense(self, order):
+        assert build_crank_gf(order) == dense_crank_gf(order)
+
+    @pytest.mark.parametrize("j,order", [(1, 16), (2, 16), (3, 16), (2, 5)])
+    def test_kn1_sides_match_dense(self, j, order):
+        assert build_kn1_sides(j, order) == dense_kn1_sides(j, order)
+
+
 def _statistic_poly(n, stat):
     out = {}
     for p in enumerate_partitions(n):
@@ -149,6 +264,13 @@ class TestJrankGf:
         assert nested == build_jrank_gf(j, order, "bilateral")
         assert nested == build_jrank_gf(j, order, "counts")
 
+    @pytest.mark.parametrize("j", [2, 3, 4])
+    def test_three_forms_agree_order_50(self, j):
+        clear_memos()
+        nested = build_jrank_gf(j, 50, "nested")
+        assert nested == build_jrank_gf(j, 50, "bilateral")
+        assert nested == build_jrank_gf(j, 50, "counts")
+
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_z_symmetry(self, j):
         a = build_jrank_gf(j, 12)
@@ -187,11 +309,24 @@ class TestExtractions:
         got = symmetrized_extract(build_jrank_gf(j, order), k)
         assert got == gf_sym_mu(j, k, order)
 
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_symmetrized_matches_closed_form_order_60(self, j):
+        clear_memos()
+        a = build_jrank_gf(j, 60)
+        for k in (1, 2, 3):
+            assert symmetrized_extract(a, k) == gf_sym_mu(j, k, 60), k
+
 
 class TestKn1:
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_sides_equal(self, j):
         lhs, rhs = build_kn1_sides(j, 16)
+        assert lhs == rhs
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_sides_equal_order_60(self, j):
+        clear_memos()
+        lhs, rhs = build_kn1_sides(j, 60)
         assert lhs == rhs
 
     def test_constant_terms(self):

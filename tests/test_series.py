@@ -201,6 +201,39 @@ class TestGaussBinomial:
             expected = pochhammer_finite(1, n, order) * denom.inverse()
             assert gauss_binomial(n, m, order) == expected
 
+    def test_q_pascal_oracle(self):
+        # every [n, m] with n < 40 against the recurrence run over plain rows,
+        # and a cold call memoizes exactly the entries the recurrence reaches
+        order = 12
+        rows = [[TruncSeries.one(order)]]
+        for n in range(1, 40):
+            prev = rows[-1] + [TruncSeries.zero(order)]
+            rows.append([TruncSeries.one(order)] + [
+                prev[m] + prev[m - 1].shift(n - m) for m in range(1, n + 1)])
+        for n in range(40):
+            for m in range(n + 1):
+                reached, todo = set(), [(n, m)]
+                while todo:
+                    a, b = todo.pop()
+                    if (a, b) not in reached:
+                        reached.add((a, b))
+                        if 0 < b < a:
+                            todo += [(a - 1, b), (a - 1, b - 1)]
+                gauss_binomial.cache_clear()
+                assert gauss_binomial(n, m, order) == rows[n][m], (n, m)
+                assert gauss_binomial.cache_info().currsize == len(reached), (n, m)
+
+    @pytest.mark.parametrize("m,expected", [
+        (1, (1, 1, 1, 1, 1, 1)),
+        (300, (1, 1, 2, 3, 5, 7)),  # partition numbers: p(i) for i <= 5 <= min(m, n - m)
+    ])
+    def test_cold_call_does_not_recurse(self, m, expected):
+        gauss_binomial.cache_clear()
+        try:
+            assert gauss_binomial(600, m, 5).coeffs == expected
+        finally:
+            gauss_binomial.cache_clear()  # (600, 300) leaves 90600 entries
+
     @pytest.mark.parametrize("n", range(9))
     def test_symmetry_nonnegativity_degree(self, n):
         order = n * n + 1
@@ -319,6 +352,15 @@ class TestMemo:
         assert info.currsize == 1
         # built at orders 1, 2, 4, ..., 64 and read by truncation in between
         assert (info.misses, info.hits) == (7, 33)
+
+    def test_holds_answers_without_building(self):
+        clear_memos()
+        assert not inv_one_minus.holds(3, 10)
+        inv_one_minus(3, 10)
+        info = inv_one_minus.cache_info()
+        assert inv_one_minus.holds(3, 10) and inv_one_minus.holds(exp=3, order=4, power=1)
+        assert not inv_one_minus.holds(3, 11) and not inv_one_minus.holds(3, 10, 2)
+        assert inv_one_minus.cache_info() == info
 
     def test_spellings_of_one_call_share_an_entry(self):
         clear_memos()

@@ -7,6 +7,7 @@ import pytest
 from qspt.partitions import Partition, enumerate_partitions, partition_count
 from qspt.spt import (
     FAMILIES,
+    WEIGHT_N_MAX,
     SptRequest,
     _count_min_parts,
     appbp_sides,
@@ -314,6 +315,21 @@ class TestSptRequest:
     def test_rejects_route_family_lacks(self, family, route):
         with pytest.raises(ValueError):
             SptRequest(family, 5, route=route)
+
+    @pytest.mark.parametrize("family,params", [
+        ("spt_k", {"k": 2}), ("Spt_j", {"j": 2}), ("jspt_k", {"j": 2, "k": 1}),
+    ])
+    def test_enumerating_routes_are_limited(self, family, params):
+        for route in ("weight", "all"):
+            SptRequest(family, WEIGHT_N_MAX, route=route, **params)  # built, not run
+            with pytest.raises(ValueError, match="enumerates partitions"):
+                SptRequest(family, WEIGHT_N_MAX + 1, route=route, **params)
+        assert SptRequest(family, WEIGHT_N_MAX + 1, route="gf", **params).route == "gf"
+
+    def test_spt_weight_route_is_not_limited(self):
+        n_max = WEIGHT_N_MAX + 1
+        assert SptRequest("spt", n_max, route="weight").values() == \
+            SptRequest("spt", n_max, route="gf").values()
 
     def test_default_route_is_first(self):
         for family, fam in FAMILIES.items():
