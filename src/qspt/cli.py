@@ -1,7 +1,8 @@
 """Command-line front end: compute tables, verify identities, check congruences.
 
 Exit codes: 0 = success / all checks pass, 1 = a mathematical discrepancy was
-found, 2 = usage error.
+found, 2 = usage error, 3 = an internal or I/O error (such as a closed output
+pipe), reported as one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -106,12 +107,22 @@ def _save_cache(path: str | None, doc: dict) -> None:
 
 class _Main(click.Group):
     def invoke(self, ctx: click.Context):
-        # every command reports a mathematical discrepancy the same way
+        # every command reports a mathematical discrepancy the same way, and
+        # keeps exit 1 for it: any other failure is exit 3
         try:
             return super().invoke(ctx)
         except DiscrepancyError as exc:
             click.echo(f"FAIL {exc}", err=True)
             sys.exit(1)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as exc:
+            if isinstance(exc, BrokenPipeError):
+                # the reader is gone: send what is still buffered nowhere, so
+                # that the interpreter's last flush does not fail again
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+            sys.exit(3)
 
 
 @click.group(cls=_Main)

@@ -9,7 +9,8 @@ factors (1 - z**a * q**e), so the builders apply them with the factor kernels
 ``BiSeries.mul_factor`` and ``BiSeries.div_factor``: one pass over the rows,
 O(N * width) each, where a general ``BiSeries`` product or inverse costs
 O(N**2 * width**2).  The general ``__mul__`` and ``inverse`` remain, and the
-tests pin the kernels and builders to them.
+tests pin the kernels and builders to them.  The scalar series of the nested
+j-rank sum and of the kn1 left side are the chain recursions of the spt builders.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ from typing import Iterable
 from .series import (
     DiscrepancyError,
     TruncSeries,
-    inv_pochhammer_finite,
+    _difference_link,
+    _link_sum,
+    _square_chain,
     inv_pochhammer_inf,
     memo,
     pochhammer_inf,
-    weighted_tuples,
 )
 from .stats import count_njm
 
@@ -377,17 +379,11 @@ def build_jrank_gf(j: int, order: int, form: str = "nested") -> BiSeries:
             # The nested sum degenerates at depth 0; by convention the
             # 1-rank is the crank (their count series coincide).
             return build_crank_gf(order)
-        # group the tuples by their first index, so that each bivariate
-        # factor meets one summed scalar series
-        scalar_by_first: dict[int, TruncSeries] = {}
-        for tup in weighted_tuples(j - 1, 0, order):
-            scalar = TruncSeries.monomial(sum(v * v for v in tup), order)
-            for a, b in zip(tup, tup[1:]):
-                scalar = scalar * inv_pochhammer_finite(1, b - a, order)
-            acc = scalar_by_first.get(tup[0])
-            scalar_by_first[tup[0]] = scalar if acc is None else acc + scalar
+        # the scalar series of the chains 1 <= t_1 <= ... <= t_{j-1}, by their
+        # first index, so that each bivariate factor meets one summed series
+        chain = _square_chain(j - 1, _difference_link, order, lo=1, descending=True)
         out = BiSeries.one(order)
-        for first, scalar in sorted(scalar_by_first.items()):
+        for first, scalar in sorted(chain.items()):
             out = out + _inv_sym_z_pochhammer(first, order).mul_series(scalar)
         return out
     if form == "bilateral":
@@ -459,25 +455,16 @@ def build_kn1_sides(j: int, order: int) -> tuple[BiSeries, BiSeries]:
     """
     if j < 1:
         raise ValueError("j must be >= 1")
-    # Left side: the scalar series S_o sums the terms with outer index n_j = o.
-    scalar_by_outer: dict[int, TruncSeries] = {}
-    for tup in weighted_tuples(j - 1, 1, order, lo=0):
-        weight = sum(v * v for v in tup[:-1]) + tup[-1]
-        diffs = [tup[0]] + [b - a for a, b in zip(tup, tup[1:])]
-        scalar = TruncSeries.monomial(weight, order)
-        for d in diffs:
-            scalar = scalar * inv_pochhammer_finite(1, d, order)
-        outer = tup[-1]
-        acc = scalar_by_outer.get(outer)
-        scalar_by_outer[outer] = scalar if acc is None else acc + scalar
+    # Left side: the scalar series S_o sums the terms with outer index n_j = o,
+    # q^o times the link sum to o of the chains 0 <= n_1 <= ... <= n_{j-1}.
     # (z)_o (z^{-1})_o grows by the factors at q^o from o to o + 1, so the
     # sum over o is a Horner suffix sum: acc = S_o + (1-zq^o)(1-z^{-1}q^o) acc.
+    chain = _square_chain(j - 1, _difference_link, order)
     lhs = BiSeries.zero(order)
-    for outer in range(max(scalar_by_outer), -1, -1):
+    for outer in range(order, -1, -1):
         lhs = lhs.mul_factor(1, outer).mul_factor(-1, outer)
-        scalar = scalar_by_outer.get(outer)
-        if scalar is not None:
-            lhs = lhs + BiSeries.from_series(scalar)
+        scalar = _link_sum(outer, chain, _difference_link, order, shift=outer)
+        lhs = lhs + BiSeries.from_series(scalar)
 
     # Right side: the product form applied to the correction sum, as one-term
     # factor passes and one pure-q product.

@@ -12,7 +12,8 @@ from __future__ import annotations
 import functools
 import inspect
 from collections import namedtuple
-from typing import Iterable, Iterator
+from math import comb, isqrt
+from typing import Iterable
 
 
 class DiscrepancyError(ArithmeticError):
@@ -196,20 +197,30 @@ def _mul_one_minus(coeffs: list[int], exp: int) -> None:
         coeffs[i] -= coeffs[i - exp]
 
 
-@memo
-def pochhammer_finite(a_exp: int, n: int, order: int) -> TruncSeries:
-    """(q**a_exp; q)_n = product of (1 - q**(a_exp+i)) for i = 0..n-1."""
+def _div_one_minus(coeffs: list[int], exp: int) -> None:
+    """In-place divide a coefficient list by (1 - q**exp), exp >= 1."""
+    for i in range(exp, len(coeffs)):
+        coeffs[i] += coeffs[i - exp]
+
+
+def _pochhammer(a_exp: int, n: int, order: int, step) -> TruncSeries:
+    """(q**a_exp; q)_n as n in-place one-term passes: ``step`` is
+    ``_mul_one_minus`` for the product and ``_div_one_minus`` for its inverse."""
     if a_exp < 1:
         raise ValueError("a_exp must be a positive integer")
     if n < 0:
         raise ValueError("n must be nonnegative")
     out = [1] + [0] * order
-    for i in range(n):
-        e = a_exp + i
-        if e > order:
-            break  # remaining factors cannot touch coefficients <= order
-        _mul_one_minus(out, e)
+    # factors whose exponent exceeds the order cannot touch the coefficients
+    for e in range(a_exp, min(a_exp + n, order + 1)):
+        step(out, e)
     return TruncSeries(out)
+
+
+@memo
+def pochhammer_finite(a_exp: int, n: int, order: int) -> TruncSeries:
+    """(q**a_exp; q)_n = product of (1 - q**(a_exp+i)) for i = 0..n-1."""
+    return _pochhammer(a_exp, n, order, _mul_one_minus)
 
 
 def pochhammer_inf(a_exp: int, order: int) -> TruncSeries:
@@ -225,12 +236,12 @@ def pochhammer_inf(a_exp: int, order: int) -> TruncSeries:
 @memo
 def inv_pochhammer_inf(a_exp: int, order: int) -> TruncSeries:
     """1 / (q**a_exp; q)_infinity, memoized (used by nearly every builder)."""
-    return pochhammer_inf(a_exp, order).inverse()
+    return _pochhammer(a_exp, order + 1, order, _div_one_minus)
 
 
 @memo
 def inv_pochhammer_finite(a_exp: int, n: int, order: int) -> TruncSeries:
-    return pochhammer_finite(a_exp, n, order).inverse()
+    return _pochhammer(a_exp, n, order, _div_one_minus)
 
 
 @memo
@@ -238,8 +249,6 @@ def inv_one_minus(exp: int, order: int, power: int = 1) -> TruncSeries:
     """1 / (1 - q**exp)**power as a truncated series, for exp >= 1."""
     if exp < 1 or power < 1:
         raise ValueError("exp and power must be positive")
-    from math import comb
-
     out = [0] * (order + 1)
     t = 0
     while t * exp <= order:
@@ -273,28 +282,67 @@ def gauss_binomial(n: int, m: int, order: int) -> TruncSeries:
     return gauss_binomial(n - 1, m, order) + gauss_binomial(n - 1, m - 1, order).shift(n - m)
 
 
-def weighted_tuples(n_square: int, n_linear: int, bound: int,
-                    lo: int = 1) -> Iterator[tuple[int, ...]]:
-    """Weakly increasing tuples lo <= t_1 <= ... <= t_d, d = n_square + n_linear.
+def _difference_link(hi: int, lo: int, order: int) -> TruncSeries:
+    """1 / (q)_{hi - lo}: the chain link of the difference-product forms."""
+    return inv_pochhammer_finite(1, hi - lo, order)
 
-    The first ``n_square`` entries weigh t**2 and the rest weigh t; the tuples
-    of total weight <= bound are yielded in lexicographic order.  Every nested
-    sum in the package runs over one of these index sets.
+
+def _link_sum(x: int, chain: dict[int, TruncSeries], link, order: int,
+              shift: int = 0, descending: bool = False) -> TruncSeries:
+    """q**shift * the sum of link(max(x, y), min(x, y)) * chain[y] over the ends
+    y <= x of ``chain`` (y >= x if descending), truncated at ``order``; each
+    product is taken only to the order it can reach."""
+    reach = order - shift
+    acc = [0] * (order + 1)
+    for y, s in chain.items():  # chain[y] carries the factor q**(y*y)
+        if y * y <= reach and (y >= x if descending else y <= x):
+            term = s.truncate(reach) * link(max(x, y), min(x, y), s.order)
+            for i, c in enumerate(term.coeffs, shift):
+                acc[i] += c
+    return TruncSeries(acc)
+
+
+def _square_chain(levels: int, link, order: int, lo: int = 0,
+                  descending: bool = False) -> dict[int, TruncSeries]:
+    """The chains lo <= n_1 <= ... <= n_levels, weighing q**(n_1**2 + ... + n_levels**2),
+    summed by their free end: one link sum per end x, x*x <= order, per level.
+
+    Ascending, the free end is n_levels and the links are link(n_1, 0),
+    link(n_2, n_1), ...; no levels leave {0: 1}.  Descending, the free end is
+    n_1 and there is no link to 0.
     """
-    depth = n_square + n_linear
+    if levels * lo * lo > order:
+        return {}  # every chain weighs more than the order
+    if lo == 0:  # longer chains of weight <= order start with 0, and link(0, 0) = 1
+        levels = min(levels, order)
+    ends = range(lo, isqrt(order) + 1)
+    chain = {0: TruncSeries.one(order)}
+    if descending:
+        chain, levels = {x: TruncSeries.monomial(x * x, order) for x in ends}, levels - 1
+    for _ in range(levels):
+        chain = {x: _link_sum(x, chain, link, order, x * x, descending) for x in ends}
+    return chain
 
-    def rec(prefix: list[int], v: int, used: int):
-        pos = len(prefix)
-        if pos == depth:
-            yield tuple(prefix)
-            return
-        squares_left = max(n_square - pos, 0)
-        linear_left = depth - pos - squares_left
-        # the lightest completion repeats v in every remaining position
-        while used + squares_left * v * v + linear_left * v <= bound:
-            prefix.append(v)
-            yield from rec(prefix, v, used + (v * v if pos < n_square else v))
-            prefix.pop()
-            v += 1
 
-    yield from rec([], lo, 0)
+def _linear_chain(seeds: dict[int, TruncSeries], k: int, order: int) -> TruncSeries:
+    """sum over 1 <= n_1 <= ... <= n_k of seeds[n_1] * prod q**n_i / (1 - q**n_i)**2.
+
+    The sums S_r(a) over the chains with n_r <= a follow S_0(a) = seeds[a] and
+    S_r(a) = S_r(a - 1) + q**a / (1 - q**a)**2 * S_{r-1}(a); the k - r indices
+    after n_r are each >= a, so S_r(a) is needed only to order - (k - r) * a.
+    """
+    if k > order:
+        return TruncSeries.zero(order)  # every chain weighs at least k
+    runs = [[0] * (order + 1) for _ in range(k)]
+    for a in range(1, order + 1):
+        src = seeds[a].coeffs if a in seeds else ()
+        for r, run in enumerate(runs):
+            reach = order - (k - r) * a
+            if reach >= 0 and src:
+                term = list(src[: reach + 1])
+                _div_one_minus(term, a)
+                _div_one_minus(term, a)
+                for i, c in enumerate(term, a):  # a + reach <= order
+                    run[i] += c
+            src = run
+    return TruncSeries(runs[-1])

@@ -3,12 +3,15 @@
 Each family is computable by several independent routes -- generating
 function, combinatorial weight over partitions, and moment differences --
 and the routes are required to agree.  Every division along the way is on a
-provably divisible integer and is checked exact.
+provably divisible integer and is checked exact.  The generating functions are
+nested sums over chains of Durfee-square sides; each is summed by one
+recursion over the levels of its chain, not one index tuple at a time.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -23,13 +26,15 @@ from .partitions import (
 from .series import (
     DiscrepancyError,
     TruncSeries,
+    _difference_link,
+    _link_sum,
+    _linear_chain,
+    _mul_one_minus,
+    _square_chain,
     gauss_binomial,
     inv_one_minus,
-    inv_pochhammer_finite,
     inv_pochhammer_inf,
     memo,
-    pochhammer_finite,
-    weighted_tuples,
 )
 from .stats import moment, sym_mu
 
@@ -111,14 +116,20 @@ def mark_weight(p: Partition, j: int) -> int:
     return sum(mark for _, mark in bottom_up[: _split_point_count(p, j)])
 
 
-def _compositions(k: int) -> Iterator[tuple[int, ...]]:
-    """Ordered tuples of positive integers summing to k."""
+def _compositions(k: int, max_pieces: int, max_piece: int) -> Iterator[tuple[int, ...]]:
+    """Ordered tuples of at most max_pieces integers in 1..max_piece summing to k.
+
+    Only such compositions give a nonzero weight term: a piece above the
+    multiplicity (or the mark) of its part value makes its binomial vanish, and
+    each piece takes a distinct part value.  The recursion is max_pieces deep,
+    and a branch that cannot reach k is cut at once.
+    """
     if k == 0:
         yield ()
-        return
-    for first in range(1, k + 1):
-        for rest in _compositions(k - first):
-            yield (first,) + rest
+    elif k <= max_pieces * max_piece:
+        for first in range(1, min(k, max_piece) + 1):
+            for rest in _compositions(k - first, max_pieces - 1, max_piece):
+                yield (first,) + rest
 
 
 def _chain_sum(freqs: dict[int, int], larger: list[int], weights: tuple[int, ...]) -> int:
@@ -136,24 +147,16 @@ def _chain_sum(freqs: dict[int, int], larger: list[int], weights: tuple[int, ...
 
 
 def chain_weight(p: Partition, k: int) -> int:
-    """Higher-order smallest-part weight: compositions of k over part chains."""
+    """Higher-order smallest-part weight: compositions of k over part chains.
+
+    It is :func:`split_chain_weight` at j = 1, whose one split part is the
+    bottom smallest part, marked with the multiplicity of the smallest part.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not p.parts:
         raise ValueError("weight of the empty partition is undefined")
-    freqs: dict[int, int] = {}
-    for part in p.parts:
-        freqs[part] = freqs.get(part, 0) + 1
-    values = sorted(freqs)
-    t1 = values[0]
-    larger = values[1:]
-    total = 0
-    for comp in _compositions(k):
-        head = integer_binomial(freqs[t1] + comp[0] - 1, 2 * comp[0] - 1)
-        if head == 0:
-            continue
-        total += head * _chain_sum(freqs, larger, comp[1:])
-    return total
+    return split_chain_weight(p, 1, k)
 
 
 def _split_positions(p: Partition, j: int) -> list[int]:
@@ -187,15 +190,13 @@ def split_chain_weight(p: Partition, j: int, k: int) -> int:
     if not p.parts:
         return 0
     bottom_up = marks(p)[::-1]
-    freqs: dict[int, int] = {}
-    for part in p.parts:
-        freqs[part] = freqs.get(part, 0) + 1
+    freqs = Counter(p.parts)
     values = sorted(freqs)
     total = 0
     for i in _split_positions(p, j):
         t1, mark = bottom_up[i]
         larger = [v for v in values if v > t1]
-        for comp in _compositions(k):
+        for comp in _compositions(k, 1 + len(larger), max(freqs.values())):
             head = integer_binomial(mark + comp[0] - 1, 2 * comp[0] - 1)
             if head == 0:
                 continue
@@ -217,22 +218,36 @@ def gf_np(order: int) -> TruncSeries:
     return TruncSeries(sigma) * inv_pochhammer_inf(1, order)
 
 
+# The link between chain levels of each form, and the power of (q)_c it carries.
+_FORMS = {"nested": (_difference_link, 2), "binomial": (gauss_binomial, 1)}
+
+
+def _chain_gf(levels: int, lo: int, form: str, k: int, order: int) -> TruncSeries:
+    """The nested sum behind the smallest-part generating functions: over
+    lo <= n_1 <= ... <= n_levels <= c = m_1 <= ... <= m_k, c >= 1, of
+    q**(n_1**2 + ... + n_levels**2) link(n_1, 0) ... link(c, n_levels) (q)_c**power
+    prod q**m_i / (1 - q**m_i)**2, with the link and power of ``form``.  A
+    factor 1/(q**(c+1))_inf is (q)_c/(q)_inf.
+    """
+    link, poch_power = _FORMS[form]
+    chain = _square_chain(levels, link, order, lo)
+    poch = [1] + [0] * order  # (q)_c, one factor more per c
+    seeds = {}
+    for c in range(1, order // k + 1):
+        _mul_one_minus(poch, c)
+        reach = order - k * c  # m_2, ..., m_k weigh at least c each
+        seeds[c] = _link_sum(c, chain, link, reach)
+        for _ in range(poch_power):
+            seeds[c] = TruncSeries(poch[: reach + 1]) * seeds[c]
+    return _linear_chain(seeds, k, order)
+
+
 @memo
 def gf_spt_j(j: int, order: int) -> TruncSeries:
     """The defining Gaussian-binomial sum for the Spt_j family."""
     if j < 1:
         raise ValueError("j must be >= 1")
-    acc = TruncSeries.zero(order)
-    for tup in weighted_tuples(j - 1, 1, order, lo=0):
-        nj = tup[-1]
-        if nj == 0:
-            continue  # the sum runs over n_j >= 1
-        weight = sum(v * v for v in tup[:-1]) + nj
-        term = inv_one_minus(nj, order, 2) * inv_pochhammer_inf(nj + 1, order)
-        for a, b in zip(tup, tup[1:]):
-            term = term * gauss_binomial(b, a, order)
-        acc = acc + term.shift(weight)
-    return acc
+    return inv_pochhammer_inf(1, order) * _chain_gf(j - 1, 0, "binomial", 1, order)
 
 
 @memo
@@ -243,19 +258,7 @@ def gf_genn1_lhs(j: int, order: int) -> TruncSeries:
     (q)_{n_j} over the difference products -- a structurally different
     expansion used to cross-check it.
     """
-    acc = TruncSeries.zero(order)
-    for tup in weighted_tuples(j - 1, 1, order, lo=0):
-        nj = tup[-1]
-        if nj == 0:
-            continue  # the sum runs over n_j >= 1
-        weight = sum(v * v for v in tup[:-1]) + nj
-        term = pochhammer_finite(1, nj, order)
-        term = term * inv_one_minus(nj, order, 2) * inv_pochhammer_inf(nj + 1, order)
-        diffs = [tup[0]] + [b - a for a, b in zip(tup, tup[1:])]
-        for d in diffs:
-            term = term * inv_pochhammer_finite(1, d, order)
-        acc = acc + term.shift(weight)
-    return acc
+    return inv_pochhammer_inf(1, order) * _chain_gf(j - 1, 0, "nested", 1, order)
 
 
 def _signed_sum(exponent, power: int, order: int) -> TruncSeries:
@@ -309,25 +312,6 @@ def spt_k(k: int, n: int, route: str = "moments") -> int:
 
 
 @memo
-def _beta_sum(n1: int, r: int, order: int, min_m: int = 0) -> TruncSeries:
-    """sum over n1 >= m_1 >= ... >= m_{r-1} >= min_m of q^(sum m_i^2) / diff products.
-
-    The diff products are 1/(q)_d over the gaps d of the chain
-    0 <= m_{r-1} <= ... <= m_1 <= n1.
-    """
-    acc = TruncSeries.zero(order)
-    for ms in weighted_tuples(r - 1, 0, order, lo=min_m):
-        chain = ms + (n1,)
-        if len(chain) > 1 and chain[-2] > n1:
-            continue
-        term = TruncSeries.monomial(sum(v * v for v in ms), order)
-        for d in [chain[0]] + [b - a for a, b in zip(chain, chain[1:])]:
-            term = term * inv_pochhammer_finite(1, d, order)
-        acc = acc + term
-    return acc
-
-
-@memo
 def gf_jspt_k(j: int, k: int, order: int, form: str = "nested") -> TruncSeries:
     """Generating function of the two-parameter smallest-part family.
 
@@ -336,32 +320,9 @@ def gf_jspt_k(j: int, k: int, order: int, form: str = "nested") -> TruncSeries:
     """
     if j < 1 or k < 1:
         raise ValueError("j and k must be >= 1")
-    acc = TruncSeries.zero(order)
-    if form == "nested":
-        for tup in weighted_tuples(0, k, order):
-            n1 = tup[0]
-            base = pochhammer_finite(1, n1, order) * inv_pochhammer_inf(n1 + 1, order)
-            for v in tup:
-                base = base * inv_one_minus(v, order, 2)
-            base = base.shift(sum(tup))
-            # inner sum over 1 <= m_{j-1} <= ... <= m_1 <= n_1
-            inner = _beta_sum(n1, j, order, 1)
-            acc = acc + base * inner
-        return acc
-    if form == "binomial":
-        for tup in weighted_tuples(j - 1, k, order):
-            inner, outer = tup[: j - 1], tup[j - 1 :]
-            weight = sum(v * v for v in inner) + sum(outer)
-            nj = outer[0]
-            term = inv_one_minus(nj, order, 2) * inv_pochhammer_inf(nj + 1, order)
-            for v in outer[1:]:
-                term = term * inv_one_minus(v, order, 2)
-            chain = list(inner) + [nj]
-            for a, b in zip(chain, chain[1:]):
-                term = term * gauss_binomial(b, a, order)
-            acc = acc + term.shift(weight)
-        return acc
-    raise ValueError(f"unknown form {form!r}")
+    if form not in _FORMS:
+        raise ValueError(f"unknown form {form!r}")
+    return inv_pochhammer_inf(1, order) * _chain_gf(j - 1, 1, form, k, order)
 
 
 def jspt_k(j: int, k: int, n: int, route: str = "moments") -> int:
@@ -379,16 +340,8 @@ def appbp_sides(r: int, k: int, order: int) -> tuple[TruncSeries, TruncSeries]:
     """Both sides of the specialized Bailey-pair series identity."""
     if r < 1 or k < 1:
         raise ValueError("r and k must be >= 1")
-    lhs = TruncSeries.zero(order)
-    rhs = TruncSeries.zero(order)
-    for tup in weighted_tuples(0, k, order):
-        n1 = tup[0]
-        base = TruncSeries.monomial(sum(tup), order)
-        for v in tup:
-            base = base * inv_one_minus(v, order, 2)
-        rhs = rhs + base
-        poch = pochhammer_finite(1, n1, order)
-        lhs = lhs + base * poch * poch * _beta_sum(n1, r, order)
+    lhs = _chain_gf(r - 1, 0, "nested", k, order)
+    rhs = _linear_chain(dict.fromkeys(range(1, order + 1), TruncSeries.one(order)), k, order)
     rhs = rhs + _signed_sum(lambda n: n * (n - 1) // 2 + r * n * n + k * n, 2 * k, order)
     return lhs, rhs
 

@@ -2,10 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import qspt
 from qspt import cli, identities
 from qspt import spt as sptmod
 from qspt.cli import main
@@ -82,6 +87,15 @@ class TestCompute:
         result = runner.invoke(main, args + ["--route", route])
         assert result.exit_code == 0
         assert result.output == default.output
+
+    def test_weight_route_with_k_above_the_parts_is_fast(self, runner):
+        # an unbounded enumeration walks all 2**1099 compositions of k, k deep
+        start = time.perf_counter()
+        result = runner.invoke(main, ["compute", "--family", "spt_k", "--k", "1100",
+                                      "--n-max", "2", "--route", "weight"])
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 0
+        assert result.output.splitlines() == ["1 0", "2 0"]
 
     def test_missing_family_exit_2(self, runner):
         result = runner.invoke(main, ["compute", "--n-max", "3"])
@@ -288,3 +302,35 @@ class TestCongruence:
         lines = result.output.splitlines()
         assert lines[0] == "n,lhs,rhs,ok"
         assert "p(4)%5,0,0,True" in lines
+
+
+class TestInternalErrors:
+    """Exit 3 and one error line on stderr for anything but a discrepancy or a
+    usage error; exit 1 stays reserved for a discrepancy."""
+
+    def test_closed_stdout_exits_3(self):
+        # p(n) for n <= 5000 is far more than a pipe buffer, so the writer is
+        # still writing when the reader closes its end
+        src = str(Path(qspt.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qspt.cli", "compute", "--family", "p", "--n-max", "5000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src})
+        try:
+            assert proc.stdout.readline() == b"1 1\n"
+            proc.stdout.close()
+            stderr = proc.stderr.read().decode()
+            assert proc.wait(timeout=60) == 3
+        finally:
+            proc.kill()
+        assert stderr.splitlines() == ["error: BrokenPipeError: [Errno 32] Broken pipe"]
+
+    def test_unexpected_exception_exits_3(self, runner, monkeypatch):
+        def broken_route(n):
+            raise RuntimeError("route failed")
+
+        monkeypatch.setitem(sptmod.FAMILIES["p"].routes, "recurrence", broken_route)
+        result = runner.invoke(main, ["compute", "--family", "p", "--n-max", "3"])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr == "error: RuntimeError: route failed\n"

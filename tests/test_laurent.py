@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qspt import laurent, series, spt, stats
+import tuple_sums
+from qspt import laurent
 from qspt.laurent import (
     BiSeries,
     LaurentPoly,
@@ -20,27 +21,13 @@ from qspt.laurent import (
     symmetrized_extract,
 )
 from qspt.partitions import enumerate_partitions
-from qspt.series import (
-    TruncSeries,
-    inv_pochhammer_finite,
-    inv_pochhammer_inf,
-    pochhammer_inf,
-    weighted_tuples,
-)
+from qspt.series import TruncSeries, inv_pochhammer_inf, pochhammer_inf
 from qspt.stats import crank, gf_sym_mu, rank
+from tuple_sums import clear_memos
 
 
 def lp(d):
     return LaurentPoly(d)
-
-
-def clear_memos():
-    """Empty every memo, so that a build at one order is not followed by a rebuild
-    at twice that order."""
-    for mod in (series, stats, spt, laurent):
-        for v in vars(mod).values():
-            if hasattr(v, "cache_clear") and v.__module__ == mod.__name__:
-                v.cache_clear()
 
 
 def factor(z_exp, q_exp, order):
@@ -73,13 +60,8 @@ def dense_crank_gf(order):
 
 def dense_kn1_sides(j, order):
     lhs = BiSeries.zero(order)
-    for tup in weighted_tuples(j - 1, 1, order, lo=0):
-        weight = sum(v * v for v in tup[:-1]) + tup[-1]
-        diffs = [tup[0]] + [b - a for a, b in zip(tup, tup[1:])]
-        scalar = TruncSeries.monomial(weight, order)
-        for d in diffs:
-            scalar = scalar * inv_pochhammer_finite(1, d, order)
-        lhs = lhs + dense_sym_pochhammer(tup[-1], 0, order).mul_series(scalar)
+    for outer, scalar in tuple_sums.kn1_scalars(j, order).items():
+        lhs = lhs + dense_sym_pochhammer(outer, 0, order).mul_series(scalar)
     prefactor = dense_sym_pochhammer(order, 1, order).mul_series(
         inv_pochhammer_inf(1, order) * inv_pochhammer_inf(1, order))
     correction = BiSeries.one(order)
@@ -280,6 +262,15 @@ class TestJrankGf:
         with pytest.raises(ValueError):
             build_jrank_gf(2, 5, "other")
 
+    @pytest.mark.parametrize("j", [2, 3, 4])
+    def test_nested_matches_tuple_sum(self, j):
+        clear_memos()
+        nested = build_jrank_gf(j, 30, "nested")
+        expected = BiSeries.one(30)
+        for first, scalar in tuple_sums.jrank_scalars(j, 30).items():
+            expected = expected + laurent._inv_sym_z_pochhammer(first, 30).mul_series(scalar)
+        assert nested == expected
+
 
 class TestExtractions:
     def test_first_derivative_vanishes(self):
@@ -328,6 +319,17 @@ class TestKn1:
         clear_memos()
         lhs, rhs = build_kn1_sides(j, 60)
         assert lhs == rhs
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_lhs_matches_tuple_sum(self, j):
+        clear_memos()
+        lhs, _ = build_kn1_sides(j, 30)
+        scalars = tuple_sums.kn1_scalars(j, 30)
+        expected = BiSeries.zero(30)
+        for outer in range(max(scalars), -1, -1):  # Horner over the outer index
+            expected = expected.mul_factor(1, outer).mul_factor(-1, outer)
+            expected = expected + BiSeries.from_series(scalars[outer])
+        assert lhs == expected
 
     def test_constant_terms(self):
         lhs, rhs = build_kn1_sides(2, 8)

@@ -11,11 +11,12 @@ from qspt.series import (
     TruncSeries,
     gauss_binomial,
     inv_one_minus,
+    inv_pochhammer_finite,
     inv_pochhammer_inf,
     pochhammer_finite,
     pochhammer_inf,
-    weighted_tuples,
 )
+from tuple_sums import weighted_tuples
 
 ORDER = 8
 
@@ -132,6 +133,19 @@ class TestInverse:
         order = 6
         assert pochhammer_inf(1, order) * inv_pochhammer_inf(1, order) == TruncSeries.one(order)
 
+    @given(a_exp=st.integers(1, 6), n=st.integers(0, 40), order=st.integers(0, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_division_passes_match_general_inverse(self, a_exp, n, order):
+        clear_memos()
+        assert inv_pochhammer_finite(a_exp, n, order) == pochhammer_finite(a_exp, n, order).inverse()
+        assert inv_pochhammer_inf(a_exp, order) == pochhammer_inf(a_exp, order).inverse()
+
+    def test_inverse_rejects_bad_arguments(self):
+        for call in (lambda: inv_pochhammer_finite(0, 2, 5),
+                     lambda: inv_pochhammer_finite(1, -1, 5), lambda: inv_pochhammer_inf(0, 5)):
+            with pytest.raises(ValueError):
+                call()
+
 
 class TestPochhammer:
     def test_finite_two_factors(self):
@@ -246,19 +260,47 @@ class TestGaussBinomial:
 
 
 class TestWeightedTuples:
+    """The chain recursions sum over the same index sets as the brute force:
+    weakly increasing tuples lo <= t_1 <= ..., the first n_square entries
+    weighing t**2 and the rest t, of total weight <= bound."""
+
+    @staticmethod
+    def brute_force(n_square, n_linear, bound, lo):
+        # each tuple contributes q**weight, the Gaussian-binomial links from 0
+        # through its square entries to the first linear one c, (q)_c and
+        # 1/(1 - q**t)**2 per linear entry (the binomial form of the chain sums)
+        acc = TruncSeries.zero(bound)
+        for tup in weighted_tuples(n_square, n_linear, bound, lo):
+            if 0 in tup[n_square:]:
+                continue  # the linear entries run from 1
+            term = TruncSeries.monomial(sum(v * v for v in tup[:n_square]) + sum(tup[n_square:]),
+                                        bound)
+            for a, b in zip((0,) + tup[:n_square], tup[: n_square + 1]):
+                term = term * gauss_binomial(b, a, bound)
+            for v in tup[n_square:]:
+                term = term * inv_one_minus(v, bound, 2)
+            if n_linear:
+                term = term * pochhammer_finite(1, tup[n_square], bound)
+            acc = acc + term
+        return acc
+
     @pytest.mark.parametrize("lo", [0, 1])
     @pytest.mark.parametrize("n_square,n_linear",
                              [(s, d - s) for d in range(5) for s in range(d + 1)])
     def test_matches_brute_force(self, n_square, n_linear, lo):
-        # every weakly increasing tuple over lo..30, in lexicographic order
-        depth = n_square + n_linear
-        weighed = [
-            (t, sum(v * v for v in t[:n_square]) + sum(t[n_square:]))
-            for t in itertools.combinations_with_replacement(range(lo, 31), depth)
-        ]
+        # the test's enumerator: every weakly increasing tuple over lo..30
+        plain = [t for t in itertools.combinations_with_replacement(range(lo, 31), n_square + n_linear)
+                 if sum(v * v for v in t[:n_square]) + sum(t[n_square:]) <= 30]
+        assert list(weighted_tuples(n_square, n_linear, 30, lo)) == plain
+        expected = self.brute_force(n_square, n_linear, 30, lo)
         for bound in range(31):
-            expected = [t for t, w in weighed if w <= bound]
-            assert list(weighted_tuples(n_square, n_linear, bound, lo)) == expected
+            clear_memos()
+            if n_linear:
+                got = spt._chain_gf(n_square, lo, "binomial", n_linear, bound)
+            else:
+                chain = series._square_chain(n_square, gauss_binomial, bound, lo)
+                got = sum(chain.values(), TruncSeries.zero(bound))
+            assert got == expected.truncate(bound), bound
 
 
 # Every memoized builder, with sample arguments: (builder, before order, after order).
@@ -274,7 +316,6 @@ SERIES_BUILDERS = [
     (spt.gf_spt_j, (2,), ()),
     (spt.gf_genn1_lhs, (2,), ()),
     (spt.gf_genn1_rhs, (3,), ()),
-    (spt._beta_sum, (3, 2), (1,)),
     (spt.gf_jspt_k, (2, 1), ("nested",)),
     (spt.gf_jspt_k, (2, 2), ("binomial",)),
 ]

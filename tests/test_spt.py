@@ -1,15 +1,22 @@
 """The four smallest-part families: weights, generating functions, relations."""
 
 import functools
+import itertools
 
 import pytest
 
-from qspt.partitions import Partition, enumerate_partitions, partition_count
+import tuple_sums
+from qspt.laurent import integer_binomial
+from qspt.partitions import Partition, enumerate_partitions, marks, partition_count
+from qspt.series import TruncSeries
 from qspt.spt import (
     FAMILIES,
     WEIGHT_N_MAX,
     SptRequest,
+    _chain_sum,
     _count_min_parts,
+    _signed_sum,
+    _split_positions,
     appbp_sides,
     chain_weight,
     gf_genn1_lhs,
@@ -110,9 +117,11 @@ class TestSptJ:
             assert spt_j(j, n, "all") == spt_j(j, n, "moments")
 
     def test_gf_extended_range(self):
-        gf = gf_spt_j(2, 30)
-        for n in range(1, 31):
-            assert gf.coefficient(n) == spt_j(2, n, "moments")
+        for j in (1, 2, 3, 4):
+            tuple_sums.clear_memos()
+            gf = gf_spt_j(j, 120)
+            for n in range(1, 121):
+                assert gf.coefficient(n) == spt_j(j, n, "moments"), (j, n)
 
     def test_large_j_is_np(self):
         assert spt_j(5, 4, "moments") == 4 * partition_count(4)
@@ -133,7 +142,8 @@ class TestSptJ:
 class TestGenn1:
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_sides_equal(self, j):
-        assert gf_genn1_lhs(j, 20) == gf_genn1_rhs(j, 20)
+        tuple_sums.clear_memos()
+        assert gf_genn1_lhs(j, 100) == gf_genn1_rhs(j, 100)
 
     def test_rhs_equals_spt_sum(self):
         for j in (1, 2, 3):
@@ -211,7 +221,11 @@ class TestJsptK:
     @pytest.mark.parametrize("j", [1, 2, 3])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_both_gf_forms(self, j, k):
-        assert gf_jspt_k(j, k, 14, "nested") == gf_jspt_k(j, k, 14, "binomial")
+        tuple_sums.clear_memos()
+        nested = gf_jspt_k(j, k, 80, "nested")
+        assert nested == gf_jspt_k(j, k, 80, "binomial")
+        for n in range(1, 81):
+            assert nested.coefficient(n) == jspt_k(j, k, n, "moments"), n
 
     def test_j1_is_spt_k(self):
         for k in (1, 2, 3):
@@ -244,6 +258,11 @@ class TestAppbp:
     def test_identity(self, r, k):
         assert verify_appbp(r, k, 16)
 
+    @pytest.mark.parametrize("r,k", [(1, 2), (2, 3)])
+    def test_identity_order_100(self, r, k):
+        tuple_sums.clear_memos()
+        assert verify_appbp(r, k, 100)
+
     def test_sides_share_low_coefficients(self):
         lhs, rhs = appbp_sides(2, 1, 10)
         assert lhs.coefficient(0) == rhs.coefficient(0) == 0
@@ -274,6 +293,88 @@ class TestRelations:
             for k in (1, 2):
                 for n in range(1, 16):
                     assert jspt_k(j, k, n, "moments") >= 0
+
+
+def _all_compositions(k):
+    """Every composition of k: the unbounded enumeration the weights used to run."""
+    for cuts in itertools.product((False, True), repeat=k - 1):
+        comp, piece = [], 1
+        for cut in cuts:
+            if cut:
+                comp.append(piece)
+                piece = 0
+            piece += 1
+        yield tuple(comp + [piece])
+
+
+def _chain_terms(freqs, t1, head_count, k):
+    larger = [v for v in sorted(freqs) if v > t1]
+    return sum(integer_binomial(head_count + comp[0] - 1, 2 * comp[0] - 1)
+               * _chain_sum(freqs, larger, comp[1:]) for comp in _all_compositions(k))
+
+
+class TestCompositions:
+    def test_oracle_enumerates_every_composition(self):
+        for k in range(1, 9):
+            comps = list(_all_compositions(k))
+            assert len(set(comps)) == len(comps) == 2 ** (k - 1)
+            assert all(sum(c) == k and min(c) >= 1 for c in comps)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_weights_match_unbounded_enumeration(self, k):
+        for n in range(1, 13):
+            for p in enumerate_partitions(n):
+                freqs = {v: p.parts.count(v) for v in p.parts}
+                t1 = min(freqs)
+                assert chain_weight(p, k) == _chain_terms(freqs, t1, freqs[t1], k), (p, k)
+                bottom_up = marks(p)[::-1]
+                for j in (1, 2, 3):
+                    expected = sum(_chain_terms(freqs, *bottom_up[i], k)
+                                   for i in _split_positions(p, j))
+                    assert split_chain_weight(p, j, k) == expected, (p, j, k)
+
+    def test_k_above_the_number_of_parts_is_zero(self):
+        # of the 2**19 compositions of 20, none has at most 3 pieces <= 3
+        for p in enumerate_partitions(3):
+            assert chain_weight(p, 20) == 0 and split_chain_weight(p, 1, 20) == 0
+        assert spt_k(1100, 2, "weight") == 0
+
+
+class TestChainRecursions:
+    """Each nested-sum builder, built from empty memos, equals the per-tuple sum
+    it replaced (tests/tuple_sums.py)."""
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_spt_j_and_genn1_lhs(self, j):
+        tuple_sums.clear_memos()
+        assert gf_spt_j(j, 30) == tuple_sums.gf_spt_j(j, 30)
+        tuple_sums.clear_memos()
+        assert gf_genn1_lhs(j, 30) == tuple_sums.gf_genn1_lhs(j, 30)
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_jspt_k_forms_and_appbp_sides(self, j, k):
+        for form in ("nested", "binomial"):
+            tuple_sums.clear_memos()
+            assert gf_jspt_k(j, k, 30, form) == tuple_sums.gf_jspt_k(j, k, 30, form)
+        tuple_sums.clear_memos()
+        lhs, rhs = appbp_sides(j, k, 30)  # r = j
+        chain_lhs, chain_rhs = tuple_sums.appbp_chain_sums(j, k, 30)
+        correction = _signed_sum(lambda n: n * (n - 1) // 2 + j * n * n + k * n, 2 * k, 30)
+        assert lhs == chain_lhs and rhs == chain_rhs + correction
+
+    def test_chains_longer_than_the_order(self):
+        # a square chain from 0 takes any number of leading zeros: more levels
+        # than the order change nothing, so j = 1000 costs no more than j = 6
+        for j in (8, 9):
+            tuple_sums.clear_memos()
+            assert gf_spt_j(j, 6) == tuple_sums.gf_spt_j(j, 6)
+            assert gf_genn1_lhs(j, 6) == tuple_sums.gf_genn1_lhs(j, 6)
+        assert list(gf_spt_j(1000, 5).coeffs[1:]) == [spt_j(1000, n, "moments")
+                                                      for n in range(1, 6)]
+        # every chain of indices >= 1 weighs at least its length
+        assert gf_spt_k(1100, 300) == TruncSeries.zero(300)
+        assert gf_jspt_k(1000, 2, 5) == gf_jspt_k(7, 2, 5, "binomial") == TruncSeries.zero(5)
 
 
 class TestSptRequest:

@@ -1,0 +1,152 @@
+"""Nested sums one index tuple at a time: the oracle for the chain recursions.
+
+The builders in ``qspt.spt`` and ``qspt.laurent`` sum each nested sum as one
+recursion over the levels of its chain.  The functions here sum the same
+series the slow, plain way: every weakly increasing index tuple of bounded
+weight, found by ``itertools.combinations_with_replacement`` and a weight
+filter, contributes one term built by dense products.
+"""
+
+import functools
+import itertools
+from math import isqrt
+
+from qspt import laurent, series, spt, stats
+from qspt.series import (
+    TruncSeries,
+    gauss_binomial,
+    inv_one_minus,
+    inv_pochhammer_finite,
+    inv_pochhammer_inf,
+    pochhammer_finite,
+)
+
+
+def weighted_tuples(n_square, n_linear, bound, lo=1):
+    """Weakly increasing tuples lo <= t_1 <= ... <= t_d, d = n_square + n_linear,
+    whose first n_square entries weigh t**2 and the rest t, of total weight <= bound."""
+    squares = itertools.combinations_with_replacement(range(lo, isqrt(bound) + 1), n_square)
+    linears = list(itertools.combinations_with_replacement(range(lo, bound + 1), n_linear))
+    for s in squares:
+        for t in linears:
+            if s and t and s[-1] > t[0]:
+                continue
+            if sum(v * v for v in s) + sum(t) <= bound:
+                yield s + t
+
+
+def diffs(tup):
+    """The gaps of the chain 0 <= t_1 <= ... <= t_d."""
+    return [tup[0]] + [b - a for a, b in zip(tup, tup[1:])]
+
+
+def gf_spt_j(j, order):
+    acc = TruncSeries.zero(order)
+    for tup in weighted_tuples(j - 1, 1, order, lo=0):
+        nj = tup[-1]
+        if nj == 0:
+            continue  # the sum runs over n_j >= 1
+        weight = sum(v * v for v in tup[:-1]) + nj
+        term = inv_one_minus(nj, order, 2) * inv_pochhammer_inf(nj + 1, order)
+        for a, b in zip(tup, tup[1:]):
+            term = term * gauss_binomial(b, a, order)
+        acc = acc + term.shift(weight)
+    return acc
+
+
+def gf_genn1_lhs(j, order):
+    acc = TruncSeries.zero(order)
+    for tup in weighted_tuples(j - 1, 1, order, lo=0):
+        nj = tup[-1]
+        if nj == 0:
+            continue
+        weight = sum(v * v for v in tup[:-1]) + nj
+        term = pochhammer_finite(1, nj, order)
+        term = term * inv_one_minus(nj, order, 2) * inv_pochhammer_inf(nj + 1, order)
+        for d in diffs(tup):
+            term = term * inv_pochhammer_finite(1, d, order)
+        acc = acc + term.shift(weight)
+    return acc
+
+
+@functools.lru_cache(maxsize=None)
+def beta_sum(n1, r, order, min_m=0):
+    """sum over min_m <= m_1 <= ... <= m_{r-1} <= n1 of q^(sum m_i^2) / the gap products."""
+    acc = TruncSeries.zero(order)
+    for ms in weighted_tuples(r - 1, 0, order, lo=min_m):
+        chain = ms + (n1,)
+        if len(chain) > 1 and chain[-2] > n1:
+            continue
+        term = TruncSeries.monomial(sum(v * v for v in ms), order)
+        for d in diffs(chain):
+            term = term * inv_pochhammer_finite(1, d, order)
+        acc = acc + term
+    return acc
+
+
+def gf_jspt_k(j, k, order, form):
+    acc = TruncSeries.zero(order)
+    if form == "nested":
+        for tup in weighted_tuples(0, k, order):
+            n1 = tup[0]
+            base = pochhammer_finite(1, n1, order) * inv_pochhammer_inf(n1 + 1, order)
+            for v in tup:
+                base = base * inv_one_minus(v, order, 2)
+            acc = acc + base.shift(sum(tup)) * beta_sum(n1, j, order, 1)
+        return acc
+    for tup in weighted_tuples(j - 1, k, order):
+        inner, outer = tup[: j - 1], tup[j - 1:]
+        nj = outer[0]
+        term = inv_one_minus(nj, order, 2) * inv_pochhammer_inf(nj + 1, order)
+        for v in outer[1:]:
+            term = term * inv_one_minus(v, order, 2)
+        chain = list(inner) + [nj]
+        for a, b in zip(chain, chain[1:]):
+            term = term * gauss_binomial(b, a, order)
+        acc = acc + term.shift(sum(v * v for v in inner) + sum(outer))
+    return acc
+
+
+def appbp_chain_sums(r, k, order):
+    """Both sides of the Bailey-pair identity without the rhs correction sum."""
+    lhs = TruncSeries.zero(order)
+    rhs = TruncSeries.zero(order)
+    for tup in weighted_tuples(0, k, order):
+        n1 = tup[0]
+        base = TruncSeries.monomial(sum(tup), order)
+        for v in tup:
+            base = base * inv_one_minus(v, order, 2)
+        rhs = rhs + base
+        poch = pochhammer_finite(1, n1, order)
+        lhs = lhs + base * poch * poch * beta_sum(n1, r, order)
+    return lhs, rhs
+
+
+def jrank_scalars(j, order):
+    """The scalar series of the nested j-rank sum, by the first index t_1."""
+    out = {}
+    for tup in weighted_tuples(j - 1, 0, order):
+        scalar = TruncSeries.monomial(sum(v * v for v in tup), order)
+        for a, b in zip(tup, tup[1:]):
+            scalar = scalar * inv_pochhammer_finite(1, b - a, order)
+        out[tup[0]] = out[tup[0]] + scalar if tup[0] in out else scalar
+    return out
+
+
+def kn1_scalars(j, order):
+    """The scalar series S_o of the kn1 left side, by the outer index o = n_j."""
+    out = {}
+    for tup in weighted_tuples(j - 1, 1, order, lo=0):
+        scalar = TruncSeries.monomial(sum(v * v for v in tup[:-1]) + tup[-1], order)
+        for d in diffs(tup):
+            scalar = scalar * inv_pochhammer_finite(1, d, order)
+        out[tup[-1]] = out[tup[-1]] + scalar if tup[-1] in out else scalar
+    return out
+
+
+def clear_memos():
+    """Empty every memo, so that a builder runs at the order it is asked for."""
+    for mod in (series, stats, spt, laurent):
+        for v in vars(mod).values():
+            if hasattr(v, "cache_clear") and v.__module__ == mod.__name__:
+                v.cache_clear()
