@@ -4,7 +4,8 @@ Each verifier expands both sides of a named identity and returns
 ``(rows, notes)``: a row is ``(label, lhs, rhs, ok)`` and a note is a
 diagnostic about the check itself.  :func:`verify` fills in the default
 parameters, and raises ValueError for an unknown identity or out-of-range
-parameters.
+parameters, among them an order above ``spt.WEIGHT_N_MAX`` for the verifiers
+that enumerate partitions.
 """
 
 from __future__ import annotations
@@ -102,6 +103,11 @@ def _verify_appbp(j, k, r, order):
 
 
 def _verify_gtjsptk(j, k, r, order):
+    """The nested and binomial forms against each other and the moments route.
+
+    At j = 1 the two forms reduce to the same one-term passes, so the moments
+    rows are the independent side there.
+    """
     nested = sptmod.gf_jspt_k(j, k, order, "nested")
     binom = sptmod.gf_jspt_k(j, k, order, "binomial")
     rows = _rows(nested.coefficient, binom.coefficient, order, tag=":forms")
@@ -201,6 +207,10 @@ IDENTITIES = {
     "genineq": (_verify_genineq, {"j": 2, "k": 1, "order": 40}),
 }
 
+# These verifiers enumerate every partition of every n up to the order, so
+# they share the limit of the enumerating weight routes.
+_ENUMERATING = ("lemma31", "lemma32")
+
 
 def verify(identity: str, j: int | None = None, k: int | None = None,
            r: int | None = None, order: int | None = None) -> tuple[int, list, list]:
@@ -217,5 +227,8 @@ def verify(identity: str, j: int | None = None, k: int | None = None,
     order = order if order is not None else defaults["order"]
     if min(j, k, r) < 1 or order < 1:
         raise ValueError("j, k, r and the order must be >= 1")
+    if identity in _ENUMERATING and order > sptmod.WEIGHT_N_MAX:
+        raise ValueError(f"{identity} enumerates partitions; the order must be "
+                         f"<= {sptmod.WEIGHT_N_MAX}")
     rows, notes = fn(j, k, r, order)
     return order, rows, notes

@@ -11,6 +11,9 @@ O(N * width) each, where a general ``BiSeries`` product or inverse costs
 O(N**2 * width**2).  The general ``__mul__`` and ``inverse`` remain, and the
 tests pin the kernels and builders to them.  The scalar series of the nested
 j-rank sum and of the kn1 left side are the chain recursions of the spt builders.
+The nested j-rank sum meets its bivariate factors by Horner over its first
+index t, two division passes per t, and the rank generating function is its
+j = 2 case; each kn1 correction term telescopes to two division passes.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from typing import Iterable
 from .series import (
     DiscrepancyError,
     TruncSeries,
-    _difference_link,
-    _link_sum,
+    _difference_step,
+    _link_sums,
     _square_chain,
     inv_pochhammer_inf,
     memo,
@@ -319,48 +322,21 @@ def bi_geometric(z_exp: int, q_exp: int, order: int) -> BiSeries:
 
 
 @memo
-def _sym_z_pochhammer(n: int, q_start: int, order: int) -> BiSeries:
-    """(z q**q_start; q)_n (z^{-1} q**q_start; q)_n, built incrementally in n."""
-    if n == 0:
-        return BiSeries.one(order)
-    e = q_start + n - 1
-    return _sym_z_pochhammer(n - 1, q_start, order).mul_factor(1, e).mul_factor(-1, e)
-
-
-@memo
-def _inv_sym_z_pochhammer(n: int, order: int) -> BiSeries:
-    """1 / ((zq; q)_n (z^{-1} q; q)_n), built incrementally in n."""
-    if n == 0:
-        return BiSeries.one(order)
-    return _inv_sym_z_pochhammer(n - 1, order).div_factor(1, n).div_factor(-1, n)
-
-
-def _div_sym_factors(a: BiSeries, n: int) -> BiSeries:
-    """a / ((zq; q)_n (z^{-1} q; q)_n), as 2n one-term divisions."""
-    for e in range(1, n + 1):
-        a = a.div_factor(1, e).div_factor(-1, e)
-    return a
-
-
-@memo
 def build_crank_gf(order: int) -> BiSeries:
     """The two-variable crank generating function (q)_inf / ((zq)_inf (z^{-1}q)_inf)."""
-    return _div_sym_factors(BiSeries.one(order), order).mul_series(pochhammer_inf(1, order))
+    out = BiSeries.one(order)
+    for e in range(1, order + 1):
+        out = out.div_factor(1, e).div_factor(-1, e)
+    return out.mul_series(pochhammer_inf(1, order))
 
 
-@memo
 def build_rank_gf(order: int) -> BiSeries:
-    """The two-variable rank generating function.
+    """The two-variable rank generating function: :func:`build_jrank_gf` at j = 2.
 
     Sum over n >= 0 of q**(n*n) / ((zq)_n (z^{-1}q)_n); the n = 0 term
     contributes the constant 1 for the empty partition.
     """
-    out = BiSeries.one(order)
-    n = 1
-    while n * n <= order:
-        out = out + _inv_sym_z_pochhammer(n, order).shift(n * n)
-        n += 1
-    return out
+    return build_jrank_gf(2, order)
 
 
 @memo
@@ -379,13 +355,15 @@ def build_jrank_gf(j: int, order: int, form: str = "nested") -> BiSeries:
             # The nested sum degenerates at depth 0; by convention the
             # 1-rank is the crank (their count series coincide).
             return build_crank_gf(order)
-        # the scalar series of the chains 1 <= t_1 <= ... <= t_{j-1}, by their
-        # first index, so that each bivariate factor meets one summed series
-        chain = _square_chain(j - 1, _difference_link, order, lo=1, descending=True)
-        out = BiSeries.one(order)
-        for first, scalar in sorted(chain.items()):
-            out = out + _inv_sym_z_pochhammer(first, order).mul_series(scalar)
-        return out
+        # the scalar series S_t of the chains 1 <= t_1 <= ... <= t_{j-1}, by
+        # their first index t = t_1, every t in 1..isqrt(order); summed by Horner,
+        # acc = (S_t + acc) / ((1 - zq^t)(1 - z^{-1}q^t)) from the largest t down
+        chain = _square_chain(j - 1, _difference_step, order, lo=1, descending=True)
+        acc = BiSeries.zero(order)
+        for first in sorted(chain, reverse=True):
+            acc = (acc + BiSeries.from_series(chain[first])).div_factor(1, first)
+            acc = acc.div_factor(-1, first)
+        return BiSeries.one(order) + acc
     if form == "bilateral":
         return _jrank_gf_bilateral(j, order)
     if form == "counts":
@@ -459,24 +437,25 @@ def build_kn1_sides(j: int, order: int) -> tuple[BiSeries, BiSeries]:
     # q^o times the link sum to o of the chains 0 <= n_1 <= ... <= n_{j-1}.
     # (z)_o (z^{-1})_o grows by the factors at q^o from o to o + 1, so the
     # sum over o is a Horner suffix sum: acc = S_o + (1-zq^o)(1-z^{-1}q^o) acc.
-    chain = _square_chain(j - 1, _difference_link, order)
+    chain = _square_chain(j - 1, _difference_step, order)
+    sums = _link_sums(chain, _difference_step, range(order + 1), lambda o: order - o)
     lhs = BiSeries.zero(order)
     for outer in range(order, -1, -1):
         lhs = lhs.mul_factor(1, outer).mul_factor(-1, outer)
-        scalar = _link_sum(outer, chain, _difference_link, order, shift=outer)
-        lhs = lhs + BiSeries.from_series(scalar)
+        lhs = lhs + BiSeries.from_series(TruncSeries([0] * outer + sums[outer]))
 
     # Right side: the product form applied to the correction sum, as one-term
-    # factor passes and one pure-q product.
+    # factor passes and one pure-q product.  The ratio
+    # (z)_n (z^{-1})_n / ((zq)_n (z^{-1}q)_n) of each term telescopes to
+    # (1 - z)(1 - z^{-1}) / ((1 - zq^n)(1 - z^{-1}q^n)).
+    numerator = BiSeries.one(order).mul_factor(1, 0).mul_factor(-1, 0)
     correction = BiSeries.one(order)
     n = 1
     while n * ((2 * j + 1) * n + 1) // 2 <= order:
         e = n * ((2 * j + 1) * n + 1) // 2
-        sign = -1 if n % 2 == 1 else 1
-        term = _div_sym_factors(_sym_z_pochhammer(n, 0, order), n).shift(e)
-        one_plus = TruncSeries.one(order) + TruncSeries.monomial(n, order)
-        term = term.mul_series(one_plus.scale(sign))
-        correction = correction + term
+        term = numerator.div_factor(1, n).div_factor(-1, n).shift(e)
+        term = term + term.shift(n)  # times 1 + q^n
+        correction = correction - term if n % 2 == 1 else correction + term
         n += 1
     for e in range(1, order + 1):
         correction = correction.mul_factor(1, e).mul_factor(-1, e)

@@ -13,6 +13,7 @@ import functools
 import inspect
 from collections import namedtuple
 from math import comb, isqrt
+from operator import add
 from typing import Iterable
 
 
@@ -143,26 +144,19 @@ def memo(builder):
     series agree on every coefficient they share.  A miss builds at
     ``max(order, 2 * largest)``, so reading orders in ascending sequence
     costs O(log order) builds.  ``cache_info()`` and ``cache_clear()`` work
-    as on the functools caches; ``holds(*args)`` says whether a call with
-    those arguments would be a hit, without making it.
+    as on the functools caches.
     """
     sig = inspect.signature(builder)
     at = list(sig.parameters).index("order")
     built: dict[tuple, object] = {}
     counts = [0, 0]  # hits, misses
 
-    def positional(args, kwargs):
-        """The arguments of a call as one positional tuple, defaults filled in."""
+    @functools.wraps(builder)
+    def wrapper(*args, **kwargs):
         if kwargs or len(args) != len(sig.parameters):
             bound = sig.bind(*args, **kwargs)
             bound.apply_defaults()
             args = bound.args
-        return args
-
-    @functools.wraps(builder)
-    def wrapper(*args, **kwargs):
-        if kwargs or len(args) != len(sig.parameters):
-            args = positional(args, kwargs)
         order = args[at]
         key = args[:at] + args[at + 1 :]
         series = built.get(key)
@@ -174,13 +168,6 @@ def memo(builder):
             series = built[key] = builder(*args[:at], size, *args[at + 1 :])
         return series if series.order == order else series.truncate(order)
 
-    def holds(*args, **kwargs) -> bool:
-        """Whether this call would be answered from the memo, without making it."""
-        args = positional(args, kwargs)
-        series = built.get(args[:at] + args[at + 1 :])
-        return series is not None and series.order >= args[at]
-
-    wrapper.holds = holds
     wrapper.cache_info = lambda: CacheInfo(counts[0], counts[1], None, len(built))
 
     def cache_clear() -> None:
@@ -257,55 +244,96 @@ def inv_one_minus(exp: int, order: int, power: int = 1) -> TruncSeries:
     return TruncSeries(out)
 
 
+def _signed_sum(exponent, power: int, order: int) -> TruncSeries:
+    """sum_{n>=1} (-1)^n q^exponent(n) (1+q^n) / (1-q^n)^power, exponent increasing.
+
+    The bilateral sums of the spt identities and of the symmetrized moments,
+    their negative half folded onto the positive one.
+    """
+    acc = TruncSeries.zero(order)
+    n = 1
+    while exponent(n) <= order:
+        inv = inv_one_minus(n, order, power).scale(-1 if n % 2 == 1 else 1)
+        acc = acc + inv.shift(exponent(n)) + inv.shift(exponent(n) + n)
+        n += 1
+    return acc
+
+
 @memo
 def gauss_binomial(n: int, m: int, order: int) -> TruncSeries:
     """The Gaussian binomial coefficient [n, m] truncated at ``order``.
 
-    Built by the q-Pascal recurrence [n, m] = [n-1, m] + q**(n-m) * [n-1, m-1];
-    the zero series when m < 0 or m > n.  Every entry the recurrence reaches
-    is memoized.
+    [n, m] = prod_{i=1..m} (1 - q**(n-m+i)) / (1 - q**i), built as one multiply
+    and one divide pass per factor with m replaced by min(m, n - m); the zero
+    series when m < 0 or m > n.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if m < 0 or m > n:
         return TruncSeries.zero(order)
-    if m == 0 or m == n:
-        return TruncSeries.one(order)
-    if not ((m == 1 or gauss_binomial.holds(n - 1, m - 1, order))
-            and (m == n - 1 or gauss_binomial.holds(n - 1, m, order))):
-        # Read the interior of the triangle below [n, m] row by row, so that
-        # each entry finds its interior parents memoized: a cold call does not
-        # recurse n - m deep.
-        for r in range(2, n):
-            for c in range(max(1, m - (n - r)), min(m, r - 1) + 1):
-                gauss_binomial(r, c, order)
-    return gauss_binomial(n - 1, m, order) + gauss_binomial(n - 1, m - 1, order).shift(n - m)
+    m = min(m, n - m)
+    out = [1] + [0] * order
+    for i in range(1, m + 1):
+        _mul_one_minus(out, n - m + i)
+        _div_one_minus(out, i)
+    return TruncSeries(out)
 
 
-def _difference_link(hi: int, lo: int, order: int) -> TruncSeries:
-    """1 / (q)_{hi - lo}: the chain link of the difference-product forms."""
-    return inv_pochhammer_finite(1, hi - lo, order)
+def _difference_step(run: list[int], x: int, y: int) -> None:
+    """Move the link 1/(q)_{|x - y|} on as x moves one index away from y."""
+    _div_one_minus(run, abs(x - y))
 
 
-def _link_sum(x: int, chain: dict[int, TruncSeries], link, order: int,
-              shift: int = 0, descending: bool = False) -> TruncSeries:
-    """q**shift * the sum of link(max(x, y), min(x, y)) * chain[y] over the ends
-    y <= x of ``chain`` (y >= x if descending), truncated at ``order``; each
-    product is taken only to the order it can reach."""
-    reach = order - shift
-    acc = [0] * (order + 1)
-    for y, s in chain.items():  # chain[y] carries the factor q**(y*y)
-        if y * y <= reach and (y >= x if descending else y <= x):
-            term = s.truncate(reach) * link(max(x, y), min(x, y), s.order)
-            for i, c in enumerate(term.coeffs, shift):
-                acc[i] += c
-    return TruncSeries(acc)
+def _binomial_step(run: list[int], x: int, y: int) -> None:
+    """Move the link [max(x, y), min(x, y)] on as x moves one index away from y:
+    [x, y] = [x - 1, y] (1 - q**x) / (1 - q**(x - y)) for x > y, and
+    [y, x] = [y, x + 1] (1 - q**(x + 1)) / (1 - q**(y - x)) for x < y."""
+    _mul_one_minus(run, x if x > y else x + 1)
+    _div_one_minus(run, abs(x - y))
 
 
-def _square_chain(levels: int, link, order: int, lo: int = 0,
+def _link_sums(chain: dict[int, TruncSeries], step, xs: range, reach,
+               power: int = 0) -> dict[int, list[int]]:
+    """For each x of ``xs``, the sum of link(max(x, y), min(x, y)) * chain[y] *
+    (q)_x**power over the ends y of ``chain`` that x has reached, as a
+    coefficient list truncated at ``reach(x)``.
+
+    ``xs`` runs up (y is reached when y <= x) or down (when y >= x) by one,
+    from no further than one index short of the nearest end.  Each end keeps
+    one running list, moved from the previous x to x in place by
+    ``step(run, x, y)``, where link(y, y) = 1; ``power`` passes of (1 - q**x)
+    per x carry (q)_x on an ascending pass that starts at x = 1.  The reach of
+    an ascending pass falls as x grows, so its lists are cut to it as they go,
+    and an end with y*y above it is skipped: chain[y] carries the factor
+    q**(y*y), so nothing of it is left below the reach.
+    """
+    descending = xs.step < 0
+    runs = {y: list(s.coeffs) for y, s in chain.items()}
+    sums = {}
+    for x in xs:
+        top = reach(x) + 1
+        acc = [0] * top
+        for y, run in runs.items():
+            if not descending:
+                if y * y >= top:
+                    continue
+                del run[top:]
+            reached = y >= x if descending else y <= x
+            if reached and y != x:
+                step(run, x, y)
+            for _ in range(power):
+                _mul_one_minus(run, x)
+            if reached:
+                acc = list(map(add, acc, run))
+        sums[x] = acc
+    return sums
+
+
+def _square_chain(levels: int, step, order: int, lo: int = 0,
                   descending: bool = False) -> dict[int, TruncSeries]:
     """The chains lo <= n_1 <= ... <= n_levels, weighing q**(n_1**2 + ... + n_levels**2),
-    summed by their free end: one link sum per end x, x*x <= order, per level.
+    summed by their free end: one running link sum over the ends x, x*x <= order,
+    per level, its links moved on by ``step``.
 
     Ascending, the free end is n_levels and the links are link(n_1, 0),
     link(n_2, n_1), ...; no levels leave {0: 1}.  Descending, the free end is
@@ -319,15 +347,18 @@ def _square_chain(levels: int, link, order: int, lo: int = 0,
     chain = {0: TruncSeries.one(order)}
     if descending:
         chain, levels = {x: TruncSeries.monomial(x * x, order) for x in ends}, levels - 1
+        ends = ends[::-1]
     for _ in range(levels):
-        chain = {x: _link_sum(x, chain, link, order, x * x, descending) for x in ends}
+        chain = {x: TruncSeries([0] * (x * x) + acc)
+                 for x, acc in _link_sums(chain, step, ends, lambda x: order - x * x).items()}
     return chain
 
 
-def _linear_chain(seeds: dict[int, TruncSeries], k: int, order: int) -> TruncSeries:
+def _linear_chain(seeds: dict[int, list[int]], k: int, order: int) -> TruncSeries:
     """sum over 1 <= n_1 <= ... <= n_k of seeds[n_1] * prod q**n_i / (1 - q**n_i)**2.
 
-    The sums S_r(a) over the chains with n_r <= a follow S_0(a) = seeds[a] and
+    Each seeds[a] is a coefficient list reaching order - k * a at least.  The
+    sums S_r(a) over the chains with n_r <= a follow S_0(a) = seeds[a] and
     S_r(a) = S_r(a - 1) + q**a / (1 - q**a)**2 * S_{r-1}(a); the k - r indices
     after n_r are each >= a, so S_r(a) is needed only to order - (k - r) * a.
     """
@@ -335,7 +366,7 @@ def _linear_chain(seeds: dict[int, TruncSeries], k: int, order: int) -> TruncSer
         return TruncSeries.zero(order)  # every chain weighs at least k
     runs = [[0] * (order + 1) for _ in range(k)]
     for a in range(1, order + 1):
-        src = seeds[a].coeffs if a in seeds else ()
+        src = seeds.get(a, ())
         for r, run in enumerate(runs):
             reach = order - (k - r) * a
             if reach >= 0 and src:

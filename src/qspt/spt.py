@@ -26,13 +26,12 @@ from .partitions import (
 from .series import (
     DiscrepancyError,
     TruncSeries,
-    _difference_link,
-    _link_sum,
+    _binomial_step,
+    _difference_step,
+    _link_sums,
     _linear_chain,
-    _mul_one_minus,
+    _signed_sum,
     _square_chain,
-    gauss_binomial,
-    inv_one_minus,
     inv_pochhammer_inf,
     memo,
 )
@@ -218,8 +217,9 @@ def gf_np(order: int) -> TruncSeries:
     return TruncSeries(sigma) * inv_pochhammer_inf(1, order)
 
 
-# The link between chain levels of each form, and the power of (q)_c it carries.
-_FORMS = {"nested": (_difference_link, 2), "binomial": (gauss_binomial, 1)}
+# The step that moves each form's chain link one index on, and the power of
+# (q)_c the form carries.
+_FORMS = {"nested": (_difference_step, 2), "binomial": (_binomial_step, 1)}
 
 
 def _chain_gf(levels: int, lo: int, form: str, k: int, order: int) -> TruncSeries:
@@ -229,16 +229,10 @@ def _chain_gf(levels: int, lo: int, form: str, k: int, order: int) -> TruncSerie
     prod q**m_i / (1 - q**m_i)**2, with the link and power of ``form``.  A
     factor 1/(q**(c+1))_inf is (q)_c/(q)_inf.
     """
-    link, poch_power = _FORMS[form]
-    chain = _square_chain(levels, link, order, lo)
-    poch = [1] + [0] * order  # (q)_c, one factor more per c
-    seeds = {}
-    for c in range(1, order // k + 1):
-        _mul_one_minus(poch, c)
-        reach = order - k * c  # m_2, ..., m_k weigh at least c each
-        seeds[c] = _link_sum(c, chain, link, reach)
-        for _ in range(poch_power):
-            seeds[c] = TruncSeries(poch[: reach + 1]) * seeds[c]
+    step, power = _FORMS[form]
+    chain = _square_chain(levels, step, order, lo)
+    # m_2, ..., m_k weigh at least c each
+    seeds = _link_sums(chain, step, range(1, order // k + 1), lambda c: order - k * c, power)
     return _linear_chain(seeds, k, order)
 
 
@@ -259,18 +253,6 @@ def gf_genn1_lhs(j: int, order: int) -> TruncSeries:
     expansion used to cross-check it.
     """
     return inv_pochhammer_inf(1, order) * _chain_gf(j - 1, 0, "nested", 1, order)
-
-
-def _signed_sum(exponent, power: int, order: int) -> TruncSeries:
-    """sum_{n>=1} (-1)^n q^exponent(n) (1+q^n) / (1-q^n)^power, exponent increasing."""
-    acc = TruncSeries.zero(order)
-    n = 1
-    while exponent(n) <= order:
-        one_plus = TruncSeries.one(order) + TruncSeries.monomial(n, order)
-        term = inv_one_minus(n, order, power) * one_plus
-        acc = acc + term.shift(exponent(n)).scale(-1 if n % 2 == 1 else 1)
-        n += 1
-    return acc
 
 
 @memo
@@ -316,7 +298,10 @@ def gf_jspt_k(j: int, k: int, order: int, form: str = "nested") -> TruncSeries:
     """Generating function of the two-parameter smallest-part family.
 
     ``form="nested"`` expands the chained-difference display; ``form="binomial"``
-    the equivalent Gaussian-binomial display.  Both must agree (tested).
+    the equivalent Gaussian-binomial display.  Both must agree (tested).  For
+    j >= 2 they are different computations; at j = 1 the chain has no levels
+    and both reduce to the same one-term passes, so there the moments route
+    is the independent check.
     """
     if j < 1 or k < 1:
         raise ValueError("j and k must be >= 1")
@@ -341,7 +326,8 @@ def appbp_sides(r: int, k: int, order: int) -> tuple[TruncSeries, TruncSeries]:
     if r < 1 or k < 1:
         raise ValueError("r and k must be >= 1")
     lhs = _chain_gf(r - 1, 0, "nested", k, order)
-    rhs = _linear_chain(dict.fromkeys(range(1, order + 1), TruncSeries.one(order)), k, order)
+    rhs = _linear_chain(dict.fromkeys(range(1, order + 1), TruncSeries.one(order).coeffs),
+                        k, order)
     rhs = rhs + _signed_sum(lambda n: n * (n - 1) // 2 + r * n * n + k * n, 2 * k, order)
     return lhs, rhs
 

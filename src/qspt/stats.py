@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .partitions import Partition, successive_durfee
-from .series import DiscrepancyError, TruncSeries, inv_one_minus, inv_pochhammer_inf, memo
+from .series import DiscrepancyError, TruncSeries, _signed_sum, inv_pochhammer_inf, memo
 
 
 def rank(p: Partition) -> int:
@@ -111,20 +111,9 @@ def gf_sym_mu(j: int, k: int, order: int) -> TruncSeries:
     1/(q)_inf * sum_{n>=1} (-1)^(n-1)
         (q^(n((2j-1)n+1)/2 + kn) + q^(n((2j-1)n-1)/2 + kn)) / (1-q^n)^(2k).
     """
-    acc = TruncSeries.zero(order)
-    n = 1
-    while True:
-        e_pos = n * ((2 * j - 1) * n + 1) // 2 + k * n
-        e_neg = n * ((2 * j - 1) * n - 1) // 2 + k * n
-        if min(e_pos, e_neg) > order:
-            break
-        sign = 1 if n % 2 == 1 else -1
-        inv = inv_one_minus(n, order, 2 * k)
-        for e in (e_pos, e_neg):
-            if e <= order:
-                acc = acc + inv.shift(e).scale(sign)
-        n += 1
-    return acc * inv_pochhammer_inf(1, order)
+    # the negative-half exponents; _signed_sum's sign is (-1)^n
+    acc = _signed_sum(lambda n: n * ((2 * j - 1) * n - 1) // 2 + k * n, 2 * k, order)
+    return -acc * inv_pochhammer_inf(1, order)
 
 
 def g_poly(k: int) -> tuple[int, ...]:

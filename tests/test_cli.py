@@ -239,6 +239,17 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "sptdiff", "--j", "1"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("identity", ["lemma31", "lemma32"])
+    def test_enumerating_verifier_over_limit_exit_2(self, runner, identity):
+        # these enumerate every partition of every n up to the order
+        n_max = str(sptmod.WEIGHT_N_MAX + 1)
+        result = runner.invoke(main, ["verify", identity, "--n-max", n_max])
+        assert result.exit_code == 2
+        lines = result.output.splitlines()
+        assert sum(line.startswith("Usage:") for line in lines) == 1
+        assert "enumerates partitions" in result.output
+        assert "Traceback" not in result.output and isinstance(result.exception, SystemExit)
+
     def test_library_raises_value_error(self):
         # the identity registry knows nothing of click; the CLI maps this to exit 2
         with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tuple_sums
-from qspt import laurent
 from qspt.laurent import (
     BiSeries,
     LaurentPoly,
@@ -171,12 +170,6 @@ class TestFactorKernels:
 
     @pytest.mark.parametrize("order", [0, 1, 7, 16])
     def test_pochhammers_match_dense(self, order):
-        for n in range(order + 2):
-            for q_start in (0, 1, 2):
-                assert laurent._sym_z_pochhammer(n, q_start, order) == \
-                    dense_sym_pochhammer(n, q_start, order)
-            assert laurent._inv_sym_z_pochhammer(n, order) == \
-                laurent._sym_z_pochhammer(n, 1, order).inverse()
         for z_exp in (-2, 1):
             assert bi_pochhammer(z_exp, 1, None, order) == dense_pochhammer(z_exp, 1, None, order)
 
@@ -253,6 +246,13 @@ class TestJrankGf:
         assert nested == build_jrank_gf(j, 50, "bilateral")
         assert nested == build_jrank_gf(j, 50, "counts")
 
+    @pytest.mark.parametrize("j", [2, 3, 4])
+    def test_three_forms_agree_order_120(self, j):
+        clear_memos()
+        nested = build_jrank_gf(j, 120, "nested")
+        assert nested == build_jrank_gf(j, 120, "bilateral")
+        assert nested == build_jrank_gf(j, 120, "counts")
+
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_z_symmetry(self, j):
         a = build_jrank_gf(j, 12)
@@ -268,7 +268,7 @@ class TestJrankGf:
         nested = build_jrank_gf(j, 30, "nested")
         expected = BiSeries.one(30)
         for first, scalar in tuple_sums.jrank_scalars(j, 30).items():
-            expected = expected + laurent._inv_sym_z_pochhammer(first, 30).mul_series(scalar)
+            expected = expected + dense_sym_pochhammer(first, 1, 30).inverse().mul_series(scalar)
         assert nested == expected
 
 
@@ -318,6 +318,12 @@ class TestKn1:
     def test_sides_equal_order_60(self, j):
         clear_memos()
         lhs, rhs = build_kn1_sides(j, 60)
+        assert lhs == rhs
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_sides_equal_order_150(self, j):
+        clear_memos()
+        lhs, rhs = build_kn1_sides(j, 150)
         assert lhs == rhs
 
     @pytest.mark.parametrize("j", [1, 2, 3, 4])

@@ -1,6 +1,7 @@
 """Ring axioms, inversion, Pochhammer and Gaussian-binomial oracles, the memo."""
 
 import itertools
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from qspt.series import (
     pochhammer_finite,
     pochhammer_inf,
 )
-from tuple_sums import weighted_tuples
+from tuple_sums import difference_link, link_sum, weighted_tuples
 
 ORDER = 8
 
@@ -216,8 +217,7 @@ class TestGaussBinomial:
             assert gauss_binomial(n, m, order) == expected
 
     def test_q_pascal_oracle(self):
-        # every [n, m] with n < 40 against the recurrence run over plain rows,
-        # and a cold call memoizes exactly the entries the recurrence reaches
+        # every [n, m] with n < 40 against the recurrence run over plain rows
         order = 12
         rows = [[TruncSeries.one(order)]]
         for n in range(1, 40):
@@ -226,16 +226,8 @@ class TestGaussBinomial:
                 prev[m] + prev[m - 1].shift(n - m) for m in range(1, n + 1)])
         for n in range(40):
             for m in range(n + 1):
-                reached, todo = set(), [(n, m)]
-                while todo:
-                    a, b = todo.pop()
-                    if (a, b) not in reached:
-                        reached.add((a, b))
-                        if 0 < b < a:
-                            todo += [(a - 1, b), (a - 1, b - 1)]
                 gauss_binomial.cache_clear()
                 assert gauss_binomial(n, m, order) == rows[n][m], (n, m)
-                assert gauss_binomial.cache_info().currsize == len(reached), (n, m)
 
     @pytest.mark.parametrize("m,expected", [
         (1, (1, 1, 1, 1, 1, 1)),
@@ -246,7 +238,7 @@ class TestGaussBinomial:
         try:
             assert gauss_binomial(600, m, 5).coeffs == expected
         finally:
-            gauss_binomial.cache_clear()  # (600, 300) leaves 90600 entries
+            gauss_binomial.cache_clear()
 
     @pytest.mark.parametrize("n", range(9))
     def test_symmetry_nonnegativity_degree(self, n):
@@ -298,9 +290,47 @@ class TestWeightedTuples:
             if n_linear:
                 got = spt._chain_gf(n_square, lo, "binomial", n_linear, bound)
             else:
-                chain = series._square_chain(n_square, gauss_binomial, bound, lo)
+                chain = series._square_chain(n_square, series._binomial_step, bound, lo)
                 got = sum(chain.values(), TruncSeries.zero(bound))
             assert got == expected.truncate(bound), bound
+
+
+class TestLinkSums:
+    """The running link sums equal one dense link product per pair of chain
+    ends (tuple_sums.link_sum), for both steps, ascending and descending."""
+
+    STEPS = {"nested": (series._difference_step, difference_link),
+             "binomial": (series._binomial_step, gauss_binomial)}
+
+    @given(data=st.data(), order=st.integers(0, 30), form=st.sampled_from(sorted(STEPS)),
+           lo=st.integers(0, 1), descending=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_pair_products(self, data, order, form, lo, descending):
+        step, link = self.STEPS[form]
+        top = isqrt(order)
+        ends = data.draw(st.sets(st.integers(lo, top)) if lo <= top else st.just(set()))
+        # each chain end y carries the factor q**(y*y), as the chain recursions' do
+        chain = {y: TruncSeries([0] * (y * y) + data.draw(st.lists(
+            st.integers(-9, 9), min_size=order - y * y + 1, max_size=order - y * y + 1)))
+            for y in ends}
+        power = 0
+        if descending:
+            xs, weight = range(top, lo - 1, -1), "square"
+        else:
+            # every end is reached from at most one index below it
+            power = data.draw(st.integers(0, 2))
+            start = 1 if power else data.draw(st.integers(lo, lo + 1))
+            weight = data.draw(st.sampled_from(["square", 1, 2, 3]))
+            stop = top if weight == "square" else order // weight
+            xs = range(start, stop + 1)
+        reach = (lambda x: order - x * x) if weight == "square" else (lambda x: order - weight * x)
+        got = series._link_sums(chain, step, xs, reach, power)
+        assert list(got) == list(xs)
+        for x in xs:
+            expected = link_sum(x, chain, link, reach(x), descending=descending)
+            for _ in range(power):
+                expected = expected * pochhammer_finite(1, x, reach(x))
+            assert TruncSeries(got[x]) == expected, x
 
 
 # Every memoized builder, with sample arguments: (builder, before order, after order).
@@ -320,16 +350,11 @@ SERIES_BUILDERS = [
     (spt.gf_jspt_k, (2, 2), ("binomial",)),
 ]
 BISERIES_BUILDERS = [
-    (laurent._sym_z_pochhammer, (3, 0), ()),
-    (laurent._inv_sym_z_pochhammer, (2,), ()),
     (laurent.build_crank_gf, (), ()),
-    (laurent.build_rank_gf, (), ()),
     (laurent.build_jrank_gf, (2,), ("nested",)),
     (laurent.build_jrank_gf, (2,), ("bilateral",)),
     (laurent.build_jrank_gf, (3,), ("counts",)),
 ]
-# the builders whose own memo holds only the arguments they are called with
-NONRECURSIVE = [case for case in SERIES_BUILDERS if case[0] is not series.gauss_binomial]
 
 
 def _ids(cases):
@@ -384,8 +409,9 @@ class TestMemo:
         read(case, small)
         assert read(case, large) == expected_large  # rebuilt at max(9, 2 * 6)
 
-    @pytest.mark.parametrize("case", NONRECURSIVE, ids=_ids(NONRECURSIVE))
+    @pytest.mark.parametrize("case", SERIES_BUILDERS, ids=_ids(SERIES_BUILDERS))
     def test_ascending_reads_keep_one_entry(self, case):
+        # each builder's own memo holds only the arguments it is called with
         clear_memos()
         for order in range(1, 41):
             read(case, order)
@@ -393,15 +419,6 @@ class TestMemo:
         assert info.currsize == 1
         # built at orders 1, 2, 4, ..., 64 and read by truncation in between
         assert (info.misses, info.hits) == (7, 33)
-
-    def test_holds_answers_without_building(self):
-        clear_memos()
-        assert not inv_one_minus.holds(3, 10)
-        inv_one_minus(3, 10)
-        info = inv_one_minus.cache_info()
-        assert inv_one_minus.holds(3, 10) and inv_one_minus.holds(exp=3, order=4, power=1)
-        assert not inv_one_minus.holds(3, 11) and not inv_one_minus.holds(3, 10, 2)
-        assert inv_one_minus.cache_info() == info
 
     def test_spellings_of_one_call_share_an_entry(self):
         clear_memos()

@@ -8,14 +8,13 @@ import pytest
 import tuple_sums
 from qspt.laurent import integer_binomial
 from qspt.partitions import Partition, enumerate_partitions, marks, partition_count
-from qspt.series import TruncSeries
+from qspt.series import TruncSeries, _signed_sum
 from qspt.spt import (
     FAMILIES,
     WEIGHT_N_MAX,
     SptRequest,
     _chain_sum,
     _count_min_parts,
-    _signed_sum,
     _split_positions,
     appbp_sides,
     chain_weight,
@@ -140,10 +139,10 @@ class TestSptJ:
 
 
 class TestGenn1:
-    @pytest.mark.parametrize("j", [1, 2, 3])
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
     def test_sides_equal(self, j):
         tuple_sums.clear_memos()
-        assert gf_genn1_lhs(j, 100) == gf_genn1_rhs(j, 100)
+        assert gf_genn1_lhs(j, 300) == gf_genn1_rhs(j, 300) == gf_spt_j(j, 300)
 
     def test_rhs_equals_spt_sum(self):
         for j in (1, 2, 3):
@@ -226,6 +225,13 @@ class TestJsptK:
         assert nested == gf_jspt_k(j, k, 80, "binomial")
         for n in range(1, 81):
             assert nested.coefficient(n) == jspt_k(j, k, n, "moments"), n
+
+    def test_both_gf_forms_order_200(self):
+        tuple_sums.clear_memos()
+        nested = gf_jspt_k(3, 2, 200, "nested")
+        assert nested == gf_jspt_k(3, 2, 200, "binomial")
+        for n in range(1, 201):
+            assert nested.coefficient(n) == jspt_k(3, 2, n, "moments"), n
 
     def test_j1_is_spt_k(self):
         for k in (1, 2, 3):

@@ -4,7 +4,8 @@ The builders in ``qspt.spt`` and ``qspt.laurent`` sum each nested sum as one
 recursion over the levels of its chain.  The functions here sum the same
 series the slow, plain way: every weakly increasing index tuple of bounded
 weight, found by ``itertools.combinations_with_replacement`` and a weight
-filter, contributes one term built by dense products.
+filter, contributes one term built by dense products.  ``link_sum`` is the
+same for one level: one dense link product per pair of chain ends.
 """
 
 import functools
@@ -20,6 +21,25 @@ from qspt.series import (
     inv_pochhammer_inf,
     pochhammer_finite,
 )
+
+
+def difference_link(hi, lo, order):
+    """1 / (q)_{hi - lo}: the chain link of the difference-product forms."""
+    return inv_pochhammer_finite(1, hi - lo, order)
+
+
+def link_sum(x, chain, link, order, shift=0, descending=False):
+    """q**shift * the sum of link(max(x, y), min(x, y)) * chain[y] over the ends
+    y <= x of ``chain`` (y >= x if descending), truncated at ``order``: one dense
+    link product per pair of ends, the oracle for the running link sums."""
+    reach = order - shift
+    acc = [0] * (order + 1)
+    for y, s in chain.items():  # chain[y] carries the factor q**(y*y)
+        if y * y <= reach and (y >= x if descending else y <= x):
+            term = s.truncate(reach) * link(max(x, y), min(x, y), s.order)
+            for i, c in enumerate(term.coeffs, shift):
+                acc[i] += c
+    return TruncSeries(acc)
 
 
 def weighted_tuples(n_square, n_linear, bound, lo=1):
