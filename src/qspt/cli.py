@@ -13,7 +13,7 @@ import sys
 
 import click
 
-from . import identities
+from . import __version__, identities
 from . import spt as sptmod
 from . import stats
 from .partitions import partition_count
@@ -147,7 +147,8 @@ def compute(family, j, k, n_max, route, fmt, cache) -> None:
         request = sptmod.SptRequest(family, n_max, j=j, k=k, route=route)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    key = f"{family}|j={j}|k={k}|route={request.route}|N={n_max}"
+    # the version leads the key, so another release's entries are never read
+    key = f"{__version__}|{family}|j={j}|k={k}|route={request.route}|N={n_max}"
     doc = _load_cache(cache)
     values = _cached_values(doc["entries"].get(key), n_max)
     if values is None:

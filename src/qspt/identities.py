@@ -141,18 +141,18 @@ def _verify_rk_forms(j, k, r, order):
     return rows, []
 
 
-def _strict_rr(p) -> bool:
+def _strict_rr(p, lower) -> bool:
     # Rogers-Ramanujan with the full chain of s lower-Durfee squares: every
     # part consumed by the first s-1 squares is at most the last side d_s.
     # This bounds the parts below the last square, where
     # partitions.is_rogers_ramanujan(p, s - 1) bounds the parts above the
     # (s-1)st; the two predicates differ on most partitions with s >= 2.
-    chain = successive_lower_durfee(p)
-    if len(chain) <= 1:
+    # ``lower`` consumes every part, its first s-1 squares all but the top
+    # d_s, so the largest part those consume is p.parts[d_s].
+    if len(lower) <= 1:
         return True
-    consumed = sum(chain.sides[:-1])
-    inc = sorted(p.parts)
-    return inc[consumed - 1] <= chain.sides[-1]
+    last = lower.sides[-1]
+    return p.parts[last] <= last
 
 
 def _count_bad(order, is_bad):
@@ -163,9 +163,8 @@ def _count_bad(order, is_bad):
 
 def _verify_lemma31(j, k, r, order):
     def is_bad(p):
-        if not _strict_rr(p):
-            return False
-        return tuple(reversed(successive_lower_durfee(p).sides)) != successive_durfee(p).sides
+        lower = successive_lower_durfee(p)
+        return _strict_rr(p, lower) and lower.sides[::-1] != successive_durfee(p).sides
 
     return _count_bad(order, is_bad), []
 

@@ -31,7 +31,7 @@ from .series import (
     memo,
     pochhammer_inf,
 )
-from .stats import count_njm
+from .stats import gf_njm
 
 
 def falling_factorial(x: int, t: int) -> int:
@@ -367,8 +367,10 @@ def build_jrank_gf(j: int, order: int, form: str = "nested") -> BiSeries:
     if form == "bilateral":
         return _jrank_gf_bilateral(j, order)
     if form == "counts":
+        # N_j(m, n) is symmetric in m: one count series per |m|, each read once
+        cols = [gf_njm(j, m, order).coeffs for m in range(order + 1)]
         return BiSeries([LaurentPoly.const(1)] + [
-            LaurentPoly({m: count_njm(j, m, n) for m in range(-n, n + 1)})
+            LaurentPoly({m: cols[abs(m)][n] for m in range(-n, n + 1)})
             for n in range(1, order + 1)
         ])
     raise ValueError(f"unknown form {form!r}")

@@ -1,23 +1,28 @@
 """Integer partitions and their Ferrers-diagram machinery.
 
-Covers enumeration, successive Durfee squares (from the top-left corner),
-successive lower-Durfee squares (from the bottom-left corner), the
-Rogers-Ramanujan predicate, part marks and part frequencies.
+Covers enumeration (ZS1: Zoghbi and Stojmenovic, Int. J. Comput. Math. 70,
+1998), successive Durfee squares (from the top-left corner) and lower-Durfee
+squares (from the bottom-left corner), each chain one index walk over the
+parts, the Rogers-Ramanujan predicate, part marks and part frequencies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge
 from typing import Iterator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Partition:
     """A weakly decreasing tuple of positive parts."""
 
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        parts = self.parts
+        if not parts or (parts[-1] >= 1 and all(map(ge, parts, parts[1:]))):
+            return
         prev = None
         for p in self.parts:
             if p < 1:
@@ -43,7 +48,7 @@ class Partition:
         return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DurfeeChain:
     """Sides of a chain of squares tiling a prefix of the diagram.
 
@@ -67,29 +72,32 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
 
 
 def _partition_tuples(n: int) -> Iterator[tuple[int, ...]]:
-    # Iterative descending-composition enumeration; reverse lex order.
+    # ZS1: a holds the current partition in a[:m], followed by ones, and h
+    # is the index of its last part > 1, so no step rescans the trailing ones.
     if n == 0:
         yield ()
         return
-    a = [n]
-    while True:
-        yield tuple(a)
-        # find rightmost entry > 1
-        i = len(a) - 1
-        ones = 0
-        while i >= 0 and a[i] == 1:
-            ones += 1
-            i -= 1
-        if i < 0:
-            return
-        a[i] -= 1
-        rem = ones + 1
-        del a[i + 1 :]
-        cap = a[i]
-        while rem > 0:
-            step = min(cap, rem)
-            a.append(step)
-            rem -= step
+    a = [n] + [1] * (n - 1)
+    m, h = 1, 0
+    yield (n,)
+    while a[0] != 1:
+        if a[h] == 2:
+            a[h] = 1
+            m, h = m + 1, h - 1
+        else:
+            # split a[h] - 1 off the last part > 1 and refill the rest with it
+            r = a[h] - 1
+            t = m - h
+            a[h] = r
+            while t >= r:
+                h += 1
+                a[h] = r
+                t -= r
+            if t > 1:
+                h += 1
+                a[h] = t
+            m = h + 2 if t == 1 else h + 1  # a last part 1 is already in place
+        yield tuple(a[:m])
 
 
 # _PARTITION_COUNTS[m] = p(m), grown in place, so each p(m) is computed once.
@@ -119,33 +127,34 @@ def partition_count(n: int) -> int:
     return table[n]
 
 
-def _lower_side(increasing: list[int]) -> int:
-    # Largest d such that the d smallest parts are all >= d: since the list
-    # is increasing this is min(smallest part, number of parts).
-    return min(increasing[0], len(increasing))
-
-
 def successive_durfee(p: Partition) -> DurfeeChain:
     """Successive Durfee squares from the top-left corner, first to last."""
     sides = []
-    parts = list(p.parts)
-    while parts:
-        d = 0
-        while d < len(parts) and parts[d] >= d + 1:
+    d = 0  # rows of the square being grown
+    for part in p.parts:
+        if part > d:  # the part reaches the square's next column: it grows
             d += 1
+        else:  # the square is complete, and this part starts the next one
+            sides.append(d)
+            d = 1
+    if d:
         sides.append(d)
-        parts = parts[d:]
     return DurfeeChain(tuple(sides), "upper")
 
 
 def successive_lower_durfee(p: Partition) -> DurfeeChain:
     """Successive lower-Durfee squares from the bottom-left corner, bottom to top."""
+    parts = p.parts
     sides = []
-    remaining = sorted(p.parts)
-    while remaining:
-        d = _lower_side(remaining)
+    rest = len(parts)  # the parts no square has consumed yet are parts[:rest]
+    while rest:
+        # the largest d whose d smallest remaining parts are all >= d: the
+        # smallest of them, parts[rest - 1], or every remaining part
+        d = parts[rest - 1]
+        if d > rest:
+            d = rest
         sides.append(d)
-        remaining = remaining[d:]
+        rest -= d
     return DurfeeChain(tuple(sides), "lower")
 
 
@@ -158,13 +167,11 @@ def is_rogers_ramanujan(p: Partition, s: int) -> bool:
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    chain = successive_lower_durfee(p)
-    if len(chain) < s:
-        raise ValueError(f"partition has only {len(chain)} lower-Durfee squares")
-    consumed = sum(chain.sides[:s])
-    remaining = sorted(p.parts)[consumed:]
-    d_s = chain.sides[s - 1]
-    return all(part <= d_s for part in remaining)
+    sides = successive_lower_durfee(p).sides
+    if len(sides) < s:
+        raise ValueError(f"partition has only {len(sides)} lower-Durfee squares")
+    # the parts left over are the largest, so they are all <= d_s iff parts[0] is
+    return sum(sides[:s]) == len(p.parts) or p.parts[0] <= sides[s - 1]
 
 
 def marks(p: Partition) -> tuple[tuple[int, int], ...]:

@@ -13,13 +13,12 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from math import comb
 from typing import Callable, Iterator
 
-from .laurent import integer_binomial
 from .partitions import (
     Partition,
     enumerate_partitions,
-    marks,
     partition_count,
     successive_lower_durfee,
 )
@@ -105,14 +104,18 @@ def _split_point_count(p: Partition, j: int) -> int:
     return min(d + 1, len(p.parts))
 
 
+def _mark(parts: tuple[int, ...], i: int) -> int:
+    """The mark of parts[i]: the number of equal parts at or above it."""
+    return i - parts.index(parts[i]) + 1
+
+
 def mark_weight(p: Partition, j: int) -> int:
     """Sum of the marks of the designated bottom parts (weight behind Spt_j)."""
     if j < 1:
         raise ValueError("j must be >= 1")
-    if not p.parts:
-        return 0
-    bottom_up = marks(p)[::-1]
-    return sum(mark for _, mark in bottom_up[: _split_point_count(p, j)])
+    parts = p.parts
+    length = len(parts)
+    return sum(_mark(parts, i) for i in range(length - _split_point_count(p, j), length))
 
 
 def _compositions(k: int, max_pieces: int, max_piece: int) -> Iterator[tuple[int, ...]]:
@@ -138,7 +141,7 @@ def _chain_sum(freqs: dict[int, int], larger: list[int], weights: tuple[int, ...
     for combo in itertools.combinations(larger, len(weights)):
         prod = 1
         for t, m in zip(combo, weights):
-            prod *= integer_binomial(freqs[t] + m, 2 * m)
+            prod *= comb(freqs[t] + m, 2 * m)
             if prod == 0:
                 break
         total += prod
@@ -182,21 +185,21 @@ def split_chain_weight(p: Partition, j: int, k: int) -> int:
 
     The first factor uses the mark of the split part; later factors use the
     plain frequencies of strictly larger part values.  j = 1 reduces to
-    :func:`chain_weight`.
+    :func:`chain_weight`.  Every binomial has a positive top (mark + c - 1,
+    frequency + m), so ``math.comb`` is the falling-factorial binomial there.
     """
     if j < 1 or k < 1:
         raise ValueError("j and k must be >= 1")
-    if not p.parts:
-        return 0
-    bottom_up = marks(p)[::-1]
-    freqs = Counter(p.parts)
+    parts = p.parts
+    freqs = Counter(parts)
     values = sorted(freqs)
     total = 0
     for i in _split_positions(p, j):
-        t1, mark = bottom_up[i]
+        top = len(parts) - 1 - i  # the split part, counted from the top
+        t1, mark = parts[top], _mark(parts, top)
         larger = [v for v in values if v > t1]
         for comp in _compositions(k, 1 + len(larger), max(freqs.values())):
-            head = integer_binomial(mark + comp[0] - 1, 2 * comp[0] - 1)
+            head = comb(mark + comp[0] - 1, 2 * comp[0] - 1)
             if head == 0:
                 continue
             total += head * _chain_sum(freqs, larger, comp[1:])

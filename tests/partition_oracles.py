@@ -1,0 +1,115 @@
+"""The partition layer as it was before the one-pass kernels: their oracles.
+
+``qspt.partitions`` enumerates by ZS1 and walks one index over the parts for
+each Durfee chain, and ``qspt.spt`` reads marks by position and binomials
+from ``math.comb``.  The functions here are the plain versions those kernels
+replaced: an enumerator that rescans the trailing ones, chains that slice
+(and sort) the parts once per square, a validity loop, the marks tuple, and
+the falling-factorial binomials.
+"""
+
+import itertools
+from collections import Counter
+
+from qspt.laurent import integer_binomial
+from qspt.partitions import marks
+from qspt.spt import _compositions, _split_point_count, _split_positions
+
+
+def partition_tuples(n):
+    """Partitions of n in reverse lexicographic order, by descending compositions."""
+    if n == 0:
+        yield ()
+        return
+    a = [n]
+    while True:
+        yield tuple(a)
+        # find rightmost entry > 1
+        i = len(a) - 1
+        ones = 0
+        while i >= 0 and a[i] == 1:
+            ones += 1
+            i -= 1
+        if i < 0:
+            return
+        a[i] -= 1
+        rem = ones + 1
+        del a[i + 1:]
+        cap = a[i]
+        while rem > 0:
+            step = min(cap, rem)
+            a.append(step)
+            rem -= step
+
+
+def check_parts(parts):
+    """Raise the ValueError a Partition of these parts must raise, if any."""
+    prev = None
+    for p in parts:
+        if p < 1:
+            raise ValueError("parts must be positive")
+        if prev is not None and p > prev:
+            raise ValueError("parts must be weakly decreasing")
+        prev = p
+
+
+def upper_sides(parts):
+    """Successive Durfee sides, slicing off each square's rows."""
+    sides = []
+    parts = list(parts)
+    while parts:
+        d = 0
+        while d < len(parts) and parts[d] >= d + 1:
+            d += 1
+        sides.append(d)
+        parts = parts[d:]
+    return tuple(sides)
+
+
+def lower_sides(parts):
+    """Successive lower-Durfee sides, from a sorted copy sliced once per square."""
+    sides = []
+    remaining = sorted(parts)
+    while remaining:
+        d = min(remaining[0], len(remaining))
+        sides.append(d)
+        remaining = remaining[d:]
+    return tuple(sides)
+
+
+def is_rogers_ramanujan(parts, s):
+    """Every part above the s-th lower-Durfee square is <= its side, by slicing."""
+    sides = lower_sides(parts)
+    if len(sides) < s:
+        raise ValueError(f"partition has only {len(sides)} lower-Durfee squares")
+    remaining = sorted(parts)[sum(sides[:s]):]
+    return all(part <= sides[s - 1] for part in remaining)
+
+
+def mark_weight(p, j):
+    """The marks of the bottom split-point parts, summed from the marks tuple."""
+    if not p.parts:
+        return 0
+    bottom_up = marks(p)[::-1]
+    return sum(mark for _, mark in bottom_up[: _split_point_count(p, j)])
+
+
+def split_chain_weight(p, j, k):
+    """Compositions of k times combinations of larger parts, by integer_binomial."""
+    if not p.parts:
+        return 0
+    bottom_up = marks(p)[::-1]
+    freqs = Counter(p.parts)
+    values = sorted(freqs)
+    total = 0
+    for i in _split_positions(p, j):
+        t1, mark = bottom_up[i]
+        larger = [v for v in values if v > t1]
+        for comp in _compositions(k, 1 + len(larger), max(freqs.values())):
+            head = integer_binomial(mark + comp[0] - 1, 2 * comp[0] - 1)
+            for combo in itertools.combinations(larger, len(comp) - 1):
+                prod = head
+                for t, m in zip(combo, comp[1:]):
+                    prod *= integer_binomial(freqs[t] + m, 2 * m)
+                total += prod
+    return total

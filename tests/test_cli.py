@@ -121,7 +121,7 @@ class TestCompute:
         assert cache.exists()
 
     P_ARGS = ["compute", "--family", "p", "--n-max", "3"]
-    P_KEY = "p|j=None|k=None|route=recurrence|N=3"
+    P_KEY = f"{qspt.__version__}|p|j=None|k=None|route=recurrence|N=3"
 
     def _assert_recomputed(self, result, cache):
         assert result.exit_code == 0
@@ -177,6 +177,21 @@ class TestCompute:
         cache.write_text(json.dumps({"version": 1, "entries": {self.P_KEY: entry}}))
         result = runner.invoke(main, self.P_ARGS + ["--cache", str(cache)])
         self._assert_recomputed(result, cache)
+
+    def test_cache_of_another_version_is_recomputed(self, runner, tmp_path):
+        old_key = "0.0.0" + self.P_KEY[len(qspt.__version__):]
+        cache = tmp_path / "cache.json"
+        cache.write_text(json.dumps({"version": 1, "entries": {old_key: ["7", "8", "9"]}}))
+        result = runner.invoke(main, self.P_ARGS + ["--cache", str(cache)])
+        self._assert_recomputed(result, cache)
+        assert result.stderr == ""
+
+    def test_cache_of_this_version_is_read(self, runner, tmp_path):
+        cache = tmp_path / "cache.json"
+        cache.write_text(json.dumps({"version": 1, "entries": {self.P_KEY: ["7", "8", "9"]}}))
+        result = runner.invoke(main, self.P_ARGS + ["--cache", str(cache)])
+        assert result.exit_code == 0
+        assert result.stdout.splitlines() == ["1 7", "2 8", "3 9"]
 
     def test_cache_written_by_replace(self, runner, tmp_path, monkeypatch):
         moves = []

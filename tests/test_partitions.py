@@ -1,7 +1,11 @@
 """Enumeration, Durfee chains, the Rogers-Ramanujan predicate, and marks."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import partition_oracles
+from qspt.identities import _strict_rr
 from qspt.partitions import (
     DurfeeChain,
     Partition,
@@ -26,6 +30,13 @@ class TestPartitionType:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Partition((2, 0))
+
+    @pytest.mark.parametrize("parts", [(1, 2), (2, 0), (1, 2, 0), (0,), (3, -1)])
+    def test_rejection_message_matches_loop(self, parts):
+        with pytest.raises(ValueError) as expected:
+            partition_oracles.check_parts(parts)
+        with pytest.raises(ValueError, match=f"^{expected.value}$"):
+            Partition(parts)
 
     def test_n_and_len(self):
         p = Partition((3, 2, 2))
@@ -61,6 +72,11 @@ class TestEnumeration:
             assert p.parts not in seen
             assert p.n == 12
             seen.add(p.parts)
+
+    def test_zs1_matches_rescanning_enumerator(self):
+        for n in range(31):
+            got = [p.parts for p in enumerate_partitions(n)]
+            assert got == list(partition_oracles.partition_tuples(n)), n
 
     def test_partition_count_sixty(self):
         assert partition_count(60) == 966467
@@ -115,6 +131,32 @@ class TestDurfeeChains:
                     # a stack of exact squares: parts are the sides repeated
                     expected = tuple(d for d in sides for _ in range(d))
                     assert p.parts == expected
+
+
+# weakly decreasing tuples of parts <= 40, at most 40 of them
+decreasing_parts = st.lists(st.integers(1, 40), max_size=40).map(
+    lambda xs: tuple(sorted(xs, reverse=True)))
+
+
+class TestChainsAgainstSlicing:
+    @given(parts=decreasing_parts)
+    @settings(max_examples=300, deadline=None)
+    def test_sides_match_slicing(self, parts):
+        p = Partition(parts)
+        assert successive_durfee(p).sides == partition_oracles.upper_sides(parts)
+        assert successive_lower_durfee(p).sides == partition_oracles.lower_sides(parts)
+
+    @given(parts=decreasing_parts, s=st.integers(1, 8))
+    @settings(max_examples=300, deadline=None)
+    def test_rogers_ramanujan_matches_slicing(self, parts, s):
+        p = Partition(parts)
+        try:
+            expected = partition_oracles.is_rogers_ramanujan(parts, s)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                is_rogers_ramanujan(p, s)
+        else:
+            assert is_rogers_ramanujan(p, s) is expected
 
 
 class TestRogersRamanujan:
@@ -172,7 +214,7 @@ class TestChainLemmas:
     def test_lower_equals_reversed_upper_for_rr(self):
         # the lower-Durfee squares of a Rogers-Ramanujan partition form its
         # Durfee squares
-        for n in range(1, 26):
+        for n in range(1, 31):
             for p in enumerate_partitions(n):
                 if not _rr_with_full_chain(p):
                     continue
@@ -181,9 +223,14 @@ class TestChainLemmas:
                 assert tuple(reversed(lower)) == upper, p
 
     def test_chain_lengths_always_agree(self):
-        for n in range(1, 26):
+        for n in range(1, 31):
             for p in enumerate_partitions(n):
                 assert len(successive_lower_durfee(p)) == len(successive_durfee(p)), p
+
+    def test_lemma_predicate_matches_sorted_copy(self):
+        for n in range(1, 23):
+            for p in enumerate_partitions(n):
+                assert _strict_rr(p, successive_lower_durfee(p)) == _rr_with_full_chain(p), p
 
     def test_rr_examples(self):
         assert _rr_with_full_chain(Partition((2, 2, 1)))

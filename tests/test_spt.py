@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+import partition_oracles
 import tuple_sums
 from qspt.laurent import integer_binomial
 from qspt.partitions import Partition, enumerate_partitions, marks, partition_count
@@ -104,6 +105,12 @@ class TestMarkWeight:
     def test_empty(self):
         assert mark_weight(Partition(()), 2) == 0
 
+    def test_matches_marks_tuple(self):
+        for n in range(1, 15):
+            for p in enumerate_partitions(n):
+                for j in range(1, 5):
+                    assert mark_weight(p, j) == partition_oracles.mark_weight(p, j), (p, j)
+
 
 class TestSptJ:
     def test_spt1_is_spt(self):
@@ -112,7 +119,7 @@ class TestSptJ:
 
     @pytest.mark.parametrize("j", [1, 2, 3, 4])
     def test_three_routes(self, j):
-        for n in range(1, 16):
+        for n in range(1, 23):
             assert spt_j(j, n, "all") == spt_j(j, n, "moments")
 
     def test_gf_extended_range(self):
@@ -186,7 +193,7 @@ class TestSptK:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_three_routes(self, k):
-        for n in range(1, 13):
+        for n in range(1, 17):
             assert spt_k(k, n, "all") == spt_k(k, n, "moments")
 
 
@@ -208,6 +215,14 @@ class TestSplitChainWeight:
 
     def test_empty(self):
         assert split_chain_weight(Partition(()), 2, 1) == 0
+
+    def test_matches_integer_binomial_sum(self):
+        for n in range(1, 13):
+            for p in enumerate_partitions(n):
+                for j in range(1, 4):
+                    for k in range(1, 4):
+                        expected = partition_oracles.split_chain_weight(p, j, k)
+                        assert split_chain_weight(p, j, k) == expected, (p, j, k)
 
 
 class TestJsptK:
