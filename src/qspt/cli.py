@@ -205,6 +205,8 @@ def table(kind, j, index, n_max, fmt) -> None:
 @click.option("--format", "fmt", type=_FORMATS, default="plain", show_default=True)
 def congruence(n_max, fmt) -> None:
     """Check the classical p(n) congruences and their Spt analogues."""
+    if n_max < 1:
+        raise click.UsageError("n-max must be >= 1")
     rows = []
     for ell, m in ((5, 4), (7, 5), (11, 6)):
         t = 0

@@ -3,18 +3,20 @@
 Each family is computable by several independent routes -- generating
 function, combinatorial weight over partitions, and moment differences --
 and the routes are required to agree.  Every division along the way is on a
-provably divisible integer and is checked exact.  The generating functions are
-nested sums over chains of Durfee-square sides; each is summed by one
-recursion over the levels of its chain, not one index tuple at a time.
+provably divisible integer and is checked exact.  The combinatorial weights
+are summed over the partitions: each split part contributes one coefficient of
+a polynomial product over the larger part values, truncated at degree k.  The
+generating functions are nested sums over chains of Durfee-square sides; each
+is summed by one recursion over the levels of its chain, not one index tuple
+at a time.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterator
+from typing import Callable
 
 from .partitions import (
     Partition,
@@ -118,38 +120,8 @@ def mark_weight(p: Partition, j: int) -> int:
     return sum(_mark(parts, i) for i in range(length - _split_point_count(p, j), length))
 
 
-def _compositions(k: int, max_pieces: int, max_piece: int) -> Iterator[tuple[int, ...]]:
-    """Ordered tuples of at most max_pieces integers in 1..max_piece summing to k.
-
-    Only such compositions give a nonzero weight term: a piece above the
-    multiplicity (or the mark) of its part value makes its binomial vanish, and
-    each piece takes a distinct part value.  The recursion is max_pieces deep,
-    and a branch that cannot reach k is cut at once.
-    """
-    if k == 0:
-        yield ()
-    elif k <= max_pieces * max_piece:
-        for first in range(1, min(k, max_piece) + 1):
-            for rest in _compositions(k - first, max_pieces - 1, max_piece):
-                yield (first,) + rest
-
-
-def _chain_sum(freqs: dict[int, int], larger: list[int], weights: tuple[int, ...]) -> int:
-    # sum over increasing chains t_2 < ... < t_r drawn from `larger` of the
-    # product of binom(f_t + m, 2m) factors
-    total = 0
-    for combo in itertools.combinations(larger, len(weights)):
-        prod = 1
-        for t, m in zip(combo, weights):
-            prod *= comb(freqs[t] + m, 2 * m)
-            if prod == 0:
-                break
-        total += prod
-    return total
-
-
 def chain_weight(p: Partition, k: int) -> int:
-    """Higher-order smallest-part weight: compositions of k over part chains.
+    """Higher-order smallest-part weight: an x**k coefficient of a part-value product.
 
     It is :func:`split_chain_weight` at j = 1, whose one split part is the
     bottom smallest part, marked with the multiplicity of the smallest part.
@@ -181,28 +153,36 @@ def _split_positions(p: Partition, j: int) -> list[int]:
 
 
 def split_chain_weight(p: Partition, j: int, k: int) -> int:
-    """Generalized weight: chain weights summed over the split-point parts.
+    """Generalized weight: one polynomial coefficient per split-point part.
 
-    The first factor uses the mark of the split part; later factors use the
-    plain frequencies of strictly larger part values.  j = 1 reduces to
-    :func:`chain_weight`.  Every binomial has a positive top (mark + c - 1,
-    frequency + m), so ``math.comb`` is the falling-factorial binomial there.
+    A split part t_1 with mark c contributes the x**k coefficient of
+    sum_{c'>=1} binom(c + c' - 1, 2c' - 1) x**c' times the product, over the
+    part values t > t_1 with frequency f_t, of
+    1 + sum_{m>=1} binom(f_t + m, 2m) x**m.  Each term of that product is one
+    composition of k laid along one increasing chain of larger part values; a
+    piece above the mark or the frequency has a zero binomial.  j = 1 reduces
+    to :func:`chain_weight`.  Every binomial has a positive top
+    (mark + c' - 1, f_t + m), so ``math.comb`` is the falling-factorial
+    binomial there.
     """
     if j < 1 or k < 1:
         raise ValueError("j and k must be >= 1")
     parts = p.parts
     freqs = Counter(parts)
-    values = sorted(freqs)
     total = 0
     for i in _split_positions(p, j):
         top = len(parts) - 1 - i  # the split part, counted from the top
         t1, mark = parts[top], _mark(parts, top)
-        larger = [v for v in values if v > t1]
-        for comp in _compositions(k, 1 + len(larger), max(freqs.values())):
-            head = comb(mark + comp[0] - 1, 2 * comp[0] - 1)
-            if head == 0:
-                continue
-            total += head * _chain_sum(freqs, larger, comp[1:])
+        # the product over the larger values, truncated below x**k; it has no
+        # degree above the number of parts larger than t1
+        rest = [1] + [0] * min(k - 1, parts.index(t1))
+        for t, f in freqs.items():
+            if t > t1:
+                for d in range(len(rest) - 1, 0, -1):
+                    rest[d] += sum(comb(f + m, 2 * m) * rest[d - m]
+                                   for m in range(1, min(d, f) + 1))
+        total += sum(comb(mark + c - 1, 2 * c - 1) * rest[k - c]
+                     for c in range(max(1, k + 1 - len(rest)), min(k, mark) + 1))
     return total
 
 

@@ -1,11 +1,13 @@
 """The partition layer as it was before the one-pass kernels: their oracles.
 
 ``qspt.partitions`` enumerates by ZS1 and walks one index over the parts for
-each Durfee chain, and ``qspt.spt`` reads marks by position and binomials
-from ``math.comb``.  The functions here are the plain versions those kernels
+each Durfee chain, and ``qspt.spt`` reads marks by position, binomials from
+``math.comb`` and each chain weight as one coefficient of a truncated
+polynomial product.  The functions here are the plain versions those kernels
 replaced: an enumerator that rescans the trailing ones, chains that slice
-(and sort) the parts once per square, a validity loop, the marks tuple, and
-the falling-factorial binomials.
+(and sort) the parts once per square, a validity loop, the marks tuple, the
+falling-factorial binomials, and every composition of k laid along every
+increasing chain of larger part values.
 """
 
 import itertools
@@ -13,7 +15,7 @@ from collections import Counter
 
 from qspt.laurent import integer_binomial
 from qspt.partitions import marks
-from qspt.spt import _compositions, _split_point_count, _split_positions
+from qspt.spt import _split_point_count, _split_positions
 
 
 def partition_tuples(n):
@@ -94,8 +96,32 @@ def mark_weight(p, j):
     return sum(mark for _, mark in bottom_up[: _split_point_count(p, j)])
 
 
+def all_compositions(k):
+    """Every composition of k, one per choice of cuts between its k units."""
+    for cuts in itertools.product((False, True), repeat=k - 1):
+        comp, piece = [], 1
+        for cut in cuts:
+            if cut:
+                comp.append(piece)
+                piece = 0
+            piece += 1
+        yield tuple(comp + [piece])
+
+
+def chain_sum(freqs, larger, pieces):
+    """Sum over increasing chains t_2 < ... < t_r drawn from larger of the
+    products of binom(f_t + m, 2m), one factor per piece m."""
+    total = 0
+    for combo in itertools.combinations(larger, len(pieces)):
+        prod = 1
+        for t, m in zip(combo, pieces):
+            prod *= integer_binomial(freqs[t] + m, 2 * m)
+        total += prod
+    return total
+
+
 def split_chain_weight(p, j, k):
-    """Compositions of k times combinations of larger parts, by integer_binomial."""
+    """Every composition of k times every chain of larger parts, by integer_binomial."""
     if not p.parts:
         return 0
     bottom_up = marks(p)[::-1]
@@ -105,11 +131,7 @@ def split_chain_weight(p, j, k):
     for i in _split_positions(p, j):
         t1, mark = bottom_up[i]
         larger = [v for v in values if v > t1]
-        for comp in _compositions(k, 1 + len(larger), max(freqs.values())):
+        for comp in all_compositions(k):
             head = integer_binomial(mark + comp[0] - 1, 2 * comp[0] - 1)
-            for combo in itertools.combinations(larger, len(comp) - 1):
-                prod = head
-                for t, m in zip(combo, comp[1:]):
-                    prod *= integer_binomial(freqs[t] + m, 2 * m)
-                total += prod
+            total += head * chain_sum(freqs, larger, comp[1:])
     return total

@@ -329,6 +329,12 @@ class TestCongruence:
         assert lines[0] == "n,lhs,rhs,ok"
         assert "p(4)%5,0,0,True" in lines
 
+    @pytest.mark.parametrize("n_max", ["0", "-3"])
+    def test_n_max_below_one_exit_2(self, runner, n_max):
+        result = runner.invoke(main, ["congruence", "--n-max", n_max])
+        assert result.exit_code == 2
+        assert "PASS" not in result.output
+
 
 class TestInternalErrors:
     """Exit 3 and one error line on stderr for anything but a discrepancy or a

@@ -1,7 +1,6 @@
 """The four smallest-part families: weights, generating functions, relations."""
 
 import functools
-import itertools
 
 import pytest
 
@@ -14,7 +13,6 @@ from qspt.spt import (
     FAMILIES,
     WEIGHT_N_MAX,
     SptRequest,
-    _chain_sum,
     _count_min_parts,
     _split_positions,
     appbp_sides,
@@ -191,7 +189,7 @@ class TestSptK:
     def test_k1_is_spt(self):
         assert gf_spt_k(1, 25) == gf_spt(25)
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", range(1, 7))
     def test_three_routes(self, k):
         for n in range(1, 17):
             assert spt_k(k, n, "all") == spt_k(k, n, "moments")
@@ -220,14 +218,14 @@ class TestSplitChainWeight:
         for n in range(1, 13):
             for p in enumerate_partitions(n):
                 for j in range(1, 4):
-                    for k in range(1, 4):
+                    for k in range(1, 7):
                         expected = partition_oracles.split_chain_weight(p, j, k)
                         assert split_chain_weight(p, j, k) == expected, (p, j, k)
 
 
 class TestJsptK:
     @pytest.mark.parametrize("j", [1, 2, 3])
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_three_routes(self, j, k):
         for n in range(1, 13):
             assert jspt_k(j, k, n, "all") == jspt_k(j, k, n, "moments")
@@ -316,28 +314,17 @@ class TestRelations:
                     assert jspt_k(j, k, n, "moments") >= 0
 
 
-def _all_compositions(k):
-    """Every composition of k: the unbounded enumeration the weights used to run."""
-    for cuts in itertools.product((False, True), repeat=k - 1):
-        comp, piece = [], 1
-        for cut in cuts:
-            if cut:
-                comp.append(piece)
-                piece = 0
-            piece += 1
-        yield tuple(comp + [piece])
-
-
 def _chain_terms(freqs, t1, head_count, k):
     larger = [v for v in sorted(freqs) if v > t1]
     return sum(integer_binomial(head_count + comp[0] - 1, 2 * comp[0] - 1)
-               * _chain_sum(freqs, larger, comp[1:]) for comp in _all_compositions(k))
+               * partition_oracles.chain_sum(freqs, larger, comp[1:])
+               for comp in partition_oracles.all_compositions(k))
 
 
 class TestCompositions:
     def test_oracle_enumerates_every_composition(self):
         for k in range(1, 9):
-            comps = list(_all_compositions(k))
+            comps = list(partition_oracles.all_compositions(k))
             assert len(set(comps)) == len(comps) == 2 ** (k - 1)
             assert all(sum(c) == k and min(c) >= 1 for c in comps)
 
@@ -359,6 +346,8 @@ class TestCompositions:
         for p in enumerate_partitions(3):
             assert chain_weight(p, 20) == 0 and split_chain_weight(p, 1, 20) == 0
         assert spt_k(1100, 2, "weight") == 0
+        # the product is cut at the degree the larger parts can reach, not at k
+        assert split_chain_weight(Partition((3, 2, 2, 1)), 2, 10 ** 12) == 0
 
 
 class TestChainRecursions:
