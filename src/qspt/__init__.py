@@ -18,7 +18,6 @@ from .laurent import (
     symmetrized_extract,
 )
 from .partitions import (
-    DurfeeChain,
     Partition,
     enumerate_partitions,
     frequency,
@@ -52,18 +51,14 @@ from .spt import (
     verify_appbp,
 )
 from .stats import (
-    MomentTable,
-    StirlingStarTable,
     count_njm,
     crank,
-    g_poly,
     gf_njm,
     gf_sym_mu,
     jrank,
     moment,
     moment_via_sym,
     rank,
-    stirling_star,
     sym_mu,
 )
 
@@ -72,12 +67,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BiSeries",
     "DiscrepancyError",
-    "DurfeeChain",
     "LaurentPoly",
-    "MomentTable",
     "Partition",
     "SptRequest",
-    "StirlingStarTable",
     "TruncSeries",
     "build_crank_gf",
     "build_jrank_gf",
@@ -89,7 +81,6 @@ __all__ = [
     "dz_at_1",
     "enumerate_partitions",
     "frequency",
-    "g_poly",
     "gauss_binomial",
     "gf_njm",
     "gf_spt",
@@ -114,7 +105,6 @@ __all__ = [
     "spt_j",
     "spt_k",
     "spt_weight",
-    "stirling_star",
     "successive_durfee",
     "successive_lower_durfee",
     "sym_mu",

@@ -196,8 +196,10 @@ def table(kind, j, index, n_max, fmt) -> None:
         raise click.UsageError("index must be >= 1 for symmetrized moments")
     if kind == "moment" and index % 2 == 1:
         click.echo("# odd moments vanish identically", err=True)
-    mt = stats.MomentTable.build(kind, j, index, n_max)
-    _emit(list(zip(range(n_max + 1), mt.values)), ("n", "value"), fmt)
+    stat = {"count": stats.count_njm, "moment": stats.moment, "symmetrized": stats.sym_mu}[kind]
+    # descending, so each series behind the table is built once, at n_max
+    rows = [(n, stat(j, index, n)) for n in range(n_max, -1, -1)]
+    _emit(rows[::-1], ("n", "value"), fmt)
 
 
 @main.command()

@@ -147,11 +147,11 @@ def _strict_rr(p, lower) -> bool:
     # This bounds the parts below the last square, where
     # partitions.is_rogers_ramanujan(p, s - 1) bounds the parts above the
     # (s-1)st; the two predicates differ on most partitions with s >= 2.
-    # ``lower`` consumes every part, its first s-1 squares all but the top
-    # d_s, so the largest part those consume is p.parts[d_s].
+    # The squares of ``lower`` (its sides) consume every part, the first s-1
+    # all but the top d_s, so the largest part those consume is p.parts[d_s].
     if len(lower) <= 1:
         return True
-    last = lower.sides[-1]
+    last = lower[-1]
     return p.parts[last] <= last
 
 
@@ -164,7 +164,7 @@ def _count_bad(order, is_bad):
 def _verify_lemma31(j, k, r, order):
     def is_bad(p):
         lower = successive_lower_durfee(p)
-        return _strict_rr(p, lower) and lower.sides[::-1] != successive_durfee(p).sides
+        return _strict_rr(p, lower) and lower[::-1] != successive_durfee(p)
 
     return _count_bad(order, is_bad), []
 

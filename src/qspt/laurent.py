@@ -107,10 +107,6 @@ class LaurentPoly:
     def scale(self, c: int) -> "LaurentPoly":
         return LaurentPoly({m: c * v for m, v in self.terms.items()})
 
-    def substitute_inverse(self) -> "LaurentPoly":
-        """z -> 1/z."""
-        return LaurentPoly({-m: c for m, c in self.terms.items()})
-
     def unit_inverse(self) -> "LaurentPoly":
         """Inverse of a monomial +-z^m; anything else is not invertible."""
         if len(self.terms) != 1:
@@ -282,31 +278,11 @@ class BiSeries:
             out[i] = _add_shifted(out[i], out[i - q_exp], z_exp, 1)
         return BiSeries(out)
 
-    def substitute_inverse(self) -> "BiSeries":
-        """z -> 1/z coefficientwise."""
-        return BiSeries([c.substitute_inverse() for c in self.coeffs])
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, BiSeries) and self.coeffs == other.coeffs
 
     def __repr__(self) -> str:
         return f"BiSeries(order={self.order})"
-
-
-def bi_pochhammer(z_exp: int, q_start: int, n_factors: int | None, order: int) -> BiSeries:
-    """Product of (1 - z**z_exp * q**(q_start + i)) for i = 0..n_factors-1.
-
-    ``n_factors=None`` gives the infinite product; factors whose q-exponent
-    exceeds the order are dropped.  ``q_start=0`` with a finite count yields
-    the (z; q)_n style product that contains the q-free factor (1 - z**z_exp).
-    """
-    if n_factors is None and q_start < 1:
-        raise ValueError("infinite product needs q_start >= 1")
-    stop = order + 1 if n_factors is None else min(q_start + n_factors, order + 1)
-    out = BiSeries.one(order)
-    for e in range(q_start, stop):
-        out = out.mul_factor(z_exp, e)
-    return out
 
 
 def bi_geometric(z_exp: int, q_exp: int, order: int) -> BiSeries:

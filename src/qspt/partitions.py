@@ -3,7 +3,8 @@
 Covers enumeration (ZS1: Zoghbi and Stojmenovic, Int. J. Comput. Math. 70,
 1998), successive Durfee squares (from the top-left corner) and lower-Durfee
 squares (from the bottom-left corner), each chain one index walk over the
-parts, the Rogers-Ramanujan predicate, part marks and part frequencies.
+parts that returns the tuple of its sides, the Rogers-Ramanujan predicate,
+part marks and part frequencies.
 """
 
 from __future__ import annotations
@@ -46,21 +47,6 @@ class Partition:
         for c in range(1, self.parts[0] + 1):
             out.append(sum(1 for p in self.parts if p >= c))
         return tuple(out)
-
-
-@dataclass(frozen=True, slots=True)
-class DurfeeChain:
-    """Sides of a chain of squares tiling a prefix of the diagram.
-
-    ``kind`` is "upper" (successive Durfee squares, listed first to last) or
-    "lower" (successive lower-Durfee squares, listed bottom to top).
-    """
-
-    sides: tuple[int, ...]
-    kind: str
-
-    def __len__(self) -> int:
-        return len(self.sides)
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
@@ -127,8 +113,8 @@ def partition_count(n: int) -> int:
     return table[n]
 
 
-def successive_durfee(p: Partition) -> DurfeeChain:
-    """Successive Durfee squares from the top-left corner, first to last."""
+def successive_durfee(p: Partition) -> tuple[int, ...]:
+    """The successive Durfee square sides, from the top-left corner down."""
     sides = []
     d = 0  # rows of the square being grown
     for part in p.parts:
@@ -139,11 +125,11 @@ def successive_durfee(p: Partition) -> DurfeeChain:
             d = 1
     if d:
         sides.append(d)
-    return DurfeeChain(tuple(sides), "upper")
+    return tuple(sides)
 
 
-def successive_lower_durfee(p: Partition) -> DurfeeChain:
-    """Successive lower-Durfee squares from the bottom-left corner, bottom to top."""
+def successive_lower_durfee(p: Partition) -> tuple[int, ...]:
+    """The successive lower-Durfee square sides, from the bottom-left corner up."""
     parts = p.parts
     sides = []
     rest = len(parts)  # the parts no square has consumed yet are parts[:rest]
@@ -155,7 +141,7 @@ def successive_lower_durfee(p: Partition) -> DurfeeChain:
             d = rest
         sides.append(d)
         rest -= d
-    return DurfeeChain(tuple(sides), "lower")
+    return tuple(sides)
 
 
 def is_rogers_ramanujan(p: Partition, s: int) -> bool:
@@ -167,7 +153,7 @@ def is_rogers_ramanujan(p: Partition, s: int) -> bool:
     """
     if s < 1:
         raise ValueError("s must be >= 1")
-    sides = successive_lower_durfee(p).sides
+    sides = successive_lower_durfee(p)
     if len(sides) < s:
         raise ValueError(f"partition has only {len(sides)} lower-Durfee squares")
     # the parts left over are the largest, so they are all <= d_s iff parts[0] is

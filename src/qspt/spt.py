@@ -99,10 +99,10 @@ def _split_point_count(p: Partition, j: int) -> int:
     the partition has fewer than j-1 lower-Durfee squares every part is a
     split point.
     """
-    chain = successive_lower_durfee(p)
-    if len(chain) < j - 1:
+    sides = successive_lower_durfee(p)
+    if len(sides) < j - 1:
         return len(p.parts)
-    d = sum(chain.sides[: j - 1])
+    d = sum(sides[: j - 1])
     return min(d + 1, len(p.parts))
 
 
@@ -144,11 +144,11 @@ def _split_positions(p: Partition, j: int) -> list[int]:
     """
     if j == 1:
         return [0] if p.parts else []
-    chain = successive_lower_durfee(p)
-    if len(chain) < j - 1:
+    sides = successive_lower_durfee(p)
+    if len(sides) < j - 1:
         return []
-    start = sum(chain.sides[: j - 2])
-    side = chain.sides[j - 2]
+    start = sum(sides[: j - 2])
+    side = sides[j - 2]
     return [i for i in range(start + 1, start + side + 1) if i < len(p.parts)]
 
 

@@ -1,15 +1,17 @@
-"""Rank, crank and j-rank statistics, their counts, and moment tables.
+"""Rank, crank and j-rank statistics, their counts, and their moments.
 
-Counts and moments are coefficients of the single-variable generating
-functions; counting over enumerated partitions is kept as a test oracle.
+Counts and symmetrized moments are coefficients of the single-variable
+generating functions; the ordinary moments follow from the symmetrized ones
+by the central-factorial change of basis.  Counting over enumerated
+partitions is kept as a test oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 from .partitions import Partition, successive_durfee
-from .series import DiscrepancyError, TruncSeries, _signed_sum, inv_pochhammer_inf, memo
+from .series import TruncSeries, _signed_sum, inv_pochhammer_inf, memo
 
 
 def rank(p: Partition) -> int:
@@ -39,10 +41,9 @@ def jrank(p: Partition, j: int) -> int | None:
     """
     if j < 2:
         raise ValueError("jrank needs j >= 2; j = 1 is the crank")
-    chain = successive_durfee(p)
-    if len(chain) < j - 1:
+    sides = successive_durfee(p)
+    if len(sides) < j - 1:
         return None
-    sides = chain.sides
     d1 = sides[0]
     limit = sides[j - 2]
     cols = 0
@@ -116,97 +117,22 @@ def gf_sym_mu(j: int, k: int, order: int) -> TruncSeries:
     return -acc * inv_pochhammer_inf(1, order)
 
 
-def g_poly(k: int) -> tuple[int, ...]:
-    """Coefficients (index = x-exponent) of g_k(x) = prod_{i=0}^{k-1} (x^2 - i^2)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    coeffs = [1]  # polynomial in y = x^2
-    for i in range(k):
-        sq = i * i
-        nxt = [0] * (len(coeffs) + 1)
-        for d, c in enumerate(coeffs):
-            nxt[d + 1] += c
-            nxt[d] -= sq * c
-        coeffs = nxt
-    out = [0] * (2 * k + 1)
-    for d, c in enumerate(coeffs):
-        out[2 * d] = c
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class StirlingStarTable:
-    """Change-of-basis integers: x^(2n) = sum_k values[n][k] * g_k(x).
-
-    ``values[n][k]`` is stored for 1 <= k <= n <= size; rows are padded with
-    zeros below index 1.
-    """
-
-    size: int
-    values: tuple[tuple[int, ...], ...]
-
-    def value(self, n: int, k: int) -> int:
-        if not 1 <= k <= n <= self.size:
-            raise IndexError(f"(n, k) = ({n}, {k}) outside the table")
-        return self.values[n][k]
-
-
-def stirling_star(size: int) -> StirlingStarTable:
-    """Solve the triangular change of basis from x^(2n) to the g_k exactly."""
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    g = {k: g_poly(k) for k in range(1, size + 1)}
-    rows: list[tuple[int, ...]] = [()]
-    for n in range(1, size + 1):
-        residual = [0] * (2 * n + 1)
-        residual[2 * n] = 1
-        row = [0] * (n + 1)
-        for k in range(n, 0, -1):
-            c = residual[2 * k]  # g_k is monic in x^(2k)
-            row[k] = c
-            if c:
-                for d, gc in enumerate(g[k]):
-                    residual[d] -= c * gc
-        if any(residual):
-            raise DiscrepancyError("change of basis did not close")
-        rows.append(tuple(row))
-    return StirlingStarTable(size, tuple(rows))
-
-
 def moment_via_sym(j: int, k: int, n: int) -> int:
     """The 2k-th ordinary moment recovered from symmetrized moments.
 
-    Uses the factorial-weighted change of basis; :func:`moment` takes this
-    route, and the tests hold it to sums straight over the counts.
+    x^(2k) = sum_t T(k, t) g_t(x) with g_t(x) = prod_{i<t} (x^2 - i^2), and
+    the count sum of g_t(m) is (2t)! times the 2t-th symmetrized moment, which
+    vanishes for t > n.  The central factorial numbers T(k, t) (Garvan, Adv.
+    Math. 228, 2011) follow T(k, t) = T(k-1, t-1) + t^2 T(k-1, t), because
+    x^2 g_t = g_{t+1} + t^2 g_t.  :func:`moment` takes this route, and the
+    tests hold it to sums straight over the counts.
     """
-    import math
-
-    table = stirling_star(k)
-    total = 0
-    for t in range(1, k + 1):
-        total += math.factorial(2 * t) * table.value(k, t) * sym_mu(j, 2 * t, n)
-    return total
-
-
-@dataclass(frozen=True)
-class MomentTable:
-    """A memoized block of exact statistic values indexed by n.
-
-    ``kind`` is one of "count", "moment", "symmetrized"; ``index`` is the m,
-    t or k parameter; ``source`` records which route produced the values.
-    """
-
-    kind: str
-    j: int
-    index: int
-    values: tuple[int, ...]
-    source: str
-
-    @classmethod
-    def build(cls, kind: str, j: int, index: int, n_max: int) -> "MomentTable":
-        stat = {"count": count_njm, "moment": moment, "symmetrized": sym_mu}.get(kind)
-        if stat is None:
-            raise ValueError(f"unknown table kind {kind!r}")
-        # descending, so each series behind the table is built once, at n_max
-        vals = tuple(reversed([stat(j, index, n) for n in range(n_max, -1, -1)]))
-        return cls(kind, j, index, vals, "generating-function")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    top = min(k, n)
+    row = [1] + [0] * top  # T(0, t), kept for t <= top
+    for i in range(1, k + 1):
+        for t in range(min(i, top), 0, -1):
+            row[t] = row[t - 1] + t * t * row[t]
+        row[0] = 0
+    return sum(math.factorial(2 * t) * row[t] * sym_mu(j, 2 * t, n) for t in range(1, top + 1))

@@ -204,8 +204,8 @@ def test_criterion_11_chain_lemmas_to_25():
     def body():
         for n in range(1, 26):
             for p in enumerate_partitions(n):
-                lower = successive_lower_durfee(p).sides
-                upper = successive_durfee(p).sides
+                lower = successive_lower_durfee(p)
+                upper = successive_durfee(p)
                 assert len(lower) == len(upper), p
                 if len(lower) > 1:
                     consumed = sum(lower[:-1])

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import qspt
-from qspt import cli, identities
+from qspt import cli, identities, stats
 from qspt import spt as sptmod
 from qspt.cli import main
 
@@ -302,6 +302,32 @@ class TestTable:
         result = runner.invoke(main, ["table", "--kind", "count", "--j", "2",
                                       "--index", "0", "--n-max", "3"])
         assert result.exit_code == 0
+
+    def test_count_values(self, runner):
+        result = runner.invoke(main, ["table", "--kind", "count", "--j", "2",
+                                      "--index", "0", "--n-max", "6"])
+        assert result.output.splitlines() == [f"{n} {stats.count_njm(2, 0, n)}"
+                                              for n in range(7)]
+
+    def test_symmetrized_values(self, runner):
+        result = runner.invoke(main, ["table", "--kind", "symmetrized", "--j", "1",
+                                      "--index", "2", "--n-max", "5"])
+        assert result.exit_code == 0
+        assert result.output.splitlines()[:2] == ["0 0", "1 1"]
+
+    def test_large_moment_index_is_fast(self):
+        # index 800 is k = 400: the row recurrence takes k * min(k, n) steps, where
+        # solving the change of basis took on the order of k**3
+        src = str(Path(qspt.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "qspt.cli", "table", "--kind", "moment", "--j", "2",
+             "--index", "800", "--n-max", "3"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0 and proc.stderr == ""
+        direct = [sum(m ** 800 * stats.count_njm(2, m, n) for m in range(-n, n + 1))
+                  for n in range(4)]
+        assert proc.stdout.splitlines() == [f"{n} {v}" for n, v in enumerate(direct)]
 
     def test_invalid_j_exit_2(self, runner):
         result = runner.invoke(main, ["table", "--kind", "count", "--j", "0",

@@ -9,7 +9,6 @@ from qspt.laurent import (
     BiSeries,
     LaurentPoly,
     bi_geometric,
-    bi_pochhammer,
     build_crank_gf,
     build_jrank_gf,
     build_kn1_sides,
@@ -35,6 +34,24 @@ def factor(z_exp, q_exp, order):
     if q_exp <= order:
         rows[q_exp] = rows[q_exp] - lp({z_exp: 1})
     return BiSeries(rows)
+
+
+def bi_pochhammer(z_exp, q_start, n_factors, order):
+    """Product of (1 - z**z_exp * q**(q_start + i)), i < n_factors, by factor passes.
+
+    ``n_factors=None`` gives the infinite product; factors whose q-exponent
+    exceeds the order are dropped.
+    """
+    stop = order + 1 if n_factors is None else min(q_start + n_factors, order + 1)
+    out = BiSeries.one(order)
+    for e in range(q_start, stop):
+        out = out.mul_factor(z_exp, e)
+    return out
+
+
+def z_inverse(a):
+    """The BiSeries a with z -> 1/z in every coefficient."""
+    return BiSeries([lp({-m: c for m, c in row.terms.items()}) for row in a.coeffs])
 
 
 # Dense constructions by full BiSeries products and inverses: the oracles the
@@ -110,9 +127,6 @@ class TestLaurentPoly:
             lp({0: 2}).unit_inverse()
         with pytest.raises(ValueError):
             lp({0: 1, 1: 1}).unit_inverse()
-
-    def test_substitute_inverse(self):
-        assert lp({2: 5, -1: 3}).substitute_inverse() == lp({-2: 5, 1: 3})
 
 
 class TestBiSeries:
@@ -256,7 +270,7 @@ class TestJrankGf:
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_z_symmetry(self, j):
         a = build_jrank_gf(j, 12)
-        assert a == a.substitute_inverse()
+        assert a == z_inverse(a)
 
     def test_unknown_form(self):
         with pytest.raises(ValueError):

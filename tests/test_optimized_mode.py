@@ -22,9 +22,6 @@ BROKEN = {
     "second_moment": "import qspt.spt as m\n"
                      "m.moment = lambda *args: 1\n"
                      "m.spt_j(1, 3)",
-    "basis_closure": "import qspt.stats as m\n"
-                     "m.g_poly = lambda k: (0,) * (2 * k + 1)\n"
-                     "m.stirling_star(2)",
 }
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 import partition_oracles
 from qspt.identities import _strict_rr
 from qspt.partitions import (
-    DurfeeChain,
     Partition,
     enumerate_partitions,
     frequency,
@@ -84,47 +83,43 @@ class TestEnumeration:
 
 class TestDurfeeChains:
     def test_figure_upper(self):
-        assert successive_durfee(FIGURE).sides == (6, 4, 1)
+        assert successive_durfee(FIGURE) == (6, 4, 1)
 
     def test_figure_lower(self):
-        assert successive_lower_durfee(FIGURE).sides == (3, 5, 3)
+        assert successive_lower_durfee(FIGURE) == (3, 5, 3)
 
     def test_singleton(self):
-        assert successive_durfee(Partition((1,))).sides == (1,)
-        assert successive_lower_durfee(Partition((1,))).sides == (1,)
+        assert successive_durfee(Partition((1,))) == (1,)
+        assert successive_lower_durfee(Partition((1,))) == (1,)
 
     def test_square(self):
-        assert successive_durfee(Partition((2, 2))).sides == (2,)
-        assert successive_lower_durfee(Partition((2, 2))).sides == (2,)
+        assert successive_durfee(Partition((2, 2))) == (2,)
+        assert successive_lower_durfee(Partition((2, 2))) == (2,)
 
     def test_wj_example_lower(self):
-        assert successive_lower_durfee(Partition((4, 4, 3, 3, 2))).sides[:2] == (2, 3)
-
-    def test_kinds(self):
-        assert successive_durfee(FIGURE).kind == "upper"
-        assert successive_lower_durfee(FIGURE).kind == "lower"
+        assert successive_lower_durfee(Partition((4, 4, 3, 3, 2)))[:2] == (2, 3)
 
     def test_empty_chains(self):
-        assert successive_durfee(Partition(())) == DurfeeChain((), "upper")
-        assert successive_lower_durfee(Partition(())) == DurfeeChain((), "lower")
+        assert successive_durfee(Partition(())) == ()
+        assert successive_lower_durfee(Partition(())) == ()
 
     def test_upper_weakly_decreasing(self):
         for n in range(1, 16):
             for p in enumerate_partitions(n):
-                s = successive_durfee(p).sides
+                s = successive_durfee(p)
                 assert all(a >= b for a, b in zip(s, s[1:]))
 
     def test_lower_monotone_except_last(self):
         # d_i <= d_{i+1} may fail only at the final step
         for n in range(1, 26):
             for p in enumerate_partitions(n):
-                s = successive_lower_durfee(p).sides
+                s = successive_lower_durfee(p)
                 assert all(a <= b for a, b in zip(s[:-1], s[1:-1]))
 
     def test_upper_square_sum_bound(self):
         for n in range(1, 16):
             for p in enumerate_partitions(n):
-                sides = successive_durfee(p).sides
+                sides = successive_durfee(p)
                 total = sum(d * d for d in sides)
                 assert total <= n
                 if total == n:
@@ -143,8 +138,8 @@ class TestChainsAgainstSlicing:
     @settings(max_examples=300, deadline=None)
     def test_sides_match_slicing(self, parts):
         p = Partition(parts)
-        assert successive_durfee(p).sides == partition_oracles.upper_sides(parts)
-        assert successive_lower_durfee(p).sides == partition_oracles.lower_sides(parts)
+        assert successive_durfee(p) == partition_oracles.upper_sides(parts)
+        assert successive_lower_durfee(p) == partition_oracles.lower_sides(parts)
 
     @given(parts=decreasing_parts, s=st.integers(1, 8))
     @settings(max_examples=300, deadline=None)
@@ -203,11 +198,11 @@ class TestFrequency:
 
 def _rr_with_full_chain(p):
     # every part consumed by the first s-1 lower squares is at most d_s
-    chain = successive_lower_durfee(p)
-    if len(chain) <= 1:
+    sides = successive_lower_durfee(p)
+    if len(sides) <= 1:
         return True
-    consumed = sum(chain.sides[:-1])
-    return sorted(p.parts)[consumed - 1] <= chain.sides[-1]
+    consumed = sum(sides[:-1])
+    return sorted(p.parts)[consumed - 1] <= sides[-1]
 
 
 class TestChainLemmas:
@@ -218,8 +213,8 @@ class TestChainLemmas:
             for p in enumerate_partitions(n):
                 if not _rr_with_full_chain(p):
                     continue
-                lower = successive_lower_durfee(p).sides
-                upper = successive_durfee(p).sides
+                lower = successive_lower_durfee(p)
+                upper = successive_durfee(p)
                 assert tuple(reversed(lower)) == upper, p
 
     def test_chain_lengths_always_agree(self):

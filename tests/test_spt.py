@@ -6,15 +6,13 @@ import pytest
 
 import partition_oracles
 import tuple_sums
-from qspt.laurent import integer_binomial
-from qspt.partitions import Partition, enumerate_partitions, marks, partition_count
+from qspt.partitions import Partition, enumerate_partitions, partition_count
 from qspt.series import TruncSeries, _signed_sum
 from qspt.spt import (
     FAMILIES,
     WEIGHT_N_MAX,
     SptRequest,
     _count_min_parts,
-    _split_positions,
     appbp_sides,
     chain_weight,
     gf_genn1_lhs,
@@ -214,14 +212,6 @@ class TestSplitChainWeight:
     def test_empty(self):
         assert split_chain_weight(Partition(()), 2, 1) == 0
 
-    def test_matches_integer_binomial_sum(self):
-        for n in range(1, 13):
-            for p in enumerate_partitions(n):
-                for j in range(1, 4):
-                    for k in range(1, 7):
-                        expected = partition_oracles.split_chain_weight(p, j, k)
-                        assert split_chain_weight(p, j, k) == expected, (p, j, k)
-
 
 class TestJsptK:
     @pytest.mark.parametrize("j", [1, 2, 3])
@@ -314,13 +304,6 @@ class TestRelations:
                     assert jspt_k(j, k, n, "moments") >= 0
 
 
-def _chain_terms(freqs, t1, head_count, k):
-    larger = [v for v in sorted(freqs) if v > t1]
-    return sum(integer_binomial(head_count + comp[0] - 1, 2 * comp[0] - 1)
-               * partition_oracles.chain_sum(freqs, larger, comp[1:])
-               for comp in partition_oracles.all_compositions(k))
-
-
 class TestCompositions:
     def test_oracle_enumerates_every_composition(self):
         for k in range(1, 9):
@@ -330,16 +313,15 @@ class TestCompositions:
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_weights_match_unbounded_enumeration(self, k):
+        # the oracle sums every composition of k; at j = 1 its one split part
+        # is the bottom smallest part, so it is also chain_weight's oracle
         for n in range(1, 13):
             for p in enumerate_partitions(n):
-                freqs = {v: p.parts.count(v) for v in p.parts}
-                t1 = min(freqs)
-                assert chain_weight(p, k) == _chain_terms(freqs, t1, freqs[t1], k), (p, k)
-                bottom_up = marks(p)[::-1]
                 for j in (1, 2, 3):
-                    expected = sum(_chain_terms(freqs, *bottom_up[i], k)
-                                   for i in _split_positions(p, j))
+                    expected = partition_oracles.split_chain_weight(p, j, k)
                     assert split_chain_weight(p, j, k) == expected, (p, j, k)
+                    if j == 1:
+                        assert chain_weight(p, k) == expected, (p, k)
 
     def test_k_above_the_number_of_parts_is_zero(self):
         # of the 2**19 compositions of 20, none has at most 3 pieces <= 3

@@ -1,22 +1,71 @@
-"""Rank/crank/j-rank statistics, count tables, moments, and the g_k basis."""
+"""Rank/crank/j-rank statistics, count series and moments.
+
+The change of basis behind :func:`moment_via_sym` is pinned to a triangular
+solve over the g_k polynomials, which lives here as its oracle.
+"""
+
+import math
 
 import pytest
 
+from qspt import stats
 from qspt.partitions import Partition, enumerate_partitions, partition_count, successive_durfee
 from qspt.stats import (
-    MomentTable,
     count_njm,
     crank,
-    g_poly,
     gf_njm,
     gf_sym_mu,
     jrank,
     moment,
     moment_via_sym,
     rank,
-    stirling_star,
     sym_mu,
 )
+
+
+def g_poly(k):
+    """Coefficients (index = x-exponent) of g_k(x) = prod_{i=0}^{k-1} (x^2 - i^2)."""
+    coeffs = [1]  # polynomial in y = x^2
+    for i in range(k):
+        sq = i * i
+        nxt = [0] * (len(coeffs) + 1)
+        for d, c in enumerate(coeffs):
+            nxt[d + 1] += c
+            nxt[d] -= sq * c
+        coeffs = nxt
+    out = [0] * (2 * k + 1)
+    for d, c in enumerate(coeffs):
+        out[2 * d] = c
+    return tuple(out)
+
+
+def solved_row(k):
+    """(S(k, 1), ..., S(k, k)) with x^(2k) = sum_t S(k, t) g_t(x), by a triangular solve."""
+    residual = [0] * (2 * k + 1)
+    residual[2 * k] = 1
+    row = [0] * (k + 1)
+    for t in range(k, 0, -1):
+        c = residual[2 * t]  # g_t is monic in x^(2t)
+        row[t] = c
+        for d, gc in enumerate(g_poly(t)):
+            residual[d] -= c * gc
+    assert not any(residual), "change of basis did not close"
+    return tuple(row[1:])
+
+
+def recurrence_row(monkeypatch, k):
+    """The change-of-basis row that moment_via_sym uses, one symmetrized moment at a time.
+
+    With every symmetrized moment but the 2t-th set to 0 and that one to 1,
+    moment_via_sym(j, k, n) for n >= k is (2t)! times the row's t-th entry.
+    """
+    row = []
+    for t in range(1, k + 1):
+        monkeypatch.setattr(stats, "sym_mu", lambda j, i, n, t=t: int(i == 2 * t))
+        value, rem = divmod(moment_via_sym(1, k, k), math.factorial(2 * t))
+        assert rem == 0, (k, t)
+        row.append(value)
+    return tuple(row)
 
 
 def combinatorial_counts(j, n):
@@ -178,23 +227,20 @@ class TestGBasis:
     def test_g3(self):
         assert g_poly(3) == (0, 0, 4, 0, -5, 0, 1)
 
-    def test_stirling_star_rows(self):
-        table = stirling_star(3)
-        assert table.value(1, 1) == 1
-        assert (table.value(2, 1), table.value(2, 2)) == (1, 1)
-        assert (table.value(3, 1), table.value(3, 2), table.value(3, 3)) == (1, 5, 1)
+    def test_stirling_star_rows(self, monkeypatch):
+        assert recurrence_row(monkeypatch, 1) == (1,)
+        assert recurrence_row(monkeypatch, 2) == (1, 1)
+        assert recurrence_row(monkeypatch, 3) == (1, 5, 1)
 
-    def test_stirling_star_positivity(self):
-        table = stirling_star(6)
-        for n in range(1, 7):
-            assert table.value(n, n) == 1
-            assert table.value(n, 1) == 1
-            for k in range(1, n + 1):
-                assert table.value(n, k) > 0
+    def test_stirling_star_positivity(self, monkeypatch):
+        for k in range(1, 7):
+            row = recurrence_row(monkeypatch, k)
+            assert row[0] == row[-1] == 1
+            assert all(v > 0 for v in row)
 
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            stirling_star(3).value(4, 1)
+    def test_recurrence_matches_solve(self, monkeypatch):
+        for k in range(1, 13):
+            assert recurrence_row(monkeypatch, k) == solved_row(k), k
 
 
 class TestMomentViaSym:
@@ -204,13 +250,21 @@ class TestMomentViaSym:
                 assert moment_via_sym(j, 1, n) == moment(j, 2, n)
 
     def test_fourth_crank_moment(self):
-        # and every other 2k-th moment, k <= 3, against sums straight over the counts
+        # and every other 2k-th moment, k <= 6 (so also k > n), against sums
+        # straight over the counts
         for j in (1, 2, 3, 4):
-            for k in (1, 2, 3):
+            for k in range(1, 7):
                 for n in range(1, 41):
                     direct = sum(m ** (2 * k) * count_njm(j, m, n) for m in range(-n, n + 1))
                     assert moment_via_sym(j, k, n) == direct, (j, k, n)
                     assert moment(j, 2 * k, n) == direct, (j, k, n)
+
+    def test_symmetrized_vanish_above_n(self):
+        # binom(m + t - 1, 2t) = 0 for |m| <= n < t, which is why the sum stops at t = n
+        for j in (1, 2, 3):
+            for n in range(0, 12):
+                for t in range(n + 1, n + 4):
+                    assert sym_mu(j, 2 * t, n) == 0, (j, t, n)
 
     @pytest.mark.parametrize("j", [1, 2, 3])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -218,17 +272,6 @@ class TestMomentViaSym:
         for n in range(1, 31):
             assert moment_via_sym(j, k, n) == moment(j, 2 * k, n)
 
-
-class TestMomentTable:
-    def test_build_count(self):
-        mt = MomentTable.build("count", 2, 0, 6)
-        assert mt.values == tuple(count_njm(2, 0, n) for n in range(7))
-        assert mt.source == "generating-function"
-
-    def test_build_symmetrized(self):
-        mt = MomentTable.build("symmetrized", 1, 2, 5)
-        assert mt.values[1] == 1
-
-    def test_unknown_kind(self):
+    def test_rejects_nonpositive_index(self):
         with pytest.raises(ValueError):
-            MomentTable.build("other", 1, 0, 3)
+            moment_via_sym(2, 0, 3)
