@@ -38,9 +38,10 @@ def _poly_str(p: LaurentPoly) -> str:
 
 def _verify_sptpn(j, k, r, order):
     gf = sptmod.gf_spt(order)
+    weights = sptmod._spt_weight_row(order)  # read once, not rebuilt as n doubles
     rows = []
     for n in range(1, order + 1):
-        lhs = sptmod.spt_weight(n)
+        lhs = weights.coefficient(n)
         rhs = sptmod.spt_j(1, n, "moments")
         rows.append((f"n={n}", lhs, rhs, lhs == rhs))
         g = gf.coefficient(n)

@@ -40,46 +40,39 @@ from .stats import moment, sym_mu
 
 
 # ---------------------------------------------------------------------------
-# spt(n)
+# spt(n): one counting row per order.  A sweep over the smallest part s, from
+# the order down to 1, keeps rest[v] = the number of partitions of v into
+# parts >= s.  Removing one s maps the partitions of n with smallest part s
+# onto those of n - s into parts >= s, so summing rest[n - s] over n, n - s,
+# n - 2s, ... weighs each of them by the multiplicity of s.
 
 
-# _MIN_PART_COLUMNS[v][lo] = number of partitions of v with every part >= lo,
-# for 1 <= lo <= v + 1.  Columns are appended in ascending v, so filling the
-# table never recurses and a loop over n = 1..N builds it once.
-_MIN_PART_COLUMNS: list[list[int]] = [[1, 1]]
-
-
-def _count_min_parts(v: int, lo: int) -> int:
-    """Number of partitions of v with every part >= lo (lo >= 1)."""
-    if lo > v:
-        return int(v == 0)
-    cols = _MIN_PART_COLUMNS
-    for w in range(len(cols), v + 1):
-        col = [0] * (w + 2)
-        for low in range(w, 0, -1):
-            # partitions with no part equal to low, plus those with one removed
-            rest = w - low
-            col[low] = col[low + 1] + (cols[rest][low] if low <= rest else int(rest == 0))
-        cols.append(col)
-    return cols[v][lo]
+@memo
+def _spt_weight_row(order: int) -> TruncSeries:
+    """spt(n) for every n <= order, by one sweep over the smallest part."""
+    total = [0] * (order + 1)
+    rest = [1] + [0] * order
+    for s in range(order, 0, -1):
+        for v in range(s, order + 1):  # let the part s into rest
+            rest[v] += rest[v - s]
+        w = [0] * (order + 1)
+        for n in range(s, order + 1):
+            w[n] = rest[n - s] + w[n - s]
+            total[n] += w[n]
+    return TruncSeries(total)
 
 
 def spt_weight(n: int) -> int:
     """Total appearances of smallest parts over all partitions of n.
 
-    Aggregated combinatorially: a partition with smallest part s occurring m
-    times contributes m, and there are exactly count(n - m*s, parts > s) of
-    them.  Pure integer counting, independent of any series expansion.
+    Read from a counting row built once per order: a partition with smallest
+    part s occurring m times contributes m, and there are exactly
+    count(n - m*s, parts > s) of them.  Pure integer counting, independent of
+    any series expansion.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    total = 0
-    for s in range(1, n + 1):
-        m = 1
-        while m * s <= n:
-            total += m * _count_min_parts(n - m * s, s + 1)
-            m += 1
-    return total
+    return _spt_weight_row(n).coefficient(n)
 
 
 def gf_spt(order: int) -> TruncSeries:
@@ -170,17 +163,20 @@ def split_chain_weight(p: Partition, j: int, k: int) -> int:
     parts = p.parts
     freqs = Counter(parts)
     total = 0
+    prev = None
     for i in _split_positions(p, j):
         top = len(parts) - 1 - i  # the split part, counted from the top
         t1, mark = parts[top], _mark(parts, top)
-        # the product over the larger values, truncated below x**k; it has no
-        # degree above the number of parts larger than t1
-        rest = [1] + [0] * min(k - 1, parts.index(t1))
-        for t, f in freqs.items():
-            if t > t1:
-                for d in range(len(rest) - 1, 0, -1):
-                    rest[d] += sum(comb(f + m, 2 * m) * rest[d - m]
-                                   for m in range(1, min(d, f) + 1))
+        if t1 != prev:  # a repeated split value reuses the product of the last one
+            prev = t1
+            # the product over the larger values, truncated below x**k; it has
+            # no degree above the number of parts larger than t1
+            rest = [1] + [0] * min(k - 1, parts.index(t1))
+            for t, f in freqs.items():
+                if t > t1:
+                    for d in range(len(rest) - 1, 0, -1):
+                        rest[d] += sum(comb(f + m, 2 * m) * rest[d - m]
+                                       for m in range(1, min(d, f) + 1))
         total += sum(comb(mark + c - 1, 2 * c - 1) * rest[k - c]
                      for c in range(max(1, k + 1 - len(rest)), min(k, mark) + 1))
     return total
@@ -380,7 +376,7 @@ FAMILIES: dict[str, Family] = {
 
 # The weight routes of these families enumerate every partition of each n
 # (p(40) = 37338, p(50) = 204226); SptRequest refuses them, and "all", beyond
-# WEIGHT_N_MAX.  The weight route of spt reads a table and has no limit.
+# WEIGHT_N_MAX.  The weight route of spt reads a counting row and has no limit.
 ENUMERATING_WEIGHT = ("spt_k", "Spt_j", "jspt_k")
 WEIGHT_N_MAX = 40
 

@@ -117,6 +117,12 @@ def gf_sym_mu(j: int, k: int, order: int) -> TruncSeries:
     return -acc * inv_pochhammer_inf(1, order)
 
 
+# _CENTRAL_FACTORIALS[k][t] = T(k, t), kept for t <= the largest min(k, n)
+# read so far; a miss builds at least twice as far (up to k), so reads in
+# ascending n cost O(log k) builds and reads in descending n one.
+_CENTRAL_FACTORIALS: dict[int, list[int]] = {}
+
+
 def moment_via_sym(j: int, k: int, n: int) -> int:
     """The 2k-th ordinary moment recovered from symmetrized moments.
 
@@ -130,9 +136,13 @@ def moment_via_sym(j: int, k: int, n: int) -> int:
     if k < 1:
         raise ValueError("k must be >= 1")
     top = min(k, n)
-    row = [1] + [0] * top  # T(0, t), kept for t <= top
-    for i in range(1, k + 1):
-        for t in range(min(i, top), 0, -1):
-            row[t] = row[t - 1] + t * t * row[t]
-        row[0] = 0
+    row = _CENTRAL_FACTORIALS.get(k, [1])
+    if len(row) <= top:
+        size = min(k, max(top, 2 * (len(row) - 1)))
+        row = [1] + [0] * size  # T(0, t)
+        for i in range(1, k + 1):
+            for t in range(min(i, size), 0, -1):
+                row[t] = row[t - 1] + t * t * row[t]
+            row[0] = 0
+        _CENTRAL_FACTORIALS[k] = row
     return sum(math.factorial(2 * t) * row[t] * sym_mu(j, 2 * t, n) for t in range(1, top + 1))

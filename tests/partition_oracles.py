@@ -7,7 +7,9 @@ polynomial product.  The functions here are the plain versions those kernels
 replaced: an enumerator that rescans the trailing ones, chains that slice
 (and sort) the parts once per square, a validity loop, the marks tuple, the
 falling-factorial binomials, and every composition of k laid along every
-increasing chain of larger part values.
+increasing chain of larger part values.  ``qspt.spt`` reads spt(n) off one
+counting row per order; ``spt_weight`` here re-sums it for each n from a
+2-D table of partition counts by smallest allowed part.
 """
 
 import itertools
@@ -134,4 +136,37 @@ def split_chain_weight(p, j, k):
         for comp in all_compositions(k):
             head = integer_binomial(mark + comp[0] - 1, 2 * comp[0] - 1)
             total += head * chain_sum(freqs, larger, comp[1:])
+    return total
+
+
+# _MIN_PART_COLUMNS[v][lo] = number of partitions of v with every part >= lo,
+# for 1 <= lo <= v + 1.  Columns are appended in ascending v, so filling the
+# table never recurses and a loop over n = 1..N builds it once.
+_MIN_PART_COLUMNS = [[1, 1]]
+
+
+def count_min_parts(v, lo):
+    """Number of partitions of v with every part >= lo (lo >= 1)."""
+    if lo > v:
+        return int(v == 0)
+    cols = _MIN_PART_COLUMNS
+    for w in range(len(cols), v + 1):
+        col = [0] * (w + 2)
+        for low in range(w, 0, -1):
+            # partitions with no part equal to low, plus those with one removed
+            rest = w - low
+            col[low] = col[low + 1] + (cols[rest][low] if low <= rest else int(rest == 0))
+        cols.append(col)
+    return cols[v][lo]
+
+
+def spt_weight(n):
+    """spt(n) for one n: a partition with smallest part s occurring m times
+    contributes m, and there are count(n - m*s, parts > s) of them."""
+    total = 0
+    for s in range(1, n + 1):
+        m = 1
+        while m * s <= n:
+            total += m * count_min_parts(n - m * s, s + 1)
+            m += 1
     return total

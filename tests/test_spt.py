@@ -12,7 +12,7 @@ from qspt.spt import (
     FAMILIES,
     WEIGHT_N_MAX,
     SptRequest,
-    _count_min_parts,
+    _spt_weight_row,
     appbp_sides,
     chain_weight,
     gf_genn1_lhs,
@@ -52,7 +52,8 @@ class TestSptWeight:
         for v in range(301):
             for lo in (1, 2, 3, v // 2 + 1, v, v + 1, v + 2):
                 if lo >= 1:
-                    assert _count_min_parts(v, lo) == _count_min_parts_recursive(v, lo), (v, lo)
+                    assert partition_oracles.count_min_parts(v, lo) == \
+                        _count_min_parts_recursive(v, lo), (v, lo)
 
     def test_matches_recursive_oracle(self):
         for n in range(1, 301):
@@ -73,13 +74,30 @@ class TestSptWeight:
             assert spt_weight(n) == direct, n
 
     def test_gf_agrees(self):
-        gf = gf_spt(30)
-        for n in range(1, 31):
-            assert gf.coefficient(n) == spt_weight(n)
+        # route "all" raises DiscrepancyError where the weight and gf routes differ
+        values = SptRequest("spt", 1000, route="all").values()
+        assert values == list(gf_spt(1000).coeffs[1:])
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             spt_weight(0)
+
+    def test_row_matches_min_part_table(self):
+        row = _spt_weight_row(600)
+        for n in range(1, 601):
+            assert row.coefficient(n) == partition_oracles.spt_weight(n), n
+
+    def test_request_builds_row_once(self):
+        _spt_weight_row.cache_clear()
+        SptRequest("spt", 600).values()
+        assert _spt_weight_row.cache_info().misses == 1
+
+    def test_read_order_does_not_matter(self):
+        _spt_weight_row.cache_clear()
+        ascending = [spt_weight(n) for n in range(1, 201)]
+        _spt_weight_row.cache_clear()
+        descending = [spt_weight(n) for n in range(200, 0, -1)]
+        assert ascending == descending[::-1]
 
 
 class TestMarkWeight:

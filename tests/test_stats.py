@@ -217,6 +217,20 @@ class TestSymmetrizedMoments:
             assert gf.coefficient(n) == sym_mu(j, 2 * k, n), (j, k, n)
 
 
+def kept_and_fresh(j, k, ns):
+    """moment_via_sym(j, k, n) over ns, read in ascending and in descending n
+    off the kept central-factorial row, and with the row built afresh per n."""
+    stats._CENTRAL_FACTORIALS.clear()
+    ascending = [moment_via_sym(j, k, n) for n in ns]
+    stats._CENTRAL_FACTORIALS.clear()
+    descending = [moment_via_sym(j, k, n) for n in reversed(ns)][::-1]
+    fresh = []
+    for n in ns:
+        stats._CENTRAL_FACTORIALS.clear()
+        fresh.append(moment_via_sym(j, k, n))
+    return ascending, descending, fresh
+
+
 class TestGBasis:
     def test_g1(self):
         assert g_poly(1) == (0, 0, 1)
@@ -275,3 +289,15 @@ class TestMomentViaSym:
     def test_rejects_nonpositive_index(self):
         with pytest.raises(ValueError):
             moment_via_sym(2, 0, 3)
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_kept_row_matches_fresh_row(self, j, monkeypatch):
+        # below k, with the true symmetrized moments; ascending reads rebuild
+        # the kept row as n outgrows it
+        ascending, descending, fresh = kept_and_fresh(j, 400, (3, 4, 40, 41, 120))
+        assert ascending == descending == fresh
+        # around k every entry up to T(k, k) is read, and the true symmetrized
+        # moments there cost seconds per j, so a stand-in weighs each entry
+        monkeypatch.setattr(stats, "sym_mu", lambda j, i, n: (i + 1) ** 3 * (n + j))
+        ascending, descending, fresh = kept_and_fresh(j, 400, (3, 399, 400, 401, 800))
+        assert ascending == descending == fresh
