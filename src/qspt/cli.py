@@ -128,6 +128,9 @@ class _Main(click.Group):
 @click.group(cls=_Main)
 def main() -> None:
     """Exact smallest-part partition statistics: compute, verify, tabulate."""
+    # exact values can run past CPython's default 4300-digit int-to-str cap
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
 
 
 @main.command()

@@ -46,10 +46,13 @@ def integer_binomial(x: int, k: int) -> int:
     """binom(x, k) as the falling-factorial polynomial, valid for negative x.
 
     The product of k consecutive integers is always divisible by k!, so the
-    result is exact.
+    result is exact.  For 0 <= x < k the product holds the factor x - x, so
+    the result is 0 without multiplying out the other factors.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    if 0 <= x < k:
+        return 0
     num = falling_factorial(x, k)
     den = math.factorial(k)
     q, r = divmod(num, den)
@@ -74,27 +77,17 @@ class LaurentPoly:
     def const(cls, c: int) -> "LaurentPoly":
         return cls({0: c})
 
-    @classmethod
-    def z_power(cls, m: int, c: int = 1) -> "LaurentPoly":
-        return cls({m: c})
-
     def is_zero(self) -> bool:
         return not self.terms
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return LaurentPoly(out)
+        return _add_shifted(self, other)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) - c
-        return LaurentPoly(out)
+        return _add_shifted(self, other, 0, -1)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({m: -c for m, c in self.terms.items()})
+        return _add_shifted(_LP_ZERO, self, 0, -1)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         out: dict[int, int] = {}
@@ -105,7 +98,7 @@ class LaurentPoly:
         return LaurentPoly(out)
 
     def scale(self, c: int) -> "LaurentPoly":
-        return LaurentPoly({m: c * v for m, v in self.terms.items()})
+        return _add_shifted(_LP_ZERO, self, 0, c)
 
     def unit_inverse(self) -> "LaurentPoly":
         """Inverse of a monomial +-z^m; anything else is not invertible."""
@@ -133,19 +126,24 @@ class LaurentPoly:
         return f"LaurentPoly({body})"
 
 
-def _add_shifted(a: LaurentPoly, b: LaurentPoly, z_exp: int, sign: int) -> LaurentPoly:
-    """a + sign * z**z_exp * b, for sign = +-1 (the row step of the factor kernels)."""
-    if not b.terms:
+def _add_shifted(a: LaurentPoly, b: LaurentPoly, z_exp: int = 0, c: int = 1) -> LaurentPoly:
+    """a + c * z**z_exp * b: the one loop that adds a Laurent row into another.
+
+    Sums, differences, negation and scaling of rows, the factor kernels and
+    ``BiSeries.mul_series`` all step through it; ``a`` comes back unchanged
+    when ``b`` is zero or ``c == 0``.
+    """
+    if not b.terms or not c:
         return a
     acc = dict(a.terms)
     get = acc.get
-    for m, c in b.terms.items():
+    for m, v in b.terms.items():
         m += z_exp
-        v = get(m, 0) + sign * c
+        v = get(m, 0) + c * v
         if v:
             acc[m] = v
         else:
-            del acc[m]  # c != 0, so v == 0 only cancels a present term
+            del acc[m]  # c * v != 0, so the sum is 0 only when it cancels a present term
     out = LaurentPoly.__new__(LaurentPoly)
     out.terms = acc  # zero-free by construction
     return out
@@ -198,12 +196,10 @@ class BiSeries:
         return BiSeries([_LP_ZERO] * exp + list(self.coeffs[: n + 1 - exp]))
 
     def __add__(self, other: "BiSeries") -> "BiSeries":
-        n = min(self.order, other.order)
-        return BiSeries([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
+        return BiSeries([_add_shifted(a, b) for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "BiSeries") -> "BiSeries":
-        n = min(self.order, other.order)
-        return BiSeries([self.coeffs[i] - other.coeffs[i] for i in range(n + 1)])
+        return BiSeries([_add_shifted(a, b, 0, -1) for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self) -> "BiSeries":
         return BiSeries([-c for c in self.coeffs])
@@ -234,9 +230,7 @@ class BiSeries:
             if c == 0:
                 continue
             for i in range(n + 1 - j):
-                a = self.coeffs[i]
-                if not a.is_zero():
-                    out[i + j] = out[i + j] + a.scale(c)
+                out[i + j] = _add_shifted(out[i + j], self.coeffs[i], 0, c)
         return BiSeries(out)
 
     def inverse(self) -> "BiSeries":
@@ -283,18 +277,6 @@ class BiSeries:
 
     def __repr__(self) -> str:
         return f"BiSeries(order={self.order})"
-
-
-def bi_geometric(z_exp: int, q_exp: int, order: int) -> BiSeries:
-    """1 / (1 - z**z_exp * q**q_exp) for q_exp >= 1."""
-    if q_exp < 1:
-        raise ValueError("q_exp must be >= 1")
-    out = [_LP_ZERO] * (order + 1)
-    t = 0
-    while t * q_exp <= order:
-        out[t * q_exp] = LaurentPoly.z_power(t * z_exp)
-        t += 1
-    return BiSeries(out)
 
 
 @memo
@@ -358,23 +340,21 @@ def _jrank_gf_bilateral(j: int, order: int) -> BiSeries:
     # (1-q^m)/(1-z^{-1}q^m), so the global z factor cancels there; only the
     # positive half keeps it.  For j >= 2 the sum has no q^0 term and the
     # empty-partition constant 1 is added for consistency with the other forms.
-    total = BiSeries.zero(order)
+    # Each half is written straight into the rows by the expansion
+    # (1 - q^n) / (1 - z^d q^n) = sum_{t>=0} z^(dt) (q^(nt) - q^(n(t+1))):
+    # the positive half (d = 1) from z q^(e+n), the negative (d = -1) from q^e.
+    rows: list[dict[int, int]] = [{} for _ in range(order + 1)]
     n = 1
-    while True:
-        e_pos = n * ((2 * j - 1) * n + 1) // 2
-        e_neg = n * ((2 * j - 1) * n - 1) // 2
-        if e_pos > order and e_neg > order:
-            break
+    while (e := n * ((2 * j - 1) * n - 1) // 2) <= order:
         sign = 1 if n % 2 == 1 else -1  # (-1)^(n-1), shared by both halves
-        for z_dir, z_mul, e in ((1, 1, e_pos), (-1, 0, e_neg)):
-            if e > order:
-                continue
-            term = bi_geometric(z_dir, n, order).mul_factor(0, n).shift(e)
-            if z_mul:
-                term = BiSeries([c * LaurentPoly.z_power(z_mul) for c in term.coeffs])
-            total = total + term if sign == 1 else total - term
+        for d, m, start in ((1, 1, e + n), (-1, 0, e)):
+            for i in range(start, order + 1, n):
+                rows[i][m] = rows[i].get(m, 0) + sign
+                if i + n <= order:
+                    rows[i + n][m] = rows[i + n].get(m, 0) - sign
+                m += d
         n += 1
-    out = total.mul_series(inv_pochhammer_inf(1, order))
+    out = BiSeries(map(LaurentPoly, rows)).mul_series(inv_pochhammer_inf(1, order))
     if j >= 2:
         out = out + BiSeries.one(order)
     return out

@@ -64,19 +64,17 @@ def gf_njm(j: int, m: int, order: int) -> TruncSeries:
     """
     if j < 1:
         raise ValueError("j must be >= 1")
+    # the column z^|m| of the bilateral j-rank sum: (-1)^(n-1) (q^e - q^(e+n)) per n
     am = abs(m)
-    acc = TruncSeries.zero(order)
+    coeffs = [0] * (order + 1)
     n = 1
-    while True:
-        e = n * ((2 * j - 1) * n - 1) // 2 + am * n
-        if e > order:
-            break
+    while (e := n * ((2 * j - 1) * n - 1) // 2 + am * n) <= order:
         sign = 1 if n % 2 == 1 else -1
-        acc = acc + TruncSeries.monomial(e, order, sign)
+        coeffs[e] += sign
         if e + n <= order:
-            acc = acc - TruncSeries.monomial(e + n, order, sign)
+            coeffs[e + n] -= sign
         n += 1
-    return acc * inv_pochhammer_inf(1, order)
+    return TruncSeries(coeffs) * inv_pochhammer_inf(1, order)
 
 
 def count_njm(j: int, m: int, n: int) -> int:

@@ -329,6 +329,21 @@ class TestTable:
                   for n in range(4)]
         assert proc.stdout.splitlines() == [f"{n} {v}" for n, v in enumerate(direct)]
 
+    def test_values_past_the_int_to_str_cap(self, runner):
+        # moment(2, 2000, 200) has 4,600 digits, past CPython's default cap of
+        # 4300 for int-to-str, which the CLI lifts when it starts
+        old = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        if old is not None:
+            sys.set_int_max_str_digits(4300)
+        try:
+            result = runner.invoke(main, ["table", "--kind", "moment", "--j", "2",
+                                          "--index", "2000", "--n-max", "200"])
+            assert result.exit_code == 0
+            assert result.output.splitlines()[-1] == f"200 {stats.moment(2, 2000, 200)}"
+        finally:
+            if old is not None:
+                sys.set_int_max_str_digits(old)
+
     def test_invalid_j_exit_2(self, runner):
         result = runner.invoke(main, ["table", "--kind", "count", "--j", "0",
                                       "--index", "0", "--n-max", "3"])

@@ -8,7 +8,7 @@ import tuple_sums
 from qspt.laurent import (
     BiSeries,
     LaurentPoly,
-    bi_geometric,
+    _add_shifted,
     build_crank_gf,
     build_jrank_gf,
     build_kn1_sides,
@@ -107,6 +107,10 @@ class TestIntegerBinomial:
     def test_below_degree(self):
         assert integer_binomial(1, 2) == 0
 
+    def test_huge_degree_is_zero_at_once(self):
+        # binom(m + k - 1, 2k) for |m| <= 5 and k = 10**5: each m gives 0 <= x < 2k
+        assert symmetrized_extract(build_jrank_gf(1, 5), 10**5) == TruncSeries.zero(5)
+
     def test_falling_factorial(self):
         assert falling_factorial(4, 2) == 12
         assert falling_factorial(-1, 3) == -6
@@ -129,6 +133,29 @@ class TestLaurentPoly:
             lp({0: 1, 1: 1}).unit_inverse()
 
 
+class TestAddShifted:
+    @given(a=laurent_polys, b=laurent_polys, z_exp=st.integers(-4, 4), c=st.integers(-3, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dict_arithmetic(self, a, b, z_exp, c):
+        expected = dict(a.terms)
+        for m, v in b.terms.items():
+            expected[m + z_exp] = expected.get(m + z_exp, 0) + c * v
+        got = _add_shifted(a, b, z_exp, c)
+        assert got.terms == {m: v for m, v in expected.items() if v}
+        assert 0 not in got.terms.values()
+
+    @given(b=laurent_polys, z_exp=st.integers(-4, 4), c=st.integers(-3, 3))
+    def test_cancellation_leaves_no_zero_term(self, b, z_exp, c):
+        # a is exactly -c z^z_exp b, so every term cancels
+        a = lp({m + z_exp: -c * v for m, v in b.terms.items()})
+        assert _add_shifted(a, b, z_exp, c).terms == {}
+
+    def test_zero_addend_or_factor_returns_a(self):
+        a = lp({1: 2})
+        assert _add_shifted(a, lp({}), 3, 2) is a
+        assert _add_shifted(a, lp({0: 5}), 3, 0) is a
+
+
 class TestBiSeries:
     def test_finite_geometric_product(self):
         # (1 - zq) * (1 + zq + z^2 q^2) = 1 - z^3 q^3
@@ -141,7 +168,6 @@ class TestBiSeries:
         a = BiSeries([lp({0: 1}), lp({1: -1}), lp({}), lp({})])
         inv = a.inverse()
         assert inv == BiSeries([lp({0: 1}), lp({1: 1}), lp({2: 1}), lp({3: 1})])
-        assert inv == bi_geometric(1, 1, 3)
 
     def test_pochhammer_product_oracle(self):
         # (zq; q)_2 (z^{-1}q; q)_2 against the direct 4-factor expansion
@@ -260,7 +286,7 @@ class TestJrankGf:
         assert nested == build_jrank_gf(j, 50, "bilateral")
         assert nested == build_jrank_gf(j, 50, "counts")
 
-    @pytest.mark.parametrize("j", [2, 3, 4])
+    @pytest.mark.parametrize("j", [1, 2, 3, 4, 5])
     def test_three_forms_agree_order_120(self, j):
         clear_memos()
         nested = build_jrank_gf(j, 120, "nested")
