@@ -38,7 +38,7 @@ def _poly_str(p: LaurentPoly) -> str:
 
 def _verify_sptpn(j, k, r, order):
     gf = sptmod.gf_spt(order)
-    weights = sptmod._spt_weight_row(order)  # read once, not rebuilt as n doubles
+    weights = sptmod._spt_weight_row(1, order)  # read once, not rebuilt as n doubles
     rows = []
     for n in range(1, order + 1):
         lhs = weights.coefficient(n)

@@ -3,12 +3,13 @@
 Each family is computable by several independent routes -- generating
 function, combinatorial weight over partitions, and moment differences --
 and the routes are required to agree.  Every division along the way is on a
-provably divisible integer and is checked exact.  The combinatorial weights
-are summed over the partitions: each split part contributes one coefficient of
-a polynomial product over the larger part values, truncated at degree k.  The
-generating functions are nested sums over chains of Durfee-square sides; each
-is summed by one recursion over the levels of its chain, not one index tuple
-at a time.
+provably divisible integer and is checked exact.  The weights of spt and
+spt_k are summed by one sweep over the smallest part; those of Spt_j and
+jspt_k over the partitions, where each split part contributes one coefficient
+of a polynomial product over the larger part values, truncated at degree k.
+The generating functions are nested sums over chains of Durfee-square sides;
+each is summed by one recursion over the levels of its chain, not one index
+tuple at a time.
 """
 
 from __future__ import annotations
@@ -40,25 +41,32 @@ from .stats import moment, sym_mu
 
 
 # ---------------------------------------------------------------------------
-# spt(n): one counting row per order.  A sweep over the smallest part s, from
-# the order down to 1, keeps rest[v] = the number of partitions of v into
-# parts >= s.  Removing one s maps the partitions of n with smallest part s
-# onto those of n - s into parts >= s, so summing rest[n - s] over n, n - s,
-# n - 2s, ... weighs each of them by the multiplicity of s.
+# spt_k(n), spt = spt_1: one counting row per k and order.  Summed over the
+# multiplicity f of a part value t, the weight's factor sum_m C(f+m, 2m) x**m
+# is 1/((1 - q**t)(1 - x*y_t)) with y_t = q**t/(1 - q**t)**2, and the smallest
+# part s adds x*y_s/(1 - x*y_s).  A sweep over s, from the order down to 1,
+# keeps rows[d] = [x**d] of the product over the part values >= s.  The
+# partitions with smallest part s weigh the last w: [x**k] of x*y_s/(1 - x*y_s)
+# times the product over the values > s.
 
 
 @memo
-def _spt_weight_row(order: int) -> TruncSeries:
-    """spt(n) for every n <= order, by one sweep over the smallest part."""
+def _spt_weight_row(k: int, order: int) -> TruncSeries:
+    """spt_k(n) for every n <= order, by one sweep over the smallest part."""
     total = [0] * (order + 1)
-    rest = [1] + [0] * order
+    if k > order:  # spt_k(n) = 0 for k > n
+        return TruncSeries(total)
+    rows = [[1] + [0] * order] + [[0] * (order + 1) for _ in range(k - 1)]
     for s in range(order, 0, -1):
-        for v in range(s, order + 1):  # let the part s into rest
-            rest[v] += rest[v - s]
         w = [0] * (order + 1)
-        for n in range(s, order + 1):
-            w[n] = rest[n - s] + w[n - s]
-            total[n] += w[n]
+        for d in range(min(k, order // s + 1)):  # a row with d*s > order is still zero
+            row, last = rows[d], d == k - 1
+            # one pass: row = (row + w)/(1 - q**s), then w = q**s*row/(1 - q**s)
+            for i in range(s * max(d, 1), order + 1):
+                row[i] += w[i] + row[i - s]
+                w[i] = row[i - s] + w[i - s]
+                if last:
+                    total[i] += w[i]
     return TruncSeries(total)
 
 
@@ -72,7 +80,7 @@ def spt_weight(n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _spt_weight_row(n).coefficient(n)
+    return _spt_weight_row(1, n).coefficient(n)
 
 
 def gf_spt(order: int) -> TruncSeries:
@@ -358,7 +366,7 @@ FAMILIES: dict[str, Family] = {
     "spt_k": Family(("k",), {
         "moments": lambda k, n: sym_mu(1, 2 * k, n) - sym_mu(2, 2 * k, n),
         "gf": lambda k, n: gf_spt_k(k, n).coefficient(n),
-        "weight": lambda k, n: sum(chain_weight(p, k) for p in enumerate_partitions(n)),
+        "weight": lambda k, n: _spt_weight_row(k, n).coefficient(n),
     }),
     "Spt_j": Family(("j",), {
         "moments": _spt_j_moments,
@@ -376,8 +384,8 @@ FAMILIES: dict[str, Family] = {
 
 # The weight routes of these families enumerate every partition of each n
 # (p(40) = 37338, p(50) = 204226); SptRequest refuses them, and "all", beyond
-# WEIGHT_N_MAX.  The weight route of spt reads a counting row and has no limit.
-ENUMERATING_WEIGHT = ("spt_k", "Spt_j", "jspt_k")
+# WEIGHT_N_MAX; the weight routes of spt and spt_k read a counting row instead.
+ENUMERATING_WEIGHT = ("Spt_j", "jspt_k")
 WEIGHT_N_MAX = 40
 
 # Every route name of some family, plus "all" (every route of the family,

@@ -95,8 +95,8 @@ def moment(j: int, t: int, n: int) -> int:
 
 def sym_mu(j: int, k: int, n: int) -> int:
     """The k-th symmetrized j-rank moment, binom(m + floor((k-1)/2), k)-weighted."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if j < 1 or k < 1:
+        raise ValueError("j and k must be >= 1")
     if k % 2 == 1 or n < 0:  # an odd k weighs m oddly, so the symmetric counts cancel
         return 0
     return gf_sym_mu(j, k // 2, n).coefficient(n)
@@ -110,6 +110,8 @@ def gf_sym_mu(j: int, k: int, order: int) -> TruncSeries:
     1/(q)_inf * sum_{n>=1} (-1)^(n-1)
         (q^(n((2j-1)n+1)/2 + kn) + q^(n((2j-1)n-1)/2 + kn)) / (1-q^n)^(2k).
     """
+    if j < 1:
+        raise ValueError("j must be >= 1")
     # the negative-half exponents; _signed_sum's sign is (-1)^n
     acc = _signed_sum(lambda n: n * ((2 * j - 1) * n - 1) // 2 + k * n, 2 * k, order)
     return -acc * inv_pochhammer_inf(1, order)

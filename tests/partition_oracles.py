@@ -7,17 +7,18 @@ polynomial product.  The functions here are the plain versions those kernels
 replaced: an enumerator that rescans the trailing ones, chains that slice
 (and sort) the parts once per square, a validity loop, the marks tuple, the
 falling-factorial binomials, and every composition of k laid along every
-increasing chain of larger part values.  ``qspt.spt`` reads spt(n) off one
-counting row per order; ``spt_weight`` here re-sums it for each n from a
-2-D table of partition counts by smallest allowed part.
+increasing chain of larger part values.  ``qspt.spt`` reads spt(n) and
+spt_k(n) off one counting row per k and order; ``spt_weight`` here re-sums
+spt(n) for each n from a 2-D table of partition counts by smallest allowed
+part, and ``spt_k_weight`` sums the chain weight over every partition of n.
 """
 
 import itertools
 from collections import Counter
 
 from qspt.laurent import integer_binomial
-from qspt.partitions import marks
-from qspt.spt import _split_point_count, _split_positions
+from qspt.partitions import enumerate_partitions, marks
+from qspt.spt import _split_point_count, _split_positions, chain_weight
 
 
 def partition_tuples(n):
@@ -170,3 +171,8 @@ def spt_weight(n):
             total += m * count_min_parts(n - m * s, s + 1)
             m += 1
     return total
+
+
+def spt_k_weight(k, n):
+    """spt_k(n) for one n: the chain weight summed over every partition of n."""
+    return sum(chain_weight(p, k) for p in enumerate_partitions(n))

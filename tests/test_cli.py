@@ -80,6 +80,14 @@ class TestCompute:
         assert result.exit_code == 2
         assert "enumerates partitions" in result.output
 
+    def test_spt_k_all_routes_past_the_enumeration_limit(self, runner):
+        # spt_k's weight route reads a counting row, so "all" is not refused here
+        args = ["compute", "--family", "spt_k", "--k", "2",
+                "--n-max", str(sptmod.WEIGHT_N_MAX + 1)]
+        result = runner.invoke(main, args + ["--route", "all"])
+        assert result.exit_code == 0
+        assert result.output == runner.invoke(main, args + ["--route", "gf"]).output
+
     @pytest.mark.parametrize("route", ["gf", "all"])
     def test_spt_routes_match_default(self, runner, route):
         args = ["compute", "--family", "spt", "--n-max", "12"]

@@ -343,7 +343,7 @@ SERIES_BUILDERS = [
     (stats.gf_njm, (2, 1), ()),
     (stats.gf_sym_mu, (3, 2), ()),
     (spt.gf_np, (), ()),
-    (spt._spt_weight_row, (), ()),
+    (spt._spt_weight_row, (2,), ()),
     (spt.gf_spt_j, (2,), ()),
     (spt.gf_genn1_lhs, (2,), ()),
     (spt.gf_genn1_rhs, (3,), ()),

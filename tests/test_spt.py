@@ -1,6 +1,7 @@
 """The four smallest-part families: weights, generating functions, relations."""
 
 import functools
+import time
 
 import pytest
 
@@ -83,7 +84,7 @@ class TestSptWeight:
             spt_weight(0)
 
     def test_row_matches_min_part_table(self):
-        row = _spt_weight_row(600)
+        row = _spt_weight_row(1, 600)
         for n in range(1, 601):
             assert row.coefficient(n) == partition_oracles.spt_weight(n), n
 
@@ -193,7 +194,7 @@ class TestChainWeight:
     def test_sum_matches_moment_difference(self):
         for k in (1, 2, 3):
             for n in range(1, 13):
-                total = sum(chain_weight(p, k) for p in enumerate_partitions(n))
+                total = partition_oracles.spt_k_weight(k, n)
                 assert total == sym_mu(1, 2 * k, n) - sym_mu(2, 2 * k, n), (k, n)
 
     def test_empty_rejected(self):
@@ -209,6 +210,28 @@ class TestSptK:
     def test_three_routes(self, k):
         for n in range(1, 17):
             assert spt_k(k, n, "all") == spt_k(k, n, "moments")
+
+    def test_row_matches_enumeration(self):
+        for k in range(1, 7):
+            row = _spt_weight_row(k, 30)
+            for n in range(1, 31):
+                assert row.coefficient(n) == partition_oracles.spt_k_weight(k, n), (k, n)
+
+    def test_row_at_k_near_n(self):
+        # spt_n(n) = 1 (the one partition n = 1 + ... + 1); spt_k(n) = 0 for k > n
+        for n in range(1, 31):
+            for k in (n, n + 1):
+                expected = partition_oracles.spt_k_weight(k, n)
+                assert _spt_weight_row(k, n).coefficient(n) == expected == int(k == n), (k, n)
+
+    def test_row_matches_gf(self):
+        for k in (1, 2, 3):
+            assert _spt_weight_row(k, 300) == gf_spt_k(k, 300), k
+
+    def test_row_with_k_above_the_order_is_zero_at_once(self):
+        start = time.perf_counter()
+        assert _spt_weight_row(10 ** 12, 300) == TruncSeries.zero(300)
+        assert time.perf_counter() - start < 1
 
 
 class TestSplitChainWeight:
@@ -428,7 +451,7 @@ class TestSptRequest:
             SptRequest(family, 5, route=route)
 
     @pytest.mark.parametrize("family,params", [
-        ("spt_k", {"k": 2}), ("Spt_j", {"j": 2}), ("jspt_k", {"j": 2, "k": 1}),
+        ("Spt_j", {"j": 2}), ("jspt_k", {"j": 2, "k": 1}),
     ])
     def test_enumerating_routes_are_limited(self, family, params):
         for route in ("weight", "all"):
@@ -441,6 +464,8 @@ class TestSptRequest:
         n_max = WEIGHT_N_MAX + 1
         assert SptRequest("spt", n_max, route="weight").values() == \
             SptRequest("spt", n_max, route="gf").values()
+        assert SptRequest("spt_k", n_max, k=2, route="weight").values() == \
+            SptRequest("spt_k", n_max, k=2, route="gf").values()
 
     def test_default_route_is_first(self):
         for family, fam in FAMILIES.items():

@@ -209,6 +209,15 @@ class TestSymmetrizedMoments:
                     )
                     assert sym_mu(j, k, n) == direct
 
+    @pytest.mark.parametrize("j", [0, -1])
+    def test_rejects_nonpositive_j(self, j):
+        # these returned a silent zero, or failed on a negative shift exponent
+        for call in (lambda: sym_mu(j, 40, 5), lambda: sym_mu(j, 2, 5),
+                     lambda: sym_mu(j, 3, 5), lambda: moment(j, 2, 5),
+                     lambda: gf_sym_mu(j, 20, 5), lambda: gf_sym_mu(j, 1, 2)):
+            with pytest.raises(ValueError, match="must be >= 1"):
+                call()
+
     @pytest.mark.parametrize("j", [1, 2, 3])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_closed_form_gf(self, j, k):
