@@ -13,12 +13,7 @@ from __future__ import annotations
 from . import spt as sptmod
 from . import stats
 from .laurent import LaurentPoly, build_jrank_gf, build_kn1_sides, symmetrized_extract
-from .partitions import (
-    enumerate_partitions,
-    partition_count,
-    successive_durfee,
-    successive_lower_durfee,
-)
+from .partitions import _durfee_sides, _lower_durfee_sides, _walk, partition_count
 
 
 def _rows(lhs, rhs, order, start=1, tag=""):
@@ -142,37 +137,43 @@ def _verify_rk_forms(j, k, r, order):
     return rows, []
 
 
-def _strict_rr(p, lower) -> bool:
+def _strict_rr(a, lower) -> bool:
     # Rogers-Ramanujan with the full chain of s lower-Durfee squares: every
     # part consumed by the first s-1 squares is at most the last side d_s.
     # This bounds the parts below the last square, where
     # partitions.is_rogers_ramanujan(p, s - 1) bounds the parts above the
     # (s-1)st; the two predicates differ on most partitions with s >= 2.
-    # The squares of ``lower`` (its sides) consume every part, the first s-1
-    # all but the top d_s, so the largest part those consume is p.parts[d_s].
-    if len(lower) <= 1:
-        return True
-    last = lower[-1]
-    return p.parts[last] <= last
+    # The squares of ``lower`` (its sides) consume every part of a, the first
+    # s-1 all but the top d_s, so the largest part those consume is a[d_s].
+    return len(lower) <= 1 or a[lower[-1]] <= lower[-1]
 
 
 def _count_bad(order, is_bad):
-    """Rows counting the partitions of each n that violate a lemma (0 expected)."""
-    return _rows(lambda n: sum(1 for p in enumerate_partitions(n) if is_bad(p)),
-                 lambda n: 0, order)
+    """Rows counting the partitions of each n that violate a lemma (0 expected).
+
+    Both lemmas read the parts > 1 alone: the trailing ones end the Durfee
+    chain and the reversed lower chain in the same unit squares.  So the bad
+    partitions of n with a part 1 are those of n - 1, each with one more 1,
+    and ``is_bad(a, m)`` runs only on the partitions a[:m] with no part 1.
+    """
+    counts, bad = [], 0
+    for n in range(order + 1):
+        bad += sum(1 for a, m, h in _walk(n) if m == h + 1 and is_bad(a, m))
+        counts.append(bad)
+    return _rows(counts.__getitem__, lambda n: 0, order)
 
 
 def _verify_lemma31(j, k, r, order):
-    def is_bad(p):
-        lower = successive_lower_durfee(p)
-        return _strict_rr(p, lower) and lower[::-1] != successive_durfee(p)
+    def is_bad(a, m):
+        lower = _lower_durfee_sides(a, m, m - 1)
+        return _strict_rr(a, lower) and lower[::-1] != _durfee_sides(a, m, m - 1)
 
     return _count_bad(order, is_bad), []
 
 
 def _verify_lemma32(j, k, r, order):
-    return _count_bad(order, lambda p: len(successive_lower_durfee(p))
-                      != len(successive_durfee(p))), []
+    return _count_bad(order, lambda a, m: len(_lower_durfee_sides(a, m, m - 1))
+                      != len(_durfee_sides(a, m, m - 1))), []
 
 
 def _verify_genineq(j, k, r, order):

@@ -2,9 +2,9 @@
 
 Covers enumeration (ZS1: Zoghbi and Stojmenovic, Int. J. Comput. Math. 70,
 1998), successive Durfee squares (from the top-left corner) and lower-Durfee
-squares (from the bottom-left corner), each chain one index walk over the
-parts that returns the tuple of its sides, the Rogers-Ramanujan predicate,
-part marks and part frequencies.
+squares (from the bottom-left corner), the Rogers-Ramanujan predicate, part
+marks and part frequencies.  Each chain is read off the walk's working list:
+one pass over the parts > 1, with the trailing ones as unit squares.
 """
 
 from __future__ import annotations
@@ -41,31 +41,31 @@ class Partition:
 
     def conjugate(self) -> tuple[int, ...]:
         """Column lengths of the Ferrers diagram, largest first."""
-        if not self.parts:
-            return ()
-        out = []
-        for c in range(1, self.parts[0] + 1):
-            out.append(sum(1 for p in self.parts if p >= c))
-        return tuple(out)
+        parts = self.parts
+        return tuple(sum(p >= c for p in parts) for c in range(1, parts[0] + 1)) if parts else ()
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
     """All partitions of n, each exactly once, in reverse lexicographic order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    for parts in _partition_tuples(n):
-        yield Partition(parts)
+    for a, m, _ in _walk(n):
+        yield Partition(tuple(a[:m]))
 
 
-def _partition_tuples(n: int) -> Iterator[tuple[int, ...]]:
-    # ZS1: a holds the current partition in a[:m], followed by ones, and h
-    # is the index of its last part > 1, so no step rescans the trailing ones.
+def _walk(n: int) -> Iterator[tuple[list[int], int, int]]:
+    """ZS1 over the partitions of n, building no tuple and no object.
+
+    Yields the working list a, the number of parts m and the index h of the
+    last part > 1: the partition is a[:m], and its m - h - 1 trailing ones,
+    which no step rescans, follow a[h].  The list changes after each yield.
+    """
     if n == 0:
-        yield ()
+        yield [], 0, -1
         return
     a = [n] + [1] * (n - 1)
-    m, h = 1, 0
-    yield (n,)
+    m, h = 1, 0 if n > 1 else -1
+    yield a, m, h
     while a[0] != 1:
         if a[h] == 2:
             a[h] = 1
@@ -83,7 +83,13 @@ def _partition_tuples(n: int) -> Iterator[tuple[int, ...]]:
                 h += 1
                 a[h] = t
             m = h + 2 if t == 1 else h + 1  # a last part 1 is already in place
-        yield tuple(a[:m])
+        yield a, m, h
+
+
+def _walk_state(parts: tuple[int, ...]) -> tuple[tuple[int, ...], int, int]:
+    """The (a, m, h) that :func:`_walk` yields for these weakly decreasing parts."""
+    m = len(parts)
+    return parts, m, m - parts.count(1) - 1
 
 
 # _PARTITION_COUNTS[m] = p(m), grown in place, so each p(m) is computed once.
@@ -96,28 +102,20 @@ def partition_count(n: int) -> int:
         return 0
     table = _PARTITION_COUNTS
     for m in range(len(table), n + 1):
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            g2 = k * (3 * k + 1) // 2
-            if g1 > m and g2 > m:
-                break
-            sign = 1 if k % 2 == 1 else -1
-            if g1 <= m:
-                total += sign * table[m - g1]
-            if g2 <= m:
-                total += sign * table[m - g2]
-            k += 1
+        # p(m) = sum_k (-1)^(k-1) (p(m - g) + p(m - g - k)), g = k(3k-1)/2
+        total, k, sign = 0, 1, 1
+        while (g := k * (3 * k - 1) // 2) <= m:
+            total += sign * (table[m - g] + (table[m - g - k] if g + k <= m else 0))
+            k, sign = k + 1, -sign
         table.append(total)
     return table[n]
 
 
-def successive_durfee(p: Partition) -> tuple[int, ...]:
-    """The successive Durfee square sides, from the top-left corner down."""
+def _durfee_sides(a, m: int, h: int) -> list[int]:
+    """Successive Durfee sides of a[:m], whose parts after a[h] are all 1."""
     sides = []
     d = 0  # rows of the square being grown
-    for part in p.parts:
+    for part in a[:h + 1]:
         if part > d:  # the part reaches the square's next column: it grows
             d += 1
         else:  # the square is complete, and this part starts the next one
@@ -125,23 +123,34 @@ def successive_durfee(p: Partition) -> tuple[int, ...]:
             d = 1
     if d:
         sides.append(d)
-    return tuple(sides)
+    # the first one completes the last square, if any, and each one is a square
+    sides += [1] * (m - h - 1)
+    return sides
 
 
-def successive_lower_durfee(p: Partition) -> tuple[int, ...]:
-    """The successive lower-Durfee square sides, from the bottom-left corner up."""
-    parts = p.parts
-    sides = []
-    rest = len(parts)  # the parts no square has consumed yet are parts[:rest]
+def _lower_durfee_sides(a, m: int, h: int) -> list[int]:
+    """Successive lower-Durfee sides of a[:m], whose parts after a[h] are all 1."""
+    sides = [1] * (m - h - 1)  # each trailing one is a square of side 1
+    rest = h + 1  # the parts no square has consumed yet are a[:rest]
     while rest:
         # the largest d whose d smallest remaining parts are all >= d: the
-        # smallest of them, parts[rest - 1], or every remaining part
-        d = parts[rest - 1]
+        # smallest of them, a[rest - 1], or every remaining part
+        d = a[rest - 1]
         if d > rest:
             d = rest
         sides.append(d)
         rest -= d
-    return tuple(sides)
+    return sides
+
+
+def successive_durfee(p: Partition) -> tuple[int, ...]:
+    """The successive Durfee square sides, from the top-left corner down."""
+    return tuple(_durfee_sides(*_walk_state(p.parts)))
+
+
+def successive_lower_durfee(p: Partition) -> tuple[int, ...]:
+    """The successive lower-Durfee square sides, from the bottom-left corner up."""
+    return tuple(_lower_durfee_sides(*_walk_state(p.parts)))
 
 
 def is_rogers_ramanujan(p: Partition, s: int) -> bool:
@@ -166,14 +175,10 @@ def marks(p: Partition) -> tuple[tuple[int, int], ...]:
     Repeated parts are marked 1, 2, ... from the top row down, so the mark of
     a part equals the number of equal parts at or above it in the diagram.
     """
-    seen: dict[int, int] = {}
-    out = []
-    for part in p.parts:
-        seen[part] = seen.get(part, 0) + 1
-        out.append((part, seen[part]))
-    return tuple(out)
+    parts = p.parts
+    return tuple((part, i - parts.index(part) + 1) for i, part in enumerate(parts))
 
 
 def frequency(p: Partition, t: int) -> int:
     """Multiplicity of the part value t."""
-    return sum(1 for part in p.parts if part == t)
+    return p.parts.count(t)

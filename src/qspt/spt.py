@@ -19,12 +19,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable
 
-from .partitions import (
-    Partition,
-    enumerate_partitions,
-    partition_count,
-    successive_lower_durfee,
-)
+from .partitions import Partition, _lower_durfee_sides, _walk, _walk_state, partition_count
 from .series import (
     DiscrepancyError,
     TruncSeries,
@@ -89,36 +84,43 @@ def gf_spt(order: int) -> TruncSeries:
 
 
 # ---------------------------------------------------------------------------
-# combinatorial weights
+# combinatorial weights, each read off a[:m] whose parts after a[h] are all 1
+# (the state partitions._walk yields); each trailing one is a lower-Durfee
+# square of side 1.
 
 
-def _split_point_count(p: Partition, j: int) -> int:
-    """Number of designated split points at the bottom of the diagram.
-
-    The split points are the d+1 smallest parts where d is the total size of
-    the first j-1 lower-Durfee squares (capped at the number of parts); when
-    the partition has fewer than j-1 lower-Durfee squares every part is a
-    split point.
-    """
-    sides = successive_lower_durfee(p)
-    if len(sides) < j - 1:
-        return len(p.parts)
-    d = sum(sides[: j - 1])
-    return min(d + 1, len(p.parts))
+def _lower_block(a, m: int, h: int, s: int) -> int | None:
+    """Parts consumed by the first s lower-Durfee squares of a[:m], None if fewer."""
+    if s <= m - h - 1:  # they are trailing ones
+        return s
+    sides = _lower_durfee_sides(a, m, h)
+    return sum(sides[:s]) if len(sides) >= s else None
 
 
-def _mark(parts: tuple[int, ...], i: int) -> int:
-    """The mark of parts[i]: the number of equal parts at or above it."""
-    return i - parts.index(parts[i]) + 1
+def _mark_weight(a, m: int, h: int, j: int) -> int:
+    """mark_weight of a[:m], summed one part value at a time."""
+    # the designated parts are the d+1 smallest, d the size of the first j-1
+    # lower-Durfee squares, or every part when there are fewer squares
+    d = _lower_block(a, m, h, j - 1)
+    lo = 0 if d is None else max(m - d - 1, 0)  # the top designated part
+    total = 0
+    i = m - 1
+    while i >= lo:
+        # the copies of a[i] in a[lo:i + 1]: b of them, below `above` copies
+        # outside the block; a mark counts the equal parts down to its part
+        first = a.index(a[i])
+        above = lo - first if lo > first else 0
+        b = i - first + 1 - above
+        total += b * above + b * (b + 1) // 2
+        i = first - 1
+    return total
 
 
 def mark_weight(p: Partition, j: int) -> int:
     """Sum of the marks of the designated bottom parts (weight behind Spt_j)."""
     if j < 1:
         raise ValueError("j must be >= 1")
-    parts = p.parts
-    length = len(parts)
-    return sum(_mark(parts, i) for i in range(length - _split_point_count(p, j), length))
+    return _mark_weight(*_walk_state(p.parts), j)
 
 
 def chain_weight(p: Partition, k: int) -> int:
@@ -134,23 +136,38 @@ def chain_weight(p: Partition, k: int) -> int:
     return split_chain_weight(p, 1, k)
 
 
-def _split_positions(p: Partition, j: int) -> list[int]:
-    """0-based positions (in increasing part order) of the split parts t_1.
+def _split_chain_weight(a, m: int, h: int, j: int, k: int) -> int:
+    """split_chain_weight of a[:m].
 
     For j = 1 the single split part is the smallest part.  For j >= 2 the
     split parts sit right above each row of the (j-1)st lower-Durfee square;
-    if that square does not exist the list is empty.  The position blocks for
+    if that square does not exist there are none.  The position blocks for
     j = 1..s+1 tile the bottom parts, which makes the telescoping sum of
     these weights reproduce the mark weight exactly.
     """
-    if j == 1:
-        return [0] if p.parts else []
-    sides = successive_lower_durfee(p)
-    if len(sides) < j - 1:
-        return []
-    start = sum(sides[: j - 2])
-    side = sides[j - 2]
-    return [i for i in range(start + 1, start + side + 1) if i < len(p.parts)]
+    end = _lower_block(a, m, h, j - 1)
+    if end is None:
+        return 0
+    start = _lower_block(a, m, h, j - 2) if j > 1 else -1
+    total = 0
+    prev = None
+    for top in range(m - 2 - start, max(m - 2 - end, -1), -1):  # the split parts, upward
+        t1 = a[top]
+        first = a.index(t1)  # a[:first] are the parts larger than t1
+        if t1 != prev:  # a repeated split value reuses the product of the last one
+            prev = t1
+            # the product over the larger values, truncated below x**k; it has
+            # no degree above the number of parts larger than t1
+            rest = [1] + [0] * min(k - 1, first)
+            if len(rest) > 1:
+                for f in Counter(a[:first]).values():
+                    for d in range(len(rest) - 1, 0, -1):
+                        rest[d] += sum(comb(f + e, 2 * e) * rest[d - e]
+                                       for e in range(1, min(d, f) + 1))
+        mark = top - first + 1
+        total += sum(comb(mark + c - 1, 2 * c - 1) * rest[k - c]
+                     for c in range(max(1, k + 1 - len(rest)), min(k, mark) + 1))
+    return total
 
 
 def split_chain_weight(p: Partition, j: int, k: int) -> int:
@@ -168,26 +185,7 @@ def split_chain_weight(p: Partition, j: int, k: int) -> int:
     """
     if j < 1 or k < 1:
         raise ValueError("j and k must be >= 1")
-    parts = p.parts
-    freqs = Counter(parts)
-    total = 0
-    prev = None
-    for i in _split_positions(p, j):
-        top = len(parts) - 1 - i  # the split part, counted from the top
-        t1, mark = parts[top], _mark(parts, top)
-        if t1 != prev:  # a repeated split value reuses the product of the last one
-            prev = t1
-            # the product over the larger values, truncated below x**k; it has
-            # no degree above the number of parts larger than t1
-            rest = [1] + [0] * min(k - 1, parts.index(t1))
-            for t, f in freqs.items():
-                if t > t1:
-                    for d in range(len(rest) - 1, 0, -1):
-                        rest[d] += sum(comb(f + m, 2 * m) * rest[d - m]
-                                       for m in range(1, min(d, f) + 1))
-        total += sum(comb(mark + c - 1, 2 * c - 1) * rest[k - c]
-                     for c in range(max(1, k + 1 - len(rest)), min(k, mark) + 1))
-    return total
+    return _split_chain_weight(*_walk_state(p.parts), j, k)
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +369,13 @@ FAMILIES: dict[str, Family] = {
     "Spt_j": Family(("j",), {
         "moments": _spt_j_moments,
         "gf": lambda j, n: gf_spt_j(j, n).coefficient(n),
-        "weight": lambda j, n: sum(mark_weight(p, j) for p in enumerate_partitions(n)),
+        "weight": lambda j, n: sum(_mark_weight(a, m, h, j) for a, m, h in _walk(n)),
     }),
     "jspt_k": Family(("j", "k"), {
         "moments": lambda j, k, n: sym_mu(j, 2 * k, n) - sym_mu(j + 1, 2 * k, n),
         "gf": lambda j, k, n: gf_jspt_k(j, k, n).coefficient(n),
-        "weight": lambda j, k, n: sum(
-            split_chain_weight(p, j, k) for p in enumerate_partitions(n)
-        ),
+        "weight": lambda j, k, n: sum(_split_chain_weight(a, m, h, j, k)
+                                      for a, m, h in _walk(n)),
     }),
 }
 

@@ -44,15 +44,8 @@ def jrank(p: Partition, j: int) -> int | None:
     sides = successive_durfee(p)
     if len(sides) < j - 1:
         return None
-    d1 = sides[0]
-    limit = sides[j - 2]
-    cols = 0
-    for c in range(d1 + 1, p.parts[0] + 1 if p.parts else 0):
-        length = sum(1 for part in p.parts if part >= c)
-        if length <= limit:
-            cols += 1
-    below = len(p.parts) - sum(sides[: j - 1])
-    return cols - below
+    cols = sum(1 for length in p.conjugate()[sides[0]:] if length <= sides[j - 2])
+    return cols - (len(p.parts) - sum(sides[: j - 1]))  # minus the parts below
 
 
 @memo
@@ -79,6 +72,8 @@ def gf_njm(j: int, m: int, order: int) -> TruncSeries:
 
 def count_njm(j: int, m: int, n: int) -> int:
     """N_j(m, n), read from the count generating function (symmetric in m)."""
+    if j < 1:
+        raise ValueError("j must be >= 1")
     if n < 0 or abs(m) > n:
         return 0
     return gf_njm(j, abs(m), n).coefficient(n)
@@ -86,6 +81,8 @@ def count_njm(j: int, m: int, n: int) -> int:
 
 def moment(j: int, t: int, n: int) -> int:
     """The t-th ordinary j-rank moment: sum of m**t * N_j(m, n) over m in [-n, n]."""
+    if j < 1 or t < 0:
+        raise ValueError("j must be >= 1" if j < 1 else "t must be >= 0")
     if t % 2 == 1:
         return 0
     if t == 0:

@@ -1,24 +1,33 @@
 """The partition layer as it was before the one-pass kernels: their oracles.
 
-``qspt.partitions`` enumerates by ZS1 and walks one index over the parts for
-each Durfee chain, and ``qspt.spt`` reads marks by position, binomials from
-``math.comb`` and each chain weight as one coefficient of a truncated
-polynomial product.  The functions here are the plain versions those kernels
-replaced: an enumerator that rescans the trailing ones, chains that slice
-(and sort) the parts once per square, a validity loop, the marks tuple, the
-falling-factorial binomials, and every composition of k laid along every
-increasing chain of larger part values.  ``qspt.spt`` reads spt(n) and
+``qspt.partitions`` enumerates by ZS1 and reads each Durfee chain, the mark
+weight and the split-chain weight off the working list of the walk, with the
+trailing ones counted in closed form; ``qspt.spt`` reads marks by position,
+binomials from ``math.comb`` and each chain weight as one coefficient of a
+truncated polynomial product.  The functions here are the plain versions
+those kernels replaced: an enumerator that rescans the trailing ones, chains
+that slice (and sort) the parts once per square, a validity loop, the marks
+tuple, the falling-factorial binomials, every composition of k laid along
+every increasing chain of larger part values, the product weight read off a
+``Partition`` with a Counter over all its parts, and the lemma predicates
+and weight sums over ``Partition`` objects.  ``qspt.spt`` reads spt(n) and
 spt_k(n) off one counting row per k and order; ``spt_weight`` here re-sums
 spt(n) for each n from a 2-D table of partition counts by smallest allowed
 part, and ``spt_k_weight`` sums the chain weight over every partition of n.
+Nothing here calls the walk or its tuple-level cores.
 """
 
 import itertools
 from collections import Counter
+from math import comb
 
 from qspt.laurent import integer_binomial
-from qspt.partitions import enumerate_partitions, marks
-from qspt.spt import _split_point_count, _split_positions, chain_weight
+from qspt.partitions import Partition
+
+
+def partitions(n):
+    """Partition objects of n, in the oracle enumerator's order."""
+    return (Partition(parts) for parts in partition_tuples(n))
 
 
 def partition_tuples(n):
@@ -91,12 +100,65 @@ def is_rogers_ramanujan(parts, s):
     return all(part <= sides[s - 1] for part in remaining)
 
 
+def strict_rr(parts):
+    """Every part consumed by the first s-1 lower squares is at most d_s, by a sorted copy."""
+    sides = lower_sides(parts)
+    if len(sides) <= 1:
+        return True
+    consumed = sum(sides[:-1])
+    return sorted(parts)[consumed - 1] <= sides[-1]
+
+
+def lemma31_bad(p):
+    """A strict Rogers-Ramanujan partition whose reversed lower chain is not its Durfee chain."""
+    return strict_rr(p.parts) and lower_sides(p.parts)[::-1] != upper_sides(p.parts)
+
+
+def lemma32_bad(p):
+    """A partition whose two chains differ in length."""
+    return len(lower_sides(p.parts)) != len(upper_sides(p.parts))
+
+
+def count_bad(n, is_bad):
+    """The partitions of n that violate a lemma, one Partition at a time."""
+    return sum(1 for p in partitions(n) if is_bad(p))
+
+
+def split_point_count(parts, j):
+    """The d+1 smallest parts, d the size of the first j-1 lower squares, capped."""
+    sides = lower_sides(parts)
+    if len(sides) < j - 1:
+        return len(parts)
+    return min(sum(sides[: j - 1]) + 1, len(parts))
+
+
+def split_positions(parts, j):
+    """Positions, from the bottom, of the parts right above the (j-1)st lower square."""
+    if j == 1:
+        return [0] if parts else []
+    sides = lower_sides(parts)
+    if len(sides) < j - 1:
+        return []
+    start = sum(sides[: j - 2])
+    return [i for i in range(start + 1, start + sides[j - 2] + 1) if i < len(parts)]
+
+
+def marks(parts):
+    """(part, mark) pairs, each mark counted up as the equal parts go by."""
+    seen = Counter()
+    out = []
+    for part in parts:
+        seen[part] += 1
+        out.append((part, seen[part]))
+    return tuple(out)
+
+
 def mark_weight(p, j):
     """The marks of the bottom split-point parts, summed from the marks tuple."""
     if not p.parts:
         return 0
-    bottom_up = marks(p)[::-1]
-    return sum(mark for _, mark in bottom_up[: _split_point_count(p, j)])
+    bottom_up = marks(p.parts)[::-1]
+    return sum(mark for _, mark in bottom_up[: split_point_count(p.parts, j)])
 
 
 def all_compositions(k):
@@ -127,17 +189,54 @@ def split_chain_weight(p, j, k):
     """Every composition of k times every chain of larger parts, by integer_binomial."""
     if not p.parts:
         return 0
-    bottom_up = marks(p)[::-1]
+    bottom_up = marks(p.parts)[::-1]
     freqs = Counter(p.parts)
     values = sorted(freqs)
     total = 0
-    for i in _split_positions(p, j):
+    for i in split_positions(p.parts, j):
         t1, mark = bottom_up[i]
         larger = [v for v in values if v > t1]
         for comp in all_compositions(k):
             head = integer_binomial(mark + comp[0] - 1, 2 * comp[0] - 1)
             total += head * chain_sum(freqs, larger, comp[1:])
     return total
+
+
+def product_chain_weights(p, j, ks):
+    """The split-chain weights for each k in ks as truncated products, read off a Partition.
+
+    Each split part takes its mark by a scan for its value, and one product,
+    cut below x**max(ks), over every larger value of a Counter of all the parts.
+    """
+    parts = p.parts
+    freqs = Counter(parts)
+    totals = [0] * len(ks)
+    for i in split_positions(parts, j):
+        top = len(parts) - 1 - i
+        t1, mark = parts[top], top - parts.index(parts[top]) + 1
+        rest = [1] + [0] * min(max(ks) - 1, parts.index(t1))
+        for t, f in freqs.items():
+            if t > t1:
+                for d in range(len(rest) - 1, 0, -1):
+                    rest[d] += sum(comb(f + m, 2 * m) * rest[d - m]
+                                   for m in range(1, min(d, f) + 1))
+        for at, k in enumerate(ks):
+            totals[at] += sum(comb(mark + c - 1, 2 * c - 1) * rest[k - c]
+                                 for c in range(max(1, k + 1 - len(rest)), min(k, mark) + 1))
+    return totals
+
+
+def spt_j_weight(j, n):
+    """Spt_j(n) for one n: the mark weight summed over every partition of n."""
+    return sum(mark_weight(p, j) for p in partitions(n))
+
+
+def jspt_k_weights(j, n, ks):
+    """jspt_k(n) for each k in ks: the product weights summed over every partition of n."""
+    totals = [0] * len(ks)
+    for p in partitions(n):
+        totals = [a + b for a, b in zip(totals, product_chain_weights(p, j, ks))]
+    return totals
 
 
 # _MIN_PART_COLUMNS[v][lo] = number of partitions of v with every part >= lo,
@@ -175,4 +274,4 @@ def spt_weight(n):
 
 def spt_k_weight(k, n):
     """spt_k(n) for one n: the chain weight summed over every partition of n."""
-    return sum(chain_weight(p, k) for p in enumerate_partitions(n))
+    return jspt_k_weights(1, n, [k])[0]

@@ -14,6 +14,7 @@ import qspt
 from qspt import cli, identities, stats
 from qspt import spt as sptmod
 from qspt.cli import main
+from qspt.partitions import Partition
 
 
 @pytest.fixture
@@ -296,6 +297,30 @@ class TestVerify:
     def test_defaults_run(self, runner):
         result = runner.invoke(main, ["verify", "appbp", "--n-max", "10"])
         assert result.exit_code == 0
+
+
+class TestNoPartitionObjects:
+    """The lemma verifiers and the enumerating weight routes read the walk's
+    working list: none of them builds a Partition."""
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "lemma31", "--n-max", "12"],
+        ["verify", "lemma32", "--n-max", "12"],
+        ["compute", "--route", "weight", "--family", "Spt_j", "--j", "2", "--n-max", "12"],
+        ["compute", "--route", "weight", "--family", "jspt_k", "--j", "2", "--k", "2",
+         "--n-max", "12"],
+    ])
+    def test_runs_without_building_a_partition(self, runner, monkeypatch, args):
+        def refuse(self):
+            raise AssertionError("a Partition was built")
+
+        monkeypatch.setattr(Partition, "__post_init__", refuse)
+        with pytest.raises(AssertionError, match="a Partition was built"):
+            Partition((1,))
+        patched = runner.invoke(main, args)
+        monkeypatch.undo()
+        assert patched.exit_code == 0, patched.output
+        assert patched.output == runner.invoke(main, args).output
 
 
 class TestTable:

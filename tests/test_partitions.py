@@ -5,9 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import partition_oracles
-from qspt.identities import _strict_rr
+from qspt.identities import _count_bad, _strict_rr, verify
 from qspt.partitions import (
     Partition,
+    _durfee_sides,
+    _lower_durfee_sides,
+    _walk,
+    _walk_state,
     enumerate_partitions,
     frequency,
     is_rogers_ramanujan,
@@ -45,6 +49,9 @@ class TestPartitionType:
     def test_conjugate(self):
         assert Partition((3, 2, 2)).conjugate() == (3, 3, 1)
         assert Partition(()).conjugate() == ()
+        for n in range(16):  # conjugation is an involution
+            for p in enumerate_partitions(n):
+                assert Partition(p.conjugate()).conjugate() == p.parts
 
 
 class TestEnumeration:
@@ -79,6 +86,54 @@ class TestEnumeration:
 
     def test_partition_count_sixty(self):
         assert partition_count(60) == 966467
+
+
+class TestWalk:
+    """The ZS1 walk and the chain cores that read its working list."""
+
+    def test_matches_rescanning_enumerator(self):
+        for n in range(31):
+            got = [tuple(a[:m]) for a, m, _ in _walk(n)]
+            assert got == list(partition_oracles.partition_tuples(n)), n
+
+    def test_h_is_the_last_part_above_one(self):
+        for n in range(31):
+            for a, m, h in _walk(n):
+                assert -1 <= h < m
+                assert all(part > 1 for part in a[:h + 1]), (n, a[:m])
+                assert all(part == 1 for part in a[h + 1:m]), (n, a[:m])
+
+    def test_walk_state_of_a_tuple(self):
+        assert _walk_state((4, 2, 1, 1)) == ((4, 2, 1, 1), 4, 1)
+        assert _walk_state((1, 1, 1)) == ((1, 1, 1), 3, -1)
+        assert _walk_state(()) == ((), 0, -1)
+
+    def test_core_chains_match_slicing(self):
+        # n = 0 and 1 included; every n ends in its all-ones partition
+        for n in range(31):
+            for a, m, h in _walk(n):
+                parts = tuple(a[:m])
+                assert tuple(_durfee_sides(a, m, h)) == partition_oracles.upper_sides(parts)
+                assert tuple(_lower_durfee_sides(a, m, h)) == partition_oracles.lower_sides(parts)
+
+    @pytest.mark.parametrize("ones", [0, 1, 2, 7, 40])
+    def test_all_ones_and_trailing_ones(self, ones):
+        for head in ((), (2,), (5, 3, 3), (4, 4, 4, 4, 2)):
+            parts = head + (1,) * ones
+            state = _walk_state(parts)
+            assert tuple(_durfee_sides(*state)) == partition_oracles.upper_sides(parts)
+            assert tuple(_lower_durfee_sides(*state)) == partition_oracles.lower_sides(parts)
+
+    def test_trailing_ones_are_unit_squares(self):
+        # the closed form the lemma counts rest on: dropping the ones drops
+        # the same unit squares from the end of both chains
+        for n in range(31):
+            for a, m, h in _walk(n):
+                ones = [1] * (m - h - 1)
+                assert _durfee_sides(a, m, h) == _durfee_sides(a, h + 1, h) + ones
+                assert _lower_durfee_sides(a, m, h) == ones + _lower_durfee_sides(a, h + 1, h)
+                assert _strict_rr(a, _lower_durfee_sides(a, m, h)) == \
+                    _strict_rr(a, _lower_durfee_sides(a, h + 1, h)), a[:m]
 
 
 class TestDurfeeChains:
@@ -182,6 +237,11 @@ class TestMarks:
     def test_repeated_ones(self):
         assert marks(Partition((1, 1, 1, 1))) == ((1, 1), (1, 2), (1, 3), (1, 4))
 
+    def test_matches_counted_marks(self):
+        for n in range(21):
+            for p in enumerate_partitions(n):
+                assert marks(p) == partition_oracles.marks(p.parts), p
+
 
 class TestFrequency:
     def test_present(self):
@@ -196,22 +256,13 @@ class TestFrequency:
             assert sum(frequency(p, t) * t for t in values) == 10
 
 
-def _rr_with_full_chain(p):
-    # every part consumed by the first s-1 lower squares is at most d_s
-    sides = successive_lower_durfee(p)
-    if len(sides) <= 1:
-        return True
-    consumed = sum(sides[:-1])
-    return sorted(p.parts)[consumed - 1] <= sides[-1]
-
-
 class TestChainLemmas:
     def test_lower_equals_reversed_upper_for_rr(self):
         # the lower-Durfee squares of a Rogers-Ramanujan partition form its
         # Durfee squares
         for n in range(1, 31):
             for p in enumerate_partitions(n):
-                if not _rr_with_full_chain(p):
+                if not partition_oracles.strict_rr(p.parts):
                     continue
                 lower = successive_lower_durfee(p)
                 upper = successive_durfee(p)
@@ -225,8 +276,37 @@ class TestChainLemmas:
     def test_lemma_predicate_matches_sorted_copy(self):
         for n in range(1, 23):
             for p in enumerate_partitions(n):
-                assert _strict_rr(p, successive_lower_durfee(p)) == _rr_with_full_chain(p), p
+                lower = successive_lower_durfee(p)
+                assert _strict_rr(p.parts, lower) == partition_oracles.strict_rr(p.parts), p
 
     def test_rr_examples(self):
-        assert _rr_with_full_chain(Partition((2, 2, 1)))
-        assert not _rr_with_full_chain(Partition((2, 2, 2, 1)))
+        assert partition_oracles.strict_rr((2, 2, 1))
+        assert not partition_oracles.strict_rr((2, 2, 2, 1))
+
+    @pytest.mark.parametrize("identity,is_bad", [
+        ("lemma31", partition_oracles.lemma31_bad),
+        ("lemma32", partition_oracles.lemma32_bad),
+    ])
+    def test_lemma_rows_match_partition_count(self, identity, is_bad):
+        _, rows, _ = verify(identity, order=30)
+        assert [row[1] for row in rows] == \
+            [partition_oracles.count_bad(n, is_bad) for n in range(1, 31)]
+
+    def test_count_over_the_parts_above_one(self):
+        # the lemma counts read only the partitions without a part 1; with
+        # predicates that hold on some partitions, their rows still count
+        # every partition of n
+        def strict_rr(a, m):
+            return _strict_rr(a, _lower_durfee_sides(a, m, m - 1))
+
+        def chains_match(a, m):
+            return _lower_durfee_sides(a, m, m - 1)[::-1] == _durfee_sides(a, m, m - 1)
+
+        for is_bad, oracle in (
+            (strict_rr, lambda p: partition_oracles.strict_rr(p.parts)),
+            (chains_match, lambda p: partition_oracles.lower_sides(p.parts)[::-1]
+             == partition_oracles.upper_sides(p.parts)),
+        ):
+            counts = [row[1] for row in _count_bad(30, is_bad)]
+            assert counts == [partition_oracles.count_bad(n, oracle) for n in range(1, 31)]
+            assert counts[-1] > 0

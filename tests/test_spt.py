@@ -345,6 +345,24 @@ class TestRelations:
                     assert jspt_k(j, k, n, "moments") >= 0
 
 
+class TestWeightRoutesAgainstOracles:
+    """The weight routes read the ZS1 walk's working list; the oracles sum the
+    plain weights over Partition objects (tests/partition_oracles.py)."""
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_spt_j_weight_route(self, j):
+        route = FAMILIES["Spt_j"].routes["weight"]
+        for n in range(1, 31):
+            assert route(j, n) == partition_oracles.spt_j_weight(j, n), (j, n)
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_jspt_k_weight_route(self, j):
+        route = FAMILIES["jspt_k"].routes["weight"]
+        for n in range(1, 31):
+            expected = partition_oracles.jspt_k_weights(j, n, range(1, 7))
+            assert [route(j, k, n) for k in range(1, 7)] == expected, (j, n)
+
+
 class TestCompositions:
     def test_oracle_enumerates_every_composition(self):
         for k in range(1, 9):

@@ -187,6 +187,28 @@ class TestMoments:
             for n in range(1, 15):
                 assert sum(m * count_njm(j, m, n) for m in range(-n, n + 1)) == 0
 
+    # each of these returned a silent 0, or failed with "k must be >= 1"
+
+    def test_odd_moment_rejects_j_zero(self):
+        with pytest.raises(ValueError, match="^j must be >= 1$"):
+            moment(0, 1, 5)
+
+    def test_odd_moment_rejects_negative_j(self):
+        with pytest.raises(ValueError, match="^j must be >= 1$"):
+            moment(-1, 3, 5)
+
+    def test_count_outside_the_support_rejects_j_zero(self):
+        with pytest.raises(ValueError, match="^j must be >= 1$"):
+            count_njm(0, 9, 5)
+
+    def test_rejects_negative_odd_t(self):
+        with pytest.raises(ValueError, match="^t must be >= 0$"):
+            moment(1, -1, 5)
+
+    def test_rejects_negative_even_t(self):
+        with pytest.raises(ValueError, match="^t must be >= 0$"):
+            moment(1, -2, 5)
+
 
 class TestSymmetrizedMoments:
     def test_crank_mu2_at_one(self):
