@@ -12,8 +12,9 @@ O(N**2 * width**2).  The general ``__mul__`` and ``inverse`` remain, and the
 tests pin the kernels and builders to them.  The scalar series of the nested
 j-rank sum and of the kn1 left side are the chain recursions of the spt builders.
 The nested j-rank sum meets its bivariate factors by Horner over its first
-index t, two division passes per t, and the rank generating function is its
-j = 2 case; each kn1 correction term telescopes to two division passes.
+index t, two division passes per t (the rank function is its j = 2 case), and
+each kn1 correction term telescopes to two division passes.  The bilateral and
+count forms read one z^|m| column expansion, ``qspt.stats._njm_column``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .series import (
     memo,
     pochhammer_inf,
 )
-from .stats import gf_njm
+from .stats import _njm_column, gf_njm
 
 
 def falling_factorial(x: int, t: int) -> int:
@@ -190,6 +191,9 @@ class BiSeries:
         return BiSeries(self.coeffs[: order + 1])
 
     def shift(self, exp: int) -> "BiSeries":
+        """Multiply by ``q**exp``, keeping the truncation order."""
+        if exp < 0:
+            raise ValueError("shift exponent must be nonnegative")
         n = self.order
         if exp > n:
             return BiSeries.zero(n)
@@ -322,42 +326,19 @@ def build_jrank_gf(j: int, order: int, form: str = "nested") -> BiSeries:
             acc = (acc + BiSeries.from_series(chain[first])).div_factor(1, first)
             acc = acc.div_factor(-1, first)
         return BiSeries.one(order) + acc
+    if form not in ("bilateral", "counts"):
+        raise ValueError(f"unknown form {form!r}")
+    # one column per |m|, as the sum is symmetric in z, each read once: "counts"
+    # reads the count series, "bilateral" the raw columns and divides its rows
+    # once by (q)_inf; for j >= 2 the sum has no q^0 term: add the empty partition
+    cols = [gf_njm(j, m, order).coeffs if form == "counts" else _njm_column(j, m, order)
+            for m in range(order + 1)]
+    out = BiSeries(
+        LaurentPoly({m: cols[abs(m)][n] for m in range(-n, n + 1)}) for n in range(order + 1)
+    )
     if form == "bilateral":
-        return _jrank_gf_bilateral(j, order)
-    if form == "counts":
-        # N_j(m, n) is symmetric in m: one count series per |m|, each read once
-        cols = [gf_njm(j, m, order).coeffs for m in range(order + 1)]
-        return BiSeries([LaurentPoly.const(1)] + [
-            LaurentPoly({m: cols[abs(m)][n] for m in range(-n, n + 1)})
-            for n in range(1, order + 1)
-        ])
-    raise ValueError(f"unknown form {form!r}")
-
-
-def _jrank_gf_bilateral(j: int, order: int) -> BiSeries:
-    # z/(q)_inf * sum_{n != 0} (-1)^(n-1) q^(n((2j-1)n+1)/2) (1-q^n)/(1-zq^n).
-    # For n = -m the summand rewrites to z^{-1} q^(m((2j-1)m-1)/2)
-    # (1-q^m)/(1-z^{-1}q^m), so the global z factor cancels there; only the
-    # positive half keeps it.  For j >= 2 the sum has no q^0 term and the
-    # empty-partition constant 1 is added for consistency with the other forms.
-    # Each half is written straight into the rows by the expansion
-    # (1 - q^n) / (1 - z^d q^n) = sum_{t>=0} z^(dt) (q^(nt) - q^(n(t+1))):
-    # the positive half (d = 1) from z q^(e+n), the negative (d = -1) from q^e.
-    rows: list[dict[int, int]] = [{} for _ in range(order + 1)]
-    n = 1
-    while (e := n * ((2 * j - 1) * n - 1) // 2) <= order:
-        sign = 1 if n % 2 == 1 else -1  # (-1)^(n-1), shared by both halves
-        for d, m, start in ((1, 1, e + n), (-1, 0, e)):
-            for i in range(start, order + 1, n):
-                rows[i][m] = rows[i].get(m, 0) + sign
-                if i + n <= order:
-                    rows[i + n][m] = rows[i + n].get(m, 0) - sign
-                m += d
-        n += 1
-    out = BiSeries(map(LaurentPoly, rows)).mul_series(inv_pochhammer_inf(1, order))
-    if j >= 2:
-        out = out + BiSeries.one(order)
-    return out
+        out = out.mul_series(inv_pochhammer_inf(1, order))
+    return out + BiSeries.one(order) if j >= 2 else out
 
 
 def dz_at_1(a: BiSeries, t: int) -> TruncSeries:

@@ -194,12 +194,8 @@ def split_chain_weight(p: Partition, j: int, k: int) -> int:
 
 @memo
 def gf_np(order: int) -> TruncSeries:
-    """Generating function of n*p(n): 1/(q)_inf * sum n q^n/(1-q^n)."""
-    sigma = [0] * (order + 1)
-    for n in range(1, order + 1):
-        for e in range(n, order + 1, n):
-            sigma[e] += n
-    return TruncSeries(sigma) * inv_pochhammer_inf(1, order)
+    """Generating function of n*p(n), read off the table of p(n)."""
+    return TruncSeries(n * partition_count(n) for n in range(order + 1))
 
 
 # The step that moves each form's chain link one index on, and the power of

@@ -48,6 +48,24 @@ def jrank(p: Partition, j: int) -> int | None:
     return cols - (len(p.parts) - sum(sides[: j - 1]))  # minus the parts below
 
 
+def _njm_column(j: int, am: int, order: int) -> list[int]:
+    """The column z^am, am >= 0, of the bilateral j-rank sum before 1/(q)_inf.
+
+    z * sum_{n != 0} (-1)^(n-1) q^(n((2j-1)n+1)/2) (1-q^n)/(1-zq^n) is symmetric in
+    z: at n = -m the z factor cancels, and (1-q^n)/(1-z^d q^n) = sum_{t>=0} z^(dt)
+    (q^(nt) - q^(n(t+1))) gives both halves (-1)^(n-1) (q^e - q^(e+n)) per n at z^am.
+    """
+    coeffs = [0] * (order + 1)
+    n = 1
+    while (e := n * ((2 * j - 1) * n - 1) // 2 + am * n) <= order:
+        sign = 1 if n % 2 == 1 else -1
+        coeffs[e] += sign
+        if e + n <= order:
+            coeffs[e + n] -= sign
+        n += 1
+    return coeffs
+
+
 @memo
 def gf_njm(j: int, m: int, order: int) -> TruncSeries:
     """Generating function of the count of partitions with j-rank m.
@@ -57,17 +75,7 @@ def gf_njm(j: int, m: int, order: int) -> TruncSeries:
     """
     if j < 1:
         raise ValueError("j must be >= 1")
-    # the column z^|m| of the bilateral j-rank sum: (-1)^(n-1) (q^e - q^(e+n)) per n
-    am = abs(m)
-    coeffs = [0] * (order + 1)
-    n = 1
-    while (e := n * ((2 * j - 1) * n - 1) // 2 + am * n) <= order:
-        sign = 1 if n % 2 == 1 else -1
-        coeffs[e] += sign
-        if e + n <= order:
-            coeffs[e + n] -= sign
-        n += 1
-    return TruncSeries(coeffs) * inv_pochhammer_inf(1, order)
+    return TruncSeries(_njm_column(j, abs(m), order)) * inv_pochhammer_inf(1, order)
 
 
 def count_njm(j: int, m: int, n: int) -> int:

@@ -1,10 +1,13 @@
 """Bivariate series, the crank/rank/j-rank generating functions, extractions."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tuple_sums
+from qspt import stats
 from qspt.laurent import (
     BiSeries,
     LaurentPoly,
@@ -180,6 +183,13 @@ class TestBiSeries:
             expected = expected * BiSeries(factor)
         assert got == expected
 
+    @pytest.mark.parametrize("series", [TruncSeries.one(4), BiSeries.one(4)],
+                             ids=["TruncSeries", "BiSeries"])
+    def test_negative_shift_raises(self, series):
+        # BiSeries.shift(-2) once returned the series unshifted
+        with pytest.raises(ValueError, match="shift exponent must be nonnegative"):
+            series.shift(-2)
+
     def test_mul_series_matches_full_mul(self):
         a = build_crank_gf(6)
         s = pochhammer_inf(1, 6)
@@ -301,6 +311,28 @@ class TestJrankGf:
     def test_unknown_form(self):
         with pytest.raises(ValueError):
             build_jrank_gf(2, 5, "other")
+
+    def test_one_expansion_of_the_bilateral_sum(self, monkeypatch):
+        # stats._njm_column alone expands the bilateral sum: with it broken, both
+        # non-nested forms and the count series fail, and the nested form, the
+        # independent side of the three-form check, still builds
+        def broken(*args):
+            raise RuntimeError("bilateral column")
+
+        column, patched = stats._njm_column, set()
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("qspt") and getattr(mod, "_njm_column", None) is column:
+                monkeypatch.setattr(mod, "_njm_column", broken)
+                patched.add(name)
+        assert patched >= {"qspt.stats", "qspt.laurent"}
+        clear_memos()  # so that every builder runs with the broken column
+        for j in (1, 2, 3):
+            for call in (lambda: build_jrank_gf(j, 20, "bilateral"),
+                         lambda: build_jrank_gf(j, 20, "counts"),
+                         lambda: stats.gf_njm(j, 1, 20)):
+                with pytest.raises(RuntimeError, match="bilateral column"):
+                    call()
+            build_jrank_gf(j, 20, "nested")
 
     @pytest.mark.parametrize("j", [2, 3, 4])
     def test_nested_matches_tuple_sum(self, j):

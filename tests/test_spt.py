@@ -8,7 +8,7 @@ import pytest
 import partition_oracles
 import tuple_sums
 from qspt.partitions import Partition, enumerate_partitions, partition_count
-from qspt.series import TruncSeries, _signed_sum
+from qspt.series import TruncSeries, _signed_sum, inv_pochhammer_inf
 from qspt.spt import (
     FAMILIES,
     WEIGHT_N_MAX,
@@ -171,9 +171,15 @@ class TestGenn1:
             assert gf_genn1_rhs(j, 20) == gf_spt_j(j, 20)
 
     def test_np_series(self):
-        gf = gf_np(10)
-        for n in range(11):
-            assert gf.coefficient(n) == n * partition_count(n)
+        # oracle: 1/(q)_inf * sum n q^n/(1-q^n), the divisor sums by a sieve
+        order = 300
+        sigma = [0] * (order + 1)
+        for n in range(1, order + 1):
+            for e in range(n, order + 1, n):
+                sigma[e] += n
+        expected = TruncSeries(sigma) * inv_pochhammer_inf(1, order)
+        for o in (10, order):
+            assert gf_np(o) == expected.truncate(o)
 
     def test_large_j_coefficients(self):
         gf = gf_genn1_rhs(9, 9)
