@@ -12,9 +12,9 @@ O(N**2 * width**2).  The general ``__mul__`` and ``inverse`` remain, and the
 tests pin the kernels and builders to them.  The scalar series of the nested
 j-rank sum and of the kn1 left side are the chain recursions of the spt builders.
 The nested j-rank sum meets its bivariate factors by Horner over its first
-index t, two division passes per t (the rank function is its j = 2 case), and
-each kn1 correction term telescopes to two division passes.  The bilateral and
-count forms read one z^|m| column expansion, ``qspt.stats._njm_column``.
+index t, two division passes per t (the rank function is its j = 2 case).  The
+bilateral and count forms and the kn1 correction (at j + 1) lay the z^|m| columns
+of ``qspt.stats._njm_column`` out as rows through one layout, ``_from_columns``.
 """
 
 from __future__ import annotations
@@ -301,6 +301,13 @@ def build_rank_gf(order: int) -> BiSeries:
     return build_jrank_gf(2, order)
 
 
+def _from_columns(cols: list) -> BiSeries:
+    """The series symmetric in z whose z^m column is cols[|m|], every column
+    nonzero at q^n only for |m| <= n: row n is read off columns 0..n."""
+    return BiSeries(LaurentPoly({m: cols[abs(m)][n] for m in range(-n, n + 1)})
+                    for n in range(len(cols[0])))
+
+
 @memo
 def build_jrank_gf(j: int, order: int, form: str = "nested") -> BiSeries:
     """The two-variable j-rank generating function, normalized to constant term 1.
@@ -331,11 +338,8 @@ def build_jrank_gf(j: int, order: int, form: str = "nested") -> BiSeries:
     # one column per |m|, as the sum is symmetric in z, each read once: "counts"
     # reads the count series, "bilateral" the raw columns and divides its rows
     # once by (q)_inf; for j >= 2 the sum has no q^0 term: add the empty partition
-    cols = [gf_njm(j, m, order).coeffs if form == "counts" else _njm_column(j, m, order)
-            for m in range(order + 1)]
-    out = BiSeries(
-        LaurentPoly({m: cols[abs(m)][n] for m in range(-n, n + 1)}) for n in range(order + 1)
-    )
+    out = _from_columns([gf_njm(j, m, order).coeffs if form == "counts"
+                         else _njm_column(j, m, order) for m in range(order + 1)])
     if form == "bilateral":
         out = out.mul_series(inv_pochhammer_inf(1, order))
     return out + BiSeries.one(order) if j >= 2 else out
@@ -363,6 +367,17 @@ def symmetrized_extract(a: BiSeries, k: int) -> TruncSeries:
     )
 
 
+def _kn1_correction(j: int, order: int) -> BiSeries:
+    """The kn1 correction sum 1 + sum_{n>=1} (-1)^n q^e (1+x) R_n, x = q^n, e = n((2j+1)n+1)/2,
+    where each term's ratio R_n = (z)_n (z^{-1})_n / ((zq)_n (z^{-1}q)_n) telescopes to
+    (1-z)(1-z^{-1}) / ((1-zx)(1-z^{-1}x)).  By columns, as (1+x) R_n = 2 - (1-x) sum_{m != 0}
+    x^(|m|-1) z^m: column m != 0 is _njm_column(j+1, |m|), and column 0, 1 + 2 sum (-1)^n q^e,
+    is 1 - 2 * the sum of the columns m >= 1, which telescope to -sum (-1)^n q^e."""
+    cols = [_njm_column(j + 1, m, order) for m in range(1, order + 1)]
+    col0 = [1] + [-2 * sum(c[i] for c in cols) for i in range(1, order + 1)]
+    return _from_columns([col0] + cols)
+
+
 def build_kn1_sides(j: int, order: int) -> tuple[BiSeries, BiSeries]:
     """Both sides of the nested-sum / bilateral-product identity at depth j.
 
@@ -384,18 +399,8 @@ def build_kn1_sides(j: int, order: int) -> tuple[BiSeries, BiSeries]:
         lhs = lhs + BiSeries.from_series(TruncSeries([0] * outer + sums[outer]))
 
     # Right side: the product form applied to the correction sum, as one-term
-    # factor passes and one pure-q product.  The ratio
-    # (z)_n (z^{-1})_n / ((zq)_n (z^{-1}q)_n) of each term telescopes to
-    # (1 - z)(1 - z^{-1}) / ((1 - zq^n)(1 - z^{-1}q^n)).
-    numerator = BiSeries.one(order).mul_factor(1, 0).mul_factor(-1, 0)
-    correction = BiSeries.one(order)
-    n = 1
-    while n * ((2 * j + 1) * n + 1) // 2 <= order:
-        e = n * ((2 * j + 1) * n + 1) // 2
-        term = numerator.div_factor(1, n).div_factor(-1, n).shift(e)
-        term = term + term.shift(n)  # times 1 + q^n
-        correction = correction - term if n % 2 == 1 else correction + term
-        n += 1
+    # factor passes and one pure-q product.
+    correction = _kn1_correction(j, order)
     for e in range(1, order + 1):
         correction = correction.mul_factor(1, e).mul_factor(-1, e)
     rhs = correction.mul_series(inv_pochhammer_inf(1, order) * inv_pochhammer_inf(1, order))

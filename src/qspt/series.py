@@ -244,21 +244,6 @@ def inv_one_minus(exp: int, order: int, power: int = 1) -> TruncSeries:
     return TruncSeries(out)
 
 
-def _signed_sum(exponent, power: int, order: int) -> TruncSeries:
-    """sum_{n>=1} (-1)^n q^exponent(n) (1+q^n) / (1-q^n)^power, exponent increasing.
-
-    The bilateral sums of the spt identities and of the symmetrized moments,
-    their negative half folded onto the positive one.
-    """
-    acc = TruncSeries.zero(order)
-    n = 1
-    while exponent(n) <= order:
-        inv = inv_one_minus(n, order, power).scale(-1 if n % 2 == 1 else 1)
-        acc = acc + inv.shift(exponent(n)) + inv.shift(exponent(n) + n)
-        n += 1
-    return acc
-
-
 @memo
 def gauss_binomial(n: int, m: int, order: int) -> TruncSeries:
     """The Gaussian binomial coefficient [n, m] truncated at ``order``.

@@ -27,12 +27,11 @@ from .series import (
     _difference_step,
     _link_sums,
     _linear_chain,
-    _signed_sum,
     _square_chain,
     inv_pochhammer_inf,
     memo,
 )
-from .stats import moment, sym_mu
+from .stats import _sym_mu_column, gf_sym_mu, moment, sym_mu
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +232,17 @@ def gf_genn1_lhs(j: int, order: int) -> TruncSeries:
     (q)_{n_j} over the difference products -- a structurally different
     expansion used to cross-check it.
     """
+    if j < 1:
+        raise ValueError("j must be >= 1")
     return inv_pochhammer_inf(1, order) * _chain_gf(j - 1, 0, "nested", 1, order)
 
 
 @memo
 def gf_genn1_rhs(j: int, order: int) -> TruncSeries:
-    """Right side: n*p(n) part plus the alternating pentagonal-like correction."""
-    acc = _signed_sum(lambda n: n * ((2 * j + 1) * n + 1) // 2, 2, order)
-    return gf_np(order) + acc * inv_pochhammer_inf(1, order)
+    """Right side: n*p(n) minus the second symmetrized (j+1)-rank moments."""
+    if j < 1:
+        raise ValueError("j must be >= 1")
+    return gf_np(order) - gf_sym_mu(j + 1, 1, order)
 
 
 def _spt_j_moments(j: int, n: int) -> int:
@@ -309,7 +311,8 @@ def appbp_sides(r: int, k: int, order: int) -> tuple[TruncSeries, TruncSeries]:
     lhs = _chain_gf(r - 1, 0, "nested", k, order)
     rhs = _linear_chain(dict.fromkeys(range(1, order + 1), TruncSeries.one(order).coeffs),
                         k, order)
-    rhs = rhs + _signed_sum(lambda n: n * (n - 1) // 2 + r * n * n + k * n, 2 * k, order)
+    # the correction's exponent n(n-1)/2 + rn^2 + kn is the (r+1)-rank one
+    rhs = rhs - TruncSeries(_sym_mu_column(r + 1, k, order))
     return lhs, rhs
 
 

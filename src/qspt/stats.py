@@ -1,9 +1,10 @@
 """Rank, crank and j-rank statistics, their counts, and their moments.
 
 Counts and symmetrized moments are coefficients of the single-variable
-generating functions; the ordinary moments follow from the symmetrized ones
-by the central-factorial change of basis.  Counting over enumerated
-partitions is kept as a test oracle.
+generating functions, whose bilateral sums only the column writers
+``_njm_column`` and ``_sym_mu_column`` expand; the ordinary moments follow
+from the symmetrized ones by the central-factorial change of basis.
+Counting over enumerated partitions is kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .partitions import Partition, successive_durfee
-from .series import TruncSeries, _signed_sum, inv_pochhammer_inf, memo
+from .series import TruncSeries, inv_pochhammer_inf, memo
 
 
 def rank(p: Partition) -> int:
@@ -48,6 +49,19 @@ def jrank(p: Partition, j: int) -> int | None:
     return cols - (len(p.parts) - sum(sides[: j - 1]))  # minus the parts below
 
 
+def _bilateral_column(j: int, a: int, w, order: int) -> list[int]:
+    """sum_{n>=1} (-1)^(n-1) q^e w(q^n), e = n((2j-1)n-1)/2 + an, w(x) = sum_t w[t] x^t,
+    as one coefficient list: a bilateral j-rank sum, its negative half folded on."""
+    coeffs = [0] * (order + 1)
+    n = 1
+    while (e := n * ((2 * j - 1) * n - 1) // 2 + a * n) <= order:
+        sign = 1 if n % 2 == 1 else -1
+        for i, c in zip(range(e, order + 1, n), w):
+            coeffs[i] += sign * c
+        n += 1
+    return coeffs
+
+
 def _njm_column(j: int, am: int, order: int) -> list[int]:
     """The column z^am, am >= 0, of the bilateral j-rank sum before 1/(q)_inf.
 
@@ -55,15 +69,7 @@ def _njm_column(j: int, am: int, order: int) -> list[int]:
     z: at n = -m the z factor cancels, and (1-q^n)/(1-z^d q^n) = sum_{t>=0} z^(dt)
     (q^(nt) - q^(n(t+1))) gives both halves (-1)^(n-1) (q^e - q^(e+n)) per n at z^am.
     """
-    coeffs = [0] * (order + 1)
-    n = 1
-    while (e := n * ((2 * j - 1) * n - 1) // 2 + am * n) <= order:
-        sign = 1 if n % 2 == 1 else -1
-        coeffs[e] += sign
-        if e + n <= order:
-            coeffs[e + n] -= sign
-        n += 1
-    return coeffs
+    return _bilateral_column(j, am, (1, -1), order)
 
 
 @memo
@@ -107,25 +113,33 @@ def sym_mu(j: int, k: int, n: int) -> int:
     return gf_sym_mu(j, k // 2, n).coefficient(n)
 
 
+def _sym_mu_column(j: int, k: int, order: int) -> list[int]:
+    """The bilateral sum of the 2k-th symmetrized j-rank moments before 1/(q)_inf, its
+    negative half folded on: sum_{n>=1} (-1)^(n-1) (q^e + q^(e+n)) / (1-q^n)^(2k), e =
+    n((2j-1)n-1)/2 + kn; [x^t] (1+x)/(1-x)^(2k) = C(t+2k-1, 2k-1) + C(t+2k-2, 2k-1)."""
+    w = [math.comb(t + 2 * k - 1, 2 * k - 1) + math.comb(t + 2 * k - 2, 2 * k - 1)
+         for t in range(order - (j - 1 + k) + 1)]  # the least e is e(1) = j - 1 + k
+    return _bilateral_column(j, k, w, order)
+
+
 @memo
 def gf_sym_mu(j: int, k: int, order: int) -> TruncSeries:
-    """Closed-form generating function of the 2k-th symmetrized j-rank moments.
-
-    Bilateral sum with the negative half rewritten in nonnegative q-powers:
-    1/(q)_inf * sum_{n>=1} (-1)^(n-1)
-        (q^(n((2j-1)n+1)/2 + kn) + q^(n((2j-1)n-1)/2 + kn)) / (1-q^n)^(2k).
-    """
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    # the negative-half exponents; _signed_sum's sign is (-1)^n
-    acc = _signed_sum(lambda n: n * ((2 * j - 1) * n - 1) // 2 + k * n, 2 * k, order)
-    return -acc * inv_pochhammer_inf(1, order)
+    """Closed-form generating function of the 2k-th symmetrized j-rank moments:
+    the bilateral sum :func:`_sym_mu_column` times 1/(q)_inf."""
+    if j < 1 or k < 1:
+        raise ValueError("j must be >= 1" if j < 1 else "k must be >= 1")
+    return TruncSeries(_sym_mu_column(j, k, order)) * inv_pochhammer_inf(1, order)
 
 
-# _CENTRAL_FACTORIALS[k][t] = T(k, t), kept for t <= the largest min(k, n)
-# read so far; a miss builds at least twice as far (up to k), so reads in
-# ascending n cost O(log k) builds and reads in descending n one.
-_CENTRAL_FACTORIALS: dict[int, list[int]] = {}
+@memo
+def _central_factorials(k: int, order: int) -> TruncSeries:
+    """The central factorial numbers T(k, t) for t <= order, zero for t > k."""
+    row = [1] + [0] * order  # T(0, t)
+    for i in range(1, k + 1):
+        for t in range(min(i, order), 0, -1):
+            row[t] = row[t - 1] + t * t * row[t]
+        row[0] = 0
+    return TruncSeries(row)
 
 
 def moment_via_sym(j: int, k: int, n: int) -> int:
@@ -141,13 +155,7 @@ def moment_via_sym(j: int, k: int, n: int) -> int:
     if k < 1:
         raise ValueError("k must be >= 1")
     top = min(k, n)
-    row = _CENTRAL_FACTORIALS.get(k, [1])
-    if len(row) <= top:
-        size = min(k, max(top, 2 * (len(row) - 1)))
-        row = [1] + [0] * size  # T(0, t)
-        for i in range(1, k + 1):
-            for t in range(min(i, size), 0, -1):
-                row[t] = row[t - 1] + t * t * row[t]
-            row[0] = 0
-        _CENTRAL_FACTORIALS[k] = row
+    if top < 1:
+        return 0
+    row = _central_factorials(k, top).coeffs
     return sum(math.factorial(2 * t) * row[t] * sym_mu(j, 2 * t, n) for t in range(1, top + 1))

@@ -12,6 +12,7 @@ from qspt.laurent import (
     BiSeries,
     LaurentPoly,
     _add_shifted,
+    _kn1_correction,
     build_crank_gf,
     build_jrank_gf,
     build_kn1_sides,
@@ -314,8 +315,8 @@ class TestJrankGf:
 
     def test_one_expansion_of_the_bilateral_sum(self, monkeypatch):
         # stats._njm_column alone expands the bilateral sum: with it broken, both
-        # non-nested forms and the count series fail, and the nested form, the
-        # independent side of the three-form check, still builds
+        # non-nested forms, the count series and the kn1 right side fail, and the
+        # nested form, the independent side of the three-form check, still builds
         def broken(*args):
             raise RuntimeError("bilateral column")
 
@@ -329,7 +330,7 @@ class TestJrankGf:
         for j in (1, 2, 3):
             for call in (lambda: build_jrank_gf(j, 20, "bilateral"),
                          lambda: build_jrank_gf(j, 20, "counts"),
-                         lambda: stats.gf_njm(j, 1, 20)):
+                         lambda: stats.gf_njm(j, 1, 20), lambda: build_kn1_sides(j, 20)):
                 with pytest.raises(RuntimeError, match="bilateral column"):
                     call()
             build_jrank_gf(j, 20, "nested")
@@ -408,6 +409,11 @@ class TestKn1:
             expected = expected.mul_factor(1, outer).mul_factor(-1, outer)
             expected = expected + BiSeries.from_series(scalars[outer])
         assert lhs == expected
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_correction_columns_match_per_n_terms(self, j):
+        # the bivariate term per n that the column layout replaced
+        assert _kn1_correction(j, 150) == tuple_sums.kn1_correction(j, 150)
 
     def test_constant_terms(self):
         lhs, rhs = build_kn1_sides(2, 8)

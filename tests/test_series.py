@@ -342,6 +342,7 @@ SERIES_BUILDERS = [
     (series.gauss_binomial, (7, 3), ()),
     (stats.gf_njm, (2, 1), ()),
     (stats.gf_sym_mu, (3, 2), ()),
+    (stats._central_factorials, (3,), ()),
     (spt.gf_np, (), ()),
     (spt._spt_weight_row, (2,), ()),
     (spt.gf_spt_j, (2,), ()),
@@ -428,6 +429,15 @@ class TestMemo:
         assert all(c == calls[0] for c in calls)
         assert inv_one_minus.cache_info()[:2] == (3, 1)  # hits, misses
         assert inv_one_minus.cache_info().currsize == 1
+
+    def test_bilateral_sums_build_no_inv_one_minus(self):
+        # the symmetrized-moment sums are written into one list, with no
+        # 1/(1 - q^n)^(2k) series built and kept per n
+        clear_memos()
+        stats.gf_sym_mu(2, 2, 100)
+        spt.gf_genn1_rhs(2, 100)
+        spt.appbp_sides(1, 2, 100)
+        assert series.inv_one_minus.cache_info().currsize == 0
 
     def test_cache_clear_resets(self):
         series.inv_one_minus(2, 10)

@@ -1,14 +1,16 @@
 """The four smallest-part families: weights, generating functions, relations."""
 
 import functools
+import sys
 import time
 
 import pytest
 
 import partition_oracles
 import tuple_sums
+from qspt import stats
 from qspt.partitions import Partition, enumerate_partitions, partition_count
-from qspt.series import TruncSeries, _signed_sum, inv_pochhammer_inf
+from qspt.series import TruncSeries, inv_pochhammer_inf
 from qspt.spt import (
     FAMILIES,
     WEIGHT_N_MAX,
@@ -185,6 +187,36 @@ class TestGenn1:
         gf = gf_genn1_rhs(9, 9)
         for n in range(1, 9):
             assert gf.coefficient(n) == n * partition_count(n)
+
+    @pytest.mark.parametrize("j", [0, -3])
+    def test_rejects_nonpositive_j(self, j):
+        # at j = 0 the left side was nonzero and the right side zero, so the
+        # sides disagreed silently; at j = -3 the right side failed on a shift
+        for builder in (gf_genn1_lhs, gf_genn1_rhs):
+            with pytest.raises(ValueError, match="j must be >= 1"):
+                builder(j, 5)
+
+    def test_one_expansion_of_the_symmetrized_sum(self, monkeypatch):
+        # stats._sym_mu_column alone expands the symmetrized-moment sum: with it
+        # broken, its series and the genn1 and appbp right sides fail, and the
+        # genn1 left side and the Spt_j sum, the independent sides, still build
+        def broken(*args):
+            raise RuntimeError("symmetrized column")
+
+        column, patched = stats._sym_mu_column, set()
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("qspt") and getattr(mod, "_sym_mu_column", None) is column:
+                monkeypatch.setattr(mod, "_sym_mu_column", broken)
+                patched.add(name)
+        assert patched >= {"qspt.stats", "qspt.spt"}
+        tuple_sums.clear_memos()  # so that every builder runs with the broken column
+        for j in (1, 2, 3):
+            for call in (lambda: stats.gf_sym_mu(j, 1, 20), lambda: gf_genn1_rhs(j, 20),
+                         lambda: appbp_sides(j, 2, 20)):
+                with pytest.raises(RuntimeError, match="symmetrized column"):
+                    call()
+            gf_genn1_lhs(j, 20)
+            gf_spt_j(j, 20)
 
 
 class TestChainWeight:
@@ -417,7 +449,8 @@ class TestChainRecursions:
         tuple_sums.clear_memos()
         lhs, rhs = appbp_sides(j, k, 30)  # r = j
         chain_lhs, chain_rhs = tuple_sums.appbp_chain_sums(j, k, 30)
-        correction = _signed_sum(lambda n: n * (n - 1) // 2 + j * n * n + k * n, 2 * k, 30)
+        correction = tuple_sums.signed_sum(
+            lambda n: n * (n - 1) // 2 + j * n * n + k * n, 2 * k, 30)
         assert lhs == chain_lhs and rhs == chain_rhs + correction
 
     def test_chains_longer_than_the_order(self):

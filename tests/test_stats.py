@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+import tuple_sums
 from qspt import stats
 from qspt.partitions import Partition, enumerate_partitions, partition_count, successive_durfee
 from qspt.stats import (
@@ -240,6 +241,21 @@ class TestSymmetrizedMoments:
             with pytest.raises(ValueError, match="must be >= 1"):
                 call()
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_gf_rejects_nonpositive_k(self, k):
+        # this failed inside the series kernel, with a message about its arguments
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            gf_sym_mu(2, k, 5)
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_column_matches_per_n_sum(self, j, k):
+        # the per-n sum of scaled and shifted 1/(1-q^n)^(2k) series it replaced
+        expected = tuple_sums.signed_sum(
+            lambda n: n * ((2 * j - 1) * n - 1) // 2 + k * n, 2 * k, 300).coeffs
+        for order in range(301):
+            assert stats._sym_mu_column(j, k, order) == [-c for c in expected[: order + 1]]
+
     @pytest.mark.parametrize("j", [1, 2, 3])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_closed_form_gf(self, j, k):
@@ -251,13 +267,13 @@ class TestSymmetrizedMoments:
 def kept_and_fresh(j, k, ns):
     """moment_via_sym(j, k, n) over ns, read in ascending and in descending n
     off the kept central-factorial row, and with the row built afresh per n."""
-    stats._CENTRAL_FACTORIALS.clear()
+    stats._central_factorials.cache_clear()
     ascending = [moment_via_sym(j, k, n) for n in ns]
-    stats._CENTRAL_FACTORIALS.clear()
+    stats._central_factorials.cache_clear()
     descending = [moment_via_sym(j, k, n) for n in reversed(ns)][::-1]
     fresh = []
     for n in ns:
-        stats._CENTRAL_FACTORIALS.clear()
+        stats._central_factorials.cache_clear()
         fresh.append(moment_via_sym(j, k, n))
     return ascending, descending, fresh
 
@@ -320,6 +336,12 @@ class TestMomentViaSym:
     def test_rejects_nonpositive_index(self):
         with pytest.raises(ValueError):
             moment_via_sym(2, 0, 3)
+
+    def test_below_one_reads_no_row(self):
+        # no symmetrized moment enters for n < 1, so no central-factorial row is built
+        stats._central_factorials.cache_clear()
+        assert [moment_via_sym(2, 3, n) for n in (0, -1, -5)] == [0, 0, 0]
+        assert stats._central_factorials.cache_info().misses == 0
 
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_kept_row_matches_fresh_row(self, j, monkeypatch):

@@ -6,6 +6,8 @@ series the slow, plain way: every weakly increasing index tuple of bounded
 weight, found by ``itertools.combinations_with_replacement`` and a weight
 filter, contributes one term built by dense products.  ``link_sum`` is the
 same for one level: one dense link product per pair of chain ends.
+``signed_sum`` and ``kn1_correction`` sum the bilateral sums one term per n,
+the oracles for the column writers of ``qspt.stats`` and their layouts.
 """
 
 import functools
@@ -162,6 +164,34 @@ def kn1_scalars(j, order):
             scalar = scalar * inv_pochhammer_finite(1, d, order)
         out[tup[-1]] = out[tup[-1]] + scalar if tup[-1] in out else scalar
     return out
+
+
+def signed_sum(exponent, power, order):
+    """sum_{n>=1} (-1)^n q^exponent(n) (1+q^n) / (1-q^n)^power, exponent increasing,
+    one scaled and shifted 1/(1-q^n)^power per n: the oracle for
+    ``stats._sym_mu_column``, which is this sum negated at the (2j-1)-rank exponents."""
+    acc = TruncSeries.zero(order)
+    n = 1
+    while exponent(n) <= order:
+        inv = inv_one_minus(n, order, power).scale(-1 if n % 2 == 1 else 1)
+        acc = acc + inv.shift(exponent(n)) + inv.shift(exponent(n) + n)
+        n += 1
+    return acc
+
+
+def kn1_correction(j, order):
+    """The kn1 correction sum 1 + sum_{n>=1} (-1)^n q^e (1+q^n) (1-z)(1-z^{-1}) /
+    ((1-zq^n)(1-z^{-1}q^n)), e = n((2j+1)n+1)/2, one bivariate term per n built by
+    factor passes: the oracle for the column layout of ``laurent._kn1_correction``."""
+    numerator = laurent.BiSeries.one(order).mul_factor(1, 0).mul_factor(-1, 0)
+    correction = laurent.BiSeries.one(order)
+    n = 1
+    while (e := n * ((2 * j + 1) * n + 1) // 2) <= order:
+        term = numerator.div_factor(1, n).div_factor(-1, n).shift(e)
+        term = term + term.shift(n)  # times 1 + q^n
+        correction = correction - term if n % 2 == 1 else correction + term
+        n += 1
+    return correction
 
 
 def clear_memos():
