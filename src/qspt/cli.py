@@ -17,7 +17,7 @@ from . import __version__, identities
 from . import spt as sptmod
 from . import stats
 from .partitions import partition_count
-from .series import DiscrepancyError
+from .series import DiscrepancyError, read_down
 
 CACHE_ENV = "QSPT_CACHE"
 CACHE_VERSION = 1
@@ -200,9 +200,7 @@ def table(kind, j, index, n_max, fmt) -> None:
     if kind == "moment" and index % 2 == 1:
         click.echo("# odd moments vanish identically", err=True)
     stat = {"count": stats.count_njm, "moment": stats.moment, "symmetrized": stats.sym_mu}[kind]
-    # descending, so each series behind the table is built once, at n_max
-    rows = [(n, stat(j, index, n)) for n in range(n_max, -1, -1)]
-    _emit(rows[::-1], ("n", "value"), fmt)
+    _emit(read_down(lambda n: (n, stat(j, index, n)), 0, n_max), ("n", "value"), fmt)
 
 
 @main.command()

@@ -14,15 +14,16 @@ from . import spt as sptmod
 from . import stats
 from .laurent import LaurentPoly, build_jrank_gf, build_kn1_sides, symmetrized_extract
 from .partitions import _durfee_sides, _lower_durfee_sides, _walk, partition_count
+from .series import read_down
 
 
 def _rows(lhs, rhs, order, start=1, tag=""):
     """Rows (label, lhs(n), rhs(n), equal) for n = start..order."""
-    rows = []
-    for n in range(start, order + 1):
+    def row(n):
         a, b = lhs(n), rhs(n)
-        rows.append((f"n={n}{tag}", a, b, a == b))
-    return rows
+        return f"n={n}{tag}", a, b, a == b
+
+    return read_down(row, start, order)
 
 
 def _poly_str(p: LaurentPoly) -> str:
@@ -31,17 +32,17 @@ def _poly_str(p: LaurentPoly) -> str:
     return "+".join(f"{c}z^{m}" for m, c in sorted(p.terms.items())).replace("+-", "-")
 
 
+def _poly_rows(lhs, rhs, order, tag=""):
+    """The rows of :func:`_rows` for n = 0..order, their Laurent polynomials printed."""
+    return [(label, _poly_str(a), _poly_str(b), ok)
+            for label, a, b, ok in _rows(lhs, rhs, order, start=0, tag=tag)]
+
+
 def _verify_sptpn(j, k, r, order):
-    gf = sptmod.gf_spt(order)
-    weights = sptmod._spt_weight_row(1, order)  # read once, not rebuilt as n doubles
-    rows = []
-    for n in range(1, order + 1):
-        lhs = weights.coefficient(n)
-        rhs = sptmod.spt_j(1, n, "moments")
-        rows.append((f"n={n}", lhs, rhs, lhs == rhs))
-        g = gf.coefficient(n)
-        rows.append((f"n={n}:gf", g, lhs, g == lhs))
-    return rows, []
+    weights = sptmod._spt_weight_row(1, order).coefficient
+    rows = _rows(weights, lambda n: sptmod.spt_j(1, n, "moments"), order)
+    gf = _rows(sptmod.gf_spt(order).coefficient, weights, order, tag=":gf")
+    return [row for pair in zip(rows, gf) for row in pair], []
 
 
 def _verify_genn1(j, k, r, order):
@@ -66,21 +67,18 @@ def _verify_jgn(j, k, r, order):
 def _verify_sptdiff(j, k, r, order):
     if j < 2:
         raise ValueError("sptdiff needs j >= 2")
-    rows = []
-    for n in range(1, order + 1):
+
+    def row(n):
         lhs = sptmod.spt_j(j, n, "moments") - sptmod.spt_j(j - 1, n, "moments")
         diff, rem = divmod(stats.moment(j, 2, n) - stats.moment(j + 1, 2, n), 2)
-        rows.append((f"n={n}", lhs, diff, rem == 0 and lhs == diff))
-    return rows, []
+        return f"n={n}", lhs, diff, rem == 0 and lhs == diff
+
+    return read_down(row, 1, order), []
 
 
 def _verify_kn1(j, k, r, order):
     lhs, rhs = build_kn1_sides(j, order)
-    rows = []
-    for n in range(0, order + 1):
-        a, b = lhs.coefficient(n), rhs.coefficient(n)
-        rows.append((f"n={n}", _poly_str(a), _poly_str(b), a == b))
-    return rows, []
+    return _poly_rows(lhs.coefficient, rhs.coefficient, order), []
 
 
 def _verify_genjmu2k(j, k, r, order):
@@ -118,23 +116,19 @@ def _verify_relos(j, k, r, order):
 
 
 def _verify_fdyson(j, k, r, order):
-    rows = []
-    for n in range(2, order + 1):
+    def row(n):
         half, rem = divmod(stats.moment(1, 2, n), 2)
         lhs = n * partition_count(n)
-        rows.append((f"n={n}", lhs, half, rem == 0 and lhs == half))
-    return rows, ["n=1 is excluded: the identity is stated for n > 1 only"]
+        return f"n={n}", lhs, half, rem == 0 and lhs == half
+
+    return read_down(row, 2, order), ["n=1 is excluded: the identity is stated for n > 1 only"]
 
 
 def _verify_rk_forms(j, k, r, order):
-    nested = build_jrank_gf(j, order, "nested")
-    rows = []
-    for name in ("bilateral", "counts"):
-        other = build_jrank_gf(j, order, name)
-        for n in range(0, order + 1):
-            a, b = nested.coefficient(n), other.coefficient(n)
-            rows.append((f"n={n}:{name}", _poly_str(a), _poly_str(b), a == b))
-    return rows, []
+    nested = build_jrank_gf(j, order, "nested").coefficient
+    return [row for name in ("bilateral", "counts")
+            for row in _poly_rows(nested, build_jrank_gf(j, order, name).coefficient,
+                                  order, tag=f":{name}")], []
 
 
 def _strict_rr(a, lower) -> bool:
@@ -177,17 +171,14 @@ def _verify_lemma32(j, k, r, order):
 
 
 def _verify_genineq(j, k, r, order):
-    rows = []
-    first_zero_tail = None
-    for n in range(1, order + 1):
-        lhs = stats.moment(j, 2 * k, n)
-        rhs = stats.moment(j + 1, 2 * k, n)
-        rows.append((f"n={n}", lhs, rhs, lhs >= rhs))
-        if lhs == rhs:
-            first_zero_tail = n
-    threshold = 1 if first_zero_tail is None else first_zero_tail + 1
-    notes = [f"strict inequality holds for all tested n >= {threshold}"]
-    return rows, notes
+    def row(n):
+        lhs, rhs = stats.moment(j, 2 * k, n), stats.moment(j + 1, 2 * k, n)
+        return f"n={n}", lhs, rhs, lhs >= rhs
+
+    rows = read_down(row, 1, order)
+    # past the last tie, every row is strict
+    threshold = max((n + 1 for n, (_, lhs, rhs, _) in enumerate(rows, 1) if lhs == rhs), default=1)
+    return rows, [f"strict inequality holds for all tested n >= {threshold}"]
 
 
 IDENTITIES = {

@@ -178,6 +178,12 @@ def memo(builder):
     return wrapper
 
 
+def read_down(f, lo: int, hi: int) -> list:
+    """``[f(n) for n = lo..hi]``, evaluated from ``hi`` down: the first read of
+    each memoized series is then at its largest order, so it is built once."""
+    return [f(n) for n in range(hi, lo - 1, -1)][::-1]
+
+
 def _mul_one_minus(coeffs: list[int], exp: int) -> None:
     """In-place multiply a coefficient list by (1 - q**exp)."""
     for i in range(len(coeffs) - 1, exp - 1, -1):

@@ -30,6 +30,7 @@ from .series import (
     _square_chain,
     inv_pochhammer_inf,
     memo,
+    read_down,
 )
 from .stats import _sym_mu_column, gf_sym_mu, moment, sym_mu
 
@@ -448,5 +449,4 @@ class SptRequest:
     def values(self) -> list[int]:
         """Values for n = 1..n_max."""
         args = tuple(getattr(self, name) for name in FAMILIES[self.family].params)
-        # descending, so each series behind the route is built once, at n_max
-        return [_evaluate(self.family, args, n, self.route) for n in range(self.n_max, 0, -1)][::-1]
+        return read_down(lambda n: _evaluate(self.family, args, n, self.route), 1, self.n_max)

@@ -288,6 +288,27 @@ class TestVerify:
         assert lines[0] == "n,lhs,rhs,ok"
         assert lines[1] == "n=2,4,4,True"
 
+    def _labels(self, runner, args):
+        result = runner.invoke(main, ["verify", *args, "--format", "csv"])
+        assert result.exit_code == 0, result.output
+        return [line.split(",")[0] for line in result.output.splitlines()[1:]]
+
+    def test_sptpn_rows_interleave(self, runner):
+        # the rows are read from the top down but listed from n = 1 up
+        labels = self._labels(runner, ["sptpn", "--n-max", "30"])
+        assert labels == [f"n={n}{tag}" for n in range(1, 31) for tag in ("", ":gf")]
+
+    def test_rk_forms_rows_by_form(self, runner):
+        labels = self._labels(runner, ["Rk-forms", "--n-max", "12"])
+        assert labels == [f"n={n}:{form}" for form in ("bilateral", "counts")
+                          for n in range(13)]
+
+    @pytest.mark.parametrize("n_max", ["40", "300"])
+    def test_genineq_threshold_note(self, runner, n_max):
+        result = runner.invoke(main, ["verify", "genineq", "--n-max", n_max])
+        assert result.exit_code == 0
+        assert "# strict inequality holds for all tested n >= 2" in result.output.splitlines()
+
     def test_json_rows(self, runner):
         result = runner.invoke(main, ["verify", "relos", "--n-max", "4",
                                       "--format", "json"])

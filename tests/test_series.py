@@ -4,10 +4,11 @@ import itertools
 from math import isqrt
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qspt import laurent, series, spt, stats
+from qspt import cli, identities, laurent, series, spt, stats
 from qspt.series import (
     TruncSeries,
     gauss_binomial,
@@ -449,3 +450,37 @@ class TestMemo:
         values = spt.SptRequest("Spt_j", 60, j=2, route="gf").values()
         assert spt.gf_spt_j.cache_info().misses == 1
         assert values == [spt.spt_j(2, n, "moments") for n in range(1, 61)]
+
+
+def _table(kind, index):
+    def run():
+        result = CliRunner().invoke(cli.main, ["table", "--kind", kind, "--j", "2",
+                                               "--index", str(index), "--n-max", "120"])
+        assert result.exit_code == 0, result.output
+    return run
+
+
+# Every reader of values over n: each verifier at its default order and at 35,
+# each family's default route and each table kind at 120.
+READERS = [
+    *(pytest.param(lambda name=name, order=order: identities.verify(name, order=order),
+                   id=f"verify-{name}-{order or 'default'}")
+      for name in identities.IDENTITIES for order in (None, 35)),
+    *(pytest.param(lambda family=family, params=params:
+                   spt.SptRequest(family, 120, **params).values(), id=f"compute-{family}")
+      for family, params in {"p": {}, "spt": {}, "spt_k": {"k": 2}, "Spt_j": {"j": 2},
+                             "jspt_k": {"j": 2, "k": 2}}.items()),
+    *(pytest.param(_table(kind, index), id=f"table-{kind}")
+      for kind, index in (("count", 3), ("moment", 4), ("symmetrized", 4))),
+]
+
+
+class TestOneBuildPerKey:
+    @pytest.mark.parametrize("reader", READERS)
+    def test_reader_builds_each_series_once(self, reader):
+        # a reader that reads n upward rebuilds each series at doubling orders
+        clear_memos()
+        reader()
+        rebuilt = {fn.__qualname__: fn.cache_info() for fn in memoized()
+                   if fn.cache_info().misses != fn.cache_info().currsize}
+        assert not rebuilt
