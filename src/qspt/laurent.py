@@ -392,7 +392,7 @@ def build_kn1_sides(j: int, order: int) -> tuple[BiSeries, BiSeries]:
     # (z)_o (z^{-1})_o grows by the factors at q^o from o to o + 1, so the
     # sum over o is a Horner suffix sum: acc = S_o + (1-zq^o)(1-z^{-1}q^o) acc.
     chain = _square_chain(j - 1, _difference_step, order)
-    sums = _link_sums(chain, _difference_step, range(order + 1), lambda o: order - o)
+    sums = list(_link_sums(chain, _difference_step, range(order + 1), lambda o: order - o))
     lhs = BiSeries.zero(order)
     for outer in range(order, -1, -1):
         lhs = lhs.mul_factor(1, outer).mul_factor(-1, outer)

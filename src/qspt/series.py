@@ -14,7 +14,7 @@ import inspect
 from collections import namedtuple
 from math import comb, isqrt
 from operator import add
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class DiscrepancyError(ArithmeticError):
@@ -216,6 +216,7 @@ def pochhammer_finite(a_exp: int, n: int, order: int) -> TruncSeries:
     return _pochhammer(a_exp, n, order, _mul_one_minus)
 
 
+@memo
 def pochhammer_inf(a_exp: int, order: int) -> TruncSeries:
     """(q**a_exp; q)_infinity truncated at ``order``.
 
@@ -223,7 +224,7 @@ def pochhammer_inf(a_exp: int, order: int) -> TruncSeries:
     the retained coefficients.  a_exp = 0 would make the product vanish
     identically, so it is rejected.
     """
-    return pochhammer_finite(a_exp, order + 1, order)
+    return _pochhammer(a_exp, order + 1, order, _mul_one_minus)
 
 
 @memo
@@ -278,46 +279,42 @@ def _difference_step(run: list[int], x: int, y: int) -> None:
 def _binomial_step(run: list[int], x: int, y: int) -> None:
     """Move the link [max(x, y), min(x, y)] on as x moves one index away from y:
     [x, y] = [x - 1, y] (1 - q**x) / (1 - q**(x - y)) for x > y, and
-    [y, x] = [y, x + 1] (1 - q**(x + 1)) / (1 - q**(y - x)) for x < y."""
-    _mul_one_minus(run, x if x > y else x + 1)
-    _div_one_minus(run, abs(x - y))
+    [y, x] = [y, x + 1] (1 - q**(x + 1)) / (1 - q**(y - x)) for x < y; [x, 0] = 1."""
+    if y:
+        _mul_one_minus(run, x if x > y else x + 1)
+        _div_one_minus(run, abs(x - y))
 
 
-def _link_sums(chain: dict[int, TruncSeries], step, xs: range, reach,
-               power: int = 0) -> dict[int, list[int]]:
-    """For each x of ``xs``, the sum of link(max(x, y), min(x, y)) * chain[y] *
-    (q)_x**power over the ends y of ``chain`` that x has reached, as a
-    coefficient list truncated at ``reach(x)``.
+def _link_sums(chain: dict[int, TruncSeries], step, xs: range, reach) -> Iterator[list[int]]:
+    """For each x of ``xs`` in turn, the sum of link(max(x, y), min(x, y)) * chain[y]
+    over the ends y of ``chain`` that x has reached, as a coefficient list
+    truncated at ``reach(x)``.
 
     ``xs`` runs up (y is reached when y <= x) or down (when y >= x) by one,
-    from no further than one index short of the nearest end.  Each end keeps
-    one running list, moved from the previous x to x in place by
-    ``step(run, x, y)``, where link(y, y) = 1; ``power`` passes of (1 - q**x)
-    per x carry (q)_x on an ascending pass that starts at x = 1.  The reach of
-    an ascending pass falls as x grows, so its lists are cut to it as they go,
-    and an end with y*y above it is skipped: chain[y] carries the factor
-    q**(y*y), so nothing of it is left below the reach.
+    from no further than one index short of the nearest end.  chain[y] carries
+    the factor q**(y*y), so each end keeps one running list from q**(y*y) on,
+    moved from the previous x to x in place by ``step(run, x, y)``, where
+    link(y, y) = 1.  The reach of an ascending pass falls as x grows, so its
+    lists are cut to it as they go, and an end with y*y above it is skipped.
     """
     descending = xs.step < 0
-    runs = {y: list(s.coeffs) for y, s in chain.items()}
-    sums = {}
+    runs = {y: list(s.coeffs[y * y:]) for y, s in chain.items()}
     for x in xs:
         top = reach(x) + 1
-        acc = [0] * top
+        acc = None
         for y, run in runs.items():
+            yy = y * y
+            if y < x if descending else y > x or yy >= top:
+                continue
             if not descending:
-                if y * y >= top:
-                    continue
-                del run[top:]
-            reached = y >= x if descending else y <= x
-            if reached and y != x:
+                del run[top - yy:]
+            if y != x:
                 step(run, x, y)
-            for _ in range(power):
-                _mul_one_minus(run, x)
-            if reached:
-                acc = list(map(add, acc, run))
-        sums[x] = acc
-    return sums
+            if acc is None:
+                acc = ([0] * yy + run)[:top]
+            else:
+                acc[yy:] = map(add, acc[yy:], run)
+        yield acc or [0] * top
 
 
 def _square_chain(levels: int, step, order: int, lo: int = 0,
@@ -341,30 +338,41 @@ def _square_chain(levels: int, step, order: int, lo: int = 0,
         ends = ends[::-1]
     for _ in range(levels):
         chain = {x: TruncSeries([0] * (x * x) + acc)
-                 for x, acc in _link_sums(chain, step, ends, lambda x: order - x * x).items()}
+                 for x, acc in zip(ends, _link_sums(chain, step, ends, lambda x: order - x * x))}
     return chain
 
 
-def _linear_chain(seeds: dict[int, list[int]], k: int, order: int) -> TruncSeries:
-    """sum over 1 <= n_1 <= ... <= n_k of seeds[n_1] * prod q**n_i / (1 - q**n_i)**2.
+def _linear_chain(seeds: Iterable[list[int]], k: int, order: int, power: int = 0) -> TruncSeries:
+    """sum over 1 <= n_1 <= ... <= n_k of seeds[n_1] * prod q**n_i / (1 - q**n_i)**2
+    / (q**(n_1 + 1))_inf**power, for power <= 2.
 
-    Each seeds[a] is a coefficient list reaching order - k * a at least.  The
-    sums S_r(a) over the chains with n_r <= a follow S_0(a) = seeds[a] and
-    S_r(a) = S_r(a - 1) + q**a / (1 - q**a)**2 * S_{r-1}(a); the k - r indices
-    after n_r are each >= a, so S_r(a) is needed only to order - (k - r) * a.
+    ``seeds`` yields seeds[1], seeds[2], ... in turn, so that only one is held
+    at a time; each is a coefficient list reaching order - k * a at least, or
+    empty (as are those after the last) where there is no seed.  The
+    sums S_r(a) over the chains with n_r <= a, each over (q**(n_1 + 1))_a**power,
+    follow S_0(a) = seeds[a] and S_r(a) = (S_r(a - 1) + q**a * S_{r-1}(a) /
+    (1 - q**a)**(2 - power)) / (1 - q**a)**power; the k - r indices after n_r
+    are each >= a, so S_r(a) is needed only to order - (k - r) * a.
     """
     if k > order:
         return TruncSeries.zero(order)  # every chain weighs at least k
     runs = [[0] * (order + 1) for _ in range(k)]
+    seeds = iter(seeds)
     for a in range(1, order + 1):
-        src = seeds.get(a, ())
+        src = next(seeds, ())
         for r, run in enumerate(runs):
-            reach = order - (k - r) * a
-            if reach >= 0 and src:
-                term = list(src[: reach + 1])
-                _div_one_minus(term, a)
-                _div_one_minus(term, a)
-                for i, c in enumerate(term, a):  # a + reach <= order
-                    run[i] += c
+            reach = order - (k - r) * a  # runs[r] is needed to a + reach
+            if reach >= 0:
+                del run[a + reach + 1:]
+                term = list(src[: reach + 1]) or [0] * (reach + 1)
+                for _ in range(2 - power):
+                    _div_one_minus(term, a)
+                if power:  # add q**a * term and divide by 1 - q**a in one pass
+                    for i, c in enumerate(term, a):
+                        run[i] += c + run[i - a]
+                else:
+                    run[a:] = map(add, run[a:], term)
+                for _ in range(power - 1):
+                    _div_one_minus(run, a)
             src = run
     return TruncSeries(runs[-1])

@@ -28,8 +28,8 @@ from .series import (
     _link_sums,
     _linear_chain,
     _square_chain,
-    inv_pochhammer_inf,
     memo,
+    pochhammer_inf,
     read_down,
 )
 from .stats import _sym_mu_column, gf_sym_mu, moment, sym_mu
@@ -207,14 +207,16 @@ def _chain_gf(levels: int, lo: int, form: str, k: int, order: int) -> TruncSerie
     """The nested sum behind the smallest-part generating functions: over
     lo <= n_1 <= ... <= n_levels <= c = m_1 <= ... <= m_k, c >= 1, of
     q**(n_1**2 + ... + n_levels**2) link(n_1, 0) ... link(c, n_levels) (q)_c**power
-    prod q**m_i / (1 - q**m_i)**2, with the link and power of ``form``.  A
-    factor 1/(q**(c+1))_inf is (q)_c/(q)_inf.
+    / (q)_inf prod q**m_i / (1 - q**m_i)**2, with the link and power of ``form``:
+    the linear chain carries (q)_c**power / (q)_inf**power = 1/(q**(c+1))_inf**power,
+    so the nested form (power 2) ends in one sparse product with (q)_inf.
     """
     step, power = _FORMS[form]
     chain = _square_chain(levels, step, order, lo)
     # m_2, ..., m_k weigh at least c each
-    seeds = _link_sums(chain, step, range(1, order // k + 1), lambda c: order - k * c, power)
-    return _linear_chain(seeds, k, order)
+    seeds = _link_sums(chain, step, range(1, order // k + 1), lambda c: order - k * c)
+    out = _linear_chain(seeds, k, order, power)
+    return out if power == 1 else pochhammer_inf(1, order) * out
 
 
 @memo
@@ -222,7 +224,7 @@ def gf_spt_j(j: int, order: int) -> TruncSeries:
     """The defining Gaussian-binomial sum for the Spt_j family."""
     if j < 1:
         raise ValueError("j must be >= 1")
-    return inv_pochhammer_inf(1, order) * _chain_gf(j - 1, 0, "binomial", 1, order)
+    return _chain_gf(j - 1, 0, "binomial", 1, order)
 
 
 @memo
@@ -235,7 +237,7 @@ def gf_genn1_lhs(j: int, order: int) -> TruncSeries:
     """
     if j < 1:
         raise ValueError("j must be >= 1")
-    return inv_pochhammer_inf(1, order) * _chain_gf(j - 1, 0, "nested", 1, order)
+    return _chain_gf(j - 1, 0, "nested", 1, order)
 
 
 @memo
@@ -291,7 +293,7 @@ def gf_jspt_k(j: int, k: int, order: int, form: str = "nested") -> TruncSeries:
         raise ValueError("j and k must be >= 1")
     if form not in _FORMS:
         raise ValueError(f"unknown form {form!r}")
-    return inv_pochhammer_inf(1, order) * _chain_gf(j - 1, 1, form, k, order)
+    return _chain_gf(j - 1, 1, form, k, order)
 
 
 def jspt_k(j: int, k: int, n: int, route: str = "moments") -> int:
@@ -309,9 +311,8 @@ def appbp_sides(r: int, k: int, order: int) -> tuple[TruncSeries, TruncSeries]:
     """Both sides of the specialized Bailey-pair series identity."""
     if r < 1 or k < 1:
         raise ValueError("r and k must be >= 1")
-    lhs = _chain_gf(r - 1, 0, "nested", k, order)
-    rhs = _linear_chain(dict.fromkeys(range(1, order + 1), TruncSeries.one(order).coeffs),
-                        k, order)
+    lhs = pochhammer_inf(1, order) * _chain_gf(r - 1, 0, "nested", k, order)
+    rhs = _linear_chain([[1] + [0] * order] * order, k, order)
     # the correction's exponent n(n-1)/2 + rn^2 + kn is the (r+1)-rank one
     rhs = rhs - TruncSeries(_sym_mu_column(r + 1, k, order))
     return lhs, rhs

@@ -108,7 +108,7 @@ def sym_mu(j: int, k: int, n: int) -> int:
     """The k-th symmetrized j-rank moment, binom(m + floor((k-1)/2), k)-weighted."""
     if j < 1 or k < 1:
         raise ValueError("j and k must be >= 1")
-    if k % 2 == 1 or n < 0:  # an odd k weighs m oddly, so the symmetric counts cancel
+    if k % 2 == 1 or n < j - 1 + k // 2:  # odd k cancels; the column starts at q**(j-1+k/2)
         return 0
     return gf_sym_mu(j, k // 2, n).coefficient(n)
 

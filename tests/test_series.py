@@ -18,7 +18,13 @@ from qspt.series import (
     pochhammer_finite,
     pochhammer_inf,
 )
-from tuple_sums import difference_link, link_sum, weighted_tuples
+from tuple_sums import (
+    chain_gf_per_end,
+    difference_link,
+    link_sum,
+    link_sums_per_end,
+    weighted_tuples,
+)
 
 ORDER = 8
 
@@ -252,16 +258,21 @@ class TestGaussBinomial:
             assert max(nonzero) == m * (n - m)
 
 
+# The chain link of each form, one dense link product from the lower to the upper index.
+LINKS = {"nested": difference_link, "binomial": gauss_binomial}
+
+
 class TestWeightedTuples:
     """The chain recursions sum over the same index sets as the brute force:
     weakly increasing tuples lo <= t_1 <= ..., the first n_square entries
     weighing t**2 and the rest t, of total weight <= bound."""
 
     @staticmethod
-    def brute_force(n_square, n_linear, bound, lo):
-        # each tuple contributes q**weight, the Gaussian-binomial links from 0
-        # through its square entries to the first linear one c, (q)_c and
-        # 1/(1 - q**t)**2 per linear entry (the binomial form of the chain sums)
+    def brute_force(n_square, n_linear, bound, lo, form="binomial"):
+        # each tuple contributes q**weight, the form's links from 0 through its
+        # square entries to the first linear one c, (q)_c**power and
+        # 1/(1 - q**t)**2 per linear entry: the chain sums before 1/(q)_inf
+        power = spt._FORMS[form][1]
         acc = TruncSeries.zero(bound)
         for tup in weighted_tuples(n_square, n_linear, bound, lo):
             if 0 in tup[n_square:]:
@@ -269,10 +280,10 @@ class TestWeightedTuples:
             term = TruncSeries.monomial(sum(v * v for v in tup[:n_square]) + sum(tup[n_square:]),
                                         bound)
             for a, b in zip((0,) + tup[:n_square], tup[: n_square + 1]):
-                term = term * gauss_binomial(b, a, bound)
+                term = term * LINKS[form](b, a, bound)
             for v in tup[n_square:]:
                 term = term * inv_one_minus(v, bound, 2)
-            if n_linear:
+            for _ in range(power if n_linear else 0):
                 term = term * pochhammer_finite(1, tup[n_square], bound)
             acc = acc + term
         return acc
@@ -285,29 +296,115 @@ class TestWeightedTuples:
         plain = [t for t in itertools.combinations_with_replacement(range(lo, 31), n_square + n_linear)
                  if sum(v * v for v in t[:n_square]) + sum(t[n_square:]) <= 30]
         assert list(weighted_tuples(n_square, n_linear, 30, lo)) == plain
-        expected = self.brute_force(n_square, n_linear, 30, lo)
+        for form, (step, _) in spt._FORMS.items():
+            expected = self.brute_force(n_square, n_linear, 30, lo, form)
+            for bound in range(31):
+                clear_memos()
+                if n_linear:  # _chain_gf divides by (q)_inf
+                    got = pochhammer_inf(1, bound) * spt._chain_gf(n_square, lo, form, n_linear,
+                                                                    bound)
+                else:
+                    chain = series._square_chain(n_square, step, bound, lo)
+                    got = sum(chain.values(), TruncSeries.zero(bound))
+                assert got == expected.truncate(bound), (form, bound)
+
+
+class TestChainPower:
+    """The linear chain carries the forms' (q)_c**power as 1/(q**(c+1))_inf**power,
+    so the builders need no product with 1/(q)_inf: each equals the formula it
+    replaced, 1/(q)_inf times the chain sum whose every end carries (q)_c**power
+    (tuple_sums.chain_gf_per_end)."""
+
+    @pytest.mark.parametrize("lo", [0, 1])
+    @pytest.mark.parametrize("k", range(1, 5))
+    @pytest.mark.parametrize("levels", range(4))
+    @pytest.mark.parametrize("form", sorted(spt._FORMS))
+    def test_chain_gf_matches_per_end_power(self, form, levels, k, lo):
         for bound in range(31):
             clear_memos()
-            if n_linear:
-                got = spt._chain_gf(n_square, lo, "binomial", n_linear, bound)
-            else:
-                chain = series._square_chain(n_square, series._binomial_step, bound, lo)
-                got = sum(chain.values(), TruncSeries.zero(bound))
-            assert got == expected.truncate(bound), bound
+            expected = inv_pochhammer_inf(1, bound) * chain_gf_per_end(levels, lo, form, k, bound)
+            assert spt._chain_gf(levels, lo, form, k, bound) == expected, bound
+
+    @given(data=st.data(), order=st.integers(0, 30), k=st.integers(1, 4),
+           power=st.integers(0, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_linear_chain_matches_brute_force(self, data, order, k, power):
+        # seeds[a] reaches order - k * a; some a have no seed
+        seeds = {a: data.draw(st.lists(st.integers(-9, 9), min_size=order - k * a + 1,
+                                       max_size=order - k * a + 1))
+                 for a in data.draw(st.sets(st.integers(1, max(order // k, 1))))
+                 if k * a <= order}
+        got = series._linear_chain((seeds.get(a, []) for a in range(1, order + 1)), k, order,
+                                   power)
+        expected = TruncSeries.zero(order)
+        for tup in weighted_tuples(0, k, order):
+            if tup[0] not in seeds:
+                continue
+            term = TruncSeries(seeds[tup[0]] + [0] * (k * tup[0])).shift(sum(tup))
+            for v in tup:
+                term = term * inv_one_minus(v, order, 2)
+            for _ in range(power):
+                term = term * inv_pochhammer_inf(tup[0] + 1, order)
+            expected = expected + term
+        assert got == expected
+        # the formula it replaced: (q)_a**power on each seed, 1/(q)_inf**power after
+        carried = {}
+        for a, s in seeds.items():
+            seed = TruncSeries(s + [0] * (k * a))
+            for _ in range(power):
+                seed = seed * pochhammer_finite(1, a, order)
+            carried[a] = seed.coeffs
+        old = series._linear_chain((carried.get(a, []) for a in range(1, order + 1)), k, order)
+        for _ in range(power):
+            old = inv_pochhammer_inf(1, order) * old
+        assert got == old
+
+    # (builder, its parameters, the _chain_gf arguments of the formula it replaced)
+    BUILDERS = [
+        *[(spt.gf_spt_j, (j,), (j - 1, 0, "binomial", 1)) for j in (1, 2, 3)],
+        *[(spt.gf_genn1_lhs, (j,), (j - 1, 0, "nested", 1)) for j in (1, 2, 3)],
+        *[(lambda j, k, n, f=form: spt.gf_jspt_k(j, k, n, f), (j, k), (j - 1, 1, form, k))
+          for form in ("nested", "binomial") for j in (1, 2, 3) for k in (1, 2)],
+    ]
+
+    @pytest.mark.parametrize("order", [0, 1, 9, 40, 80])
+    def test_builders_match_the_old_formula(self, order):
+        for builder, params, chain_args in self.BUILDERS:
+            clear_memos()
+            expected = inv_pochhammer_inf(1, order) * chain_gf_per_end(*chain_args, order)
+            assert builder(*params, order) == expected, (params, chain_args)
+        for r, k in itertools.product((1, 2, 3), (1, 2, 3)):
+            clear_memos()
+            lhs, _ = spt.appbp_sides(r, k, order)
+            assert lhs == chain_gf_per_end(r - 1, 0, "nested", k, order), (r, k)
+
+    def test_gf_routes_read_no_moments_kernel(self, monkeypatch):
+        # the gf routes are independent of the moments routes: no 1/(q)_inf, no stats kernel
+        def refuse(*args):
+            raise AssertionError("a gf route read a moments-route kernel")
+
+        for mod in (series, spt, stats):
+            for name in ("inv_pochhammer_inf", "gf_sym_mu", "_sym_mu_column", "sym_mu",
+                         "moment", "gf_njm", "_njm_column"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, refuse)
+        clear_memos()
+        spt.gf_spt_j(3, 60)
+        spt.gf_genn1_lhs(3, 60)
+        for form in spt._FORMS:
+            spt.gf_jspt_k(2, 2, 60, form)
 
 
 class TestLinkSums:
     """The running link sums equal one dense link product per pair of chain
-    ends (tuple_sums.link_sum), for both steps, ascending and descending."""
+    ends (tuple_sums.link_sum), for both steps, ascending and descending; so do
+    the oracle's per-end sums (tuple_sums.link_sums_per_end) times (q)_x**power."""
 
-    STEPS = {"nested": (series._difference_step, difference_link),
-             "binomial": (series._binomial_step, gauss_binomial)}
-
-    @given(data=st.data(), order=st.integers(0, 30), form=st.sampled_from(sorted(STEPS)),
+    @given(data=st.data(), order=st.integers(0, 30), form=st.sampled_from(sorted(LINKS)),
            lo=st.integers(0, 1), descending=st.booleans())
     @settings(max_examples=80, deadline=None)
     def test_matches_per_pair_products(self, data, order, form, lo, descending):
-        step, link = self.STEPS[form]
+        step, link = spt._FORMS[form][0], LINKS[form]
         top = isqrt(order)
         ends = data.draw(st.sets(st.integers(lo, top)) if lo <= top else st.just(set()))
         # each chain end y carries the factor q**(y*y), as the chain recursions' do
@@ -325,18 +422,21 @@ class TestLinkSums:
             stop = top if weight == "square" else order // weight
             xs = range(start, stop + 1)
         reach = (lambda x: order - x * x) if weight == "square" else (lambda x: order - weight * x)
-        got = series._link_sums(chain, step, xs, reach, power)
-        assert list(got) == list(xs)
+        got = dict(zip(xs, series._link_sums(chain, step, xs, reach)))
+        per_end = link_sums_per_end(chain, step, xs, reach, power)
+        assert list(got) == list(per_end) == list(xs)
         for x in xs:
             expected = link_sum(x, chain, link, reach(x), descending=descending)
+            assert TruncSeries(got[x]) == expected, x
             for _ in range(power):
                 expected = expected * pochhammer_finite(1, x, reach(x))
-            assert TruncSeries(got[x]) == expected, x
+            assert TruncSeries(per_end[x]) == expected, x
 
 
 # Every memoized builder, with sample arguments: (builder, before order, after order).
 SERIES_BUILDERS = [
     (series.pochhammer_finite, (2, 5), ()),
+    (series.pochhammer_inf, (1,), ()),
     (series.inv_pochhammer_inf, (1,), ()),
     (series.inv_pochhammer_finite, (1, 4), ()),
     (series.inv_one_minus, (3,), (2,)),

@@ -7,9 +7,11 @@ solve over the g_k polynomials, which lives here as its oracle.
 import math
 
 import pytest
+from click.testing import CliRunner
 
 import tuple_sums
 from qspt import stats
+from qspt.cli import main
 from qspt.partitions import Partition, enumerate_partitions, partition_count, successive_durfee
 from qspt.stats import (
     count_njm,
@@ -231,6 +233,19 @@ class TestSymmetrizedMoments:
                         for m in range(-n, n + 1)
                     )
                     assert sym_mu(j, k, n) == direct
+
+    def test_columns_past_n_are_not_built(self):
+        # the column of the 2k-th moments starts at q^(j - 1 + k), so past n sym_mu
+        # is 0 without a gf_sym_mu entry; verify jgn reads only such columns
+        stats.gf_sym_mu.cache_clear()
+        result = CliRunner().invoke(main, ["verify", "jgn", "--n-max", "200"])
+        assert result.exit_code == 0
+        assert result.output == "PASS jgn (order 200, 200 checks)\n"
+        assert stats.gf_sym_mu.cache_info().currsize == 0
+        for j in (1, 2, 5):
+            for k in (2, 4, 6):
+                for n in range(j + k // 2 + 1):
+                    assert sym_mu(j, k, n) == gf_sym_mu(j, k // 2, n).coefficient(n), (j, k, n)
 
     @pytest.mark.parametrize("j", [0, -1])
     def test_rejects_nonpositive_j(self, j):

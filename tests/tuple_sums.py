@@ -6,13 +6,17 @@ series the slow, plain way: every weakly increasing index tuple of bounded
 weight, found by ``itertools.combinations_with_replacement`` and a weight
 filter, contributes one term built by dense products.  ``link_sum`` is the
 same for one level: one dense link product per pair of chain ends.
-``signed_sum`` and ``kn1_correction`` sum the bilateral sums one term per n,
-the oracles for the column writers of ``qspt.stats`` and their layouts.
+``link_sums_per_end`` and ``chain_gf_per_end`` keep the power of (q)_c that
+the smallest-part forms carry in every chain end, where ``qspt.spt`` carries
+it once in the linear chain.  ``signed_sum`` and ``kn1_correction`` sum the
+bilateral sums one term per n, the oracles for the column writers of
+``qspt.stats`` and their layouts.
 """
 
 import functools
 import itertools
 from math import isqrt
+from operator import add
 
 from qspt import laurent, series, spt, stats
 from qspt.series import (
@@ -42,6 +46,42 @@ def link_sum(x, chain, link, order, shift=0, descending=False):
             for i, c in enumerate(term.coeffs, shift):
                 acc[i] += c
     return TruncSeries(acc)
+
+
+def link_sums_per_end(chain, step, xs, reach, power=0):
+    """The running link sums of ``series._link_sums`` times (q)_x**power: every
+    end keeps a full-length list and takes ``power`` passes of (1 - q**x) per x,
+    reached or not, so an ascending pass must start at x = 1 when power > 0."""
+    descending = xs.step < 0
+    runs = {y: list(s.coeffs) for y, s in chain.items()}
+    sums = {}
+    for x in xs:
+        top = reach(x) + 1
+        acc = [0] * top
+        for y, run in runs.items():
+            if not descending:
+                if y * y >= top:
+                    continue
+                del run[top:]
+            reached = y >= x if descending else y <= x
+            if reached and y != x:
+                step(run, x, y)
+            for _ in range(power):
+                series._mul_one_minus(run, x)
+            if reached:
+                acc = list(map(add, acc, run))
+        sums[x] = acc
+    return sums
+
+
+def chain_gf_per_end(levels, lo, form, k, order):
+    """The nested sum of ``spt._chain_gf`` times (q)_inf, its (q)_c**power carried
+    by every chain end of the last link sum, the linear chain carrying none."""
+    step, power = spt._FORMS[form]
+    chain = series._square_chain(levels, step, order, lo)
+    seeds = link_sums_per_end(chain, step, range(1, order // k + 1),
+                              lambda c: order - k * c, power)
+    return series._linear_chain(seeds.values(), k, order)
 
 
 def weighted_tuples(n_square, n_linear, bound, lo=1):
