@@ -8,23 +8,25 @@ Every bivariate product and quotient in these builders is by one-term
 factors (1 - z**a * q**e), so the builders apply them with the factor kernels
 ``BiSeries.mul_factor`` and ``BiSeries.div_factor``: one pass over the rows,
 O(N * width) each, where a general ``BiSeries`` product or inverse costs
-O(N**2 * width**2).  The general ``__mul__`` and ``inverse`` remain, and the
-tests pin the kernels and builders to them.  The scalar series of the nested
-j-rank sum and of the kn1 left side are the chain recursions of the spt builders.
-The nested j-rank sum meets its bivariate factors by Horner over its first
-index t, two division passes per t (the rank function is its j = 2 case).  The
-bilateral and count forms and the kn1 correction (at j + 1) lay the z^|m| columns
-of ``qspt.stats._njm_column`` out as rows through one layout, ``_from_columns``.
+O(N**2 * width**2).  The general ``__mul__`` and ``inverse`` are those of the
+series algebra ``qspt.series._Series``, which ``BiSeries`` shares with
+``TruncSeries``; the tests pin the kernels and builders to them.  The scalar
+series of the nested j-rank sum and of the kn1 left side are the chain
+recursions of the spt builders.  The nested j-rank sum meets its bivariate
+factors by Horner over its first index t, two division passes per t (the rank
+function is its j = 2 case).  The bilateral and count forms and the kn1
+correction (at j + 1) lay the z^|m| columns of ``qspt.stats._njm_column`` out
+as rows through one layout, ``_from_columns``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 from .series import (
     DiscrepancyError,
     TruncSeries,
+    _Series,
     _difference_step,
     _link_sums,
     _square_chain,
@@ -78,8 +80,8 @@ class LaurentPoly:
     def const(cls, c: int) -> "LaurentPoly":
         return cls({0: c})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         return _add_shifted(self, other)
@@ -154,77 +156,20 @@ _LP_ZERO = LaurentPoly()
 _LP_ONE = LaurentPoly.const(1)
 
 
-class BiSeries:
+class BiSeries(_Series):
     """A series in q truncated at order N whose coefficients are Laurent polynomials."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[LaurentPoly]):
-        self.coeffs: tuple[LaurentPoly, ...] = tuple(coeffs)
-        if not self.coeffs:
-            raise ValueError("a bivariate series needs at least the q^0 coefficient")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def zero(cls, order: int) -> "BiSeries":
-        return cls([_LP_ZERO] * (order + 1))
-
-    @classmethod
-    def one(cls, order: int) -> "BiSeries":
-        return cls([_LP_ONE] + [_LP_ZERO] * order)
+    __slots__ = ()
+    _zero, _one = _LP_ZERO, _LP_ONE
+    _unit_inverse = staticmethod(LaurentPoly.unit_inverse)
+    # perfbench/layers.py patches each traced method in its own class's
+    # __dict__, so the traced methods are bound here as well as in _Series
+    __mul__ = _Series.__mul__
+    inverse = _Series.inverse
 
     @classmethod
     def from_series(cls, s: TruncSeries) -> "BiSeries":
         return cls([LaurentPoly.const(c) for c in s.coeffs])
-
-    def coefficient(self, n: int) -> LaurentPoly:
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient index {n} outside 0..{self.order}")
-        return self.coeffs[n]
-
-    def truncate(self, order: int) -> "BiSeries":
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return BiSeries(self.coeffs[: order + 1])
-
-    def shift(self, exp: int) -> "BiSeries":
-        """Multiply by ``q**exp``, keeping the truncation order."""
-        if exp < 0:
-            raise ValueError("shift exponent must be nonnegative")
-        n = self.order
-        if exp > n:
-            return BiSeries.zero(n)
-        return BiSeries([_LP_ZERO] * exp + list(self.coeffs[: n + 1 - exp]))
-
-    def __add__(self, other: "BiSeries") -> "BiSeries":
-        return BiSeries([_add_shifted(a, b) for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "BiSeries") -> "BiSeries":
-        return BiSeries([_add_shifted(a, b, 0, -1) for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self) -> "BiSeries":
-        return BiSeries([-c for c in self.coeffs])
-
-    def __mul__(self, other: "BiSeries") -> "BiSeries":
-        n = min(self.order, other.order)
-        out: list[dict[int, int]] = [dict() for _ in range(n + 1)]
-        for i in range(n + 1):
-            a = self.coeffs[i]
-            if a.is_zero():
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b.is_zero():
-                    continue
-                acc = out[i + j]
-                for m1, c1 in a.terms.items():
-                    for m2, c2 in b.terms.items():
-                        k = m1 + m2
-                        acc[k] = acc.get(k, 0) + c1 * c2
-        return BiSeries([LaurentPoly(d) for d in out])
 
     def mul_series(self, s: TruncSeries) -> "BiSeries":
         """Multiply by a pure-q series (much cheaper than a full product)."""
@@ -235,19 +180,6 @@ class BiSeries:
                 continue
             for i in range(n + 1 - j):
                 out[i + j] = _add_shifted(out[i + j], self.coeffs[i], 0, c)
-        return BiSeries(out)
-
-    def inverse(self) -> "BiSeries":
-        """Inverse when the q^0 coefficient is an invertible monomial +-z^m."""
-        lead_inv = self.coeffs[0].unit_inverse()
-        n = self.order
-        out: list[LaurentPoly] = [lead_inv] + [_LP_ZERO] * n
-        for i in range(1, n + 1):
-            acc = _LP_ZERO
-            for j in range(1, i + 1):
-                if not self.coeffs[j].is_zero():
-                    acc = acc + self.coeffs[j] * out[i - j]
-            out[i] = -(lead_inv * acc)
         return BiSeries(out)
 
     def mul_factor(self, z_exp: int, q_exp: int) -> "BiSeries":
@@ -275,9 +207,6 @@ class BiSeries:
         for i in range(q_exp, len(out)):
             out[i] = _add_shifted(out[i], out[i - q_exp], z_exp, 1)
         return BiSeries(out)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, BiSeries) and self.coeffs == other.coeffs
 
     def __repr__(self) -> str:
         return f"BiSeries(order={self.order})"

@@ -98,6 +98,8 @@ def dense_kn1_sides(j, order):
 
 laurent_polys = st.dictionaries(st.integers(-4, 4), st.integers(-5, 5), max_size=4).map(lp)
 bi_series = st.lists(laurent_polys, min_size=1, max_size=11).map(BiSeries)
+int_series = st.lists(st.integers(-9, 9), min_size=1, max_size=11).map(TruncSeries)
+laurent_units = st.builds(lambda m, c: lp({m: c}), st.integers(-4, 4), st.sampled_from([1, -1]))
 
 
 class TestIntegerBinomial:
@@ -135,6 +137,10 @@ class TestLaurentPoly:
             lp({0: 2}).unit_inverse()
         with pytest.raises(ValueError):
             lp({0: 1, 1: 1}).unit_inverse()
+
+    def test_truth_value_is_nonzero(self):
+        assert not lp({}) and not lp({3: 0})
+        assert lp({-1: 2}) and lp({0: -1})
 
 
 class TestAddShifted:
@@ -191,10 +197,57 @@ class TestBiSeries:
         with pytest.raises(ValueError, match="shift exponent must be nonnegative"):
             series.shift(-2)
 
+    @pytest.mark.parametrize("cls", [TruncSeries, BiSeries])
+    @pytest.mark.parametrize("order", [-1, -3])
+    def test_negative_truncation_raises(self, cls, order):
+        # truncate(-3) once sliced from the end: an order-5 series came back at order 2
+        with pytest.raises(ValueError, match=f"truncation order {order} is negative"):
+            cls.one(5).truncate(order)
+
     def test_mul_series_matches_full_mul(self):
         a = build_crank_gf(6)
         s = pochhammer_inf(1, 6)
         assert a.mul_series(s) == a * BiSeries.from_series(s)
+
+
+class TestSharedAlgebra:
+    """TruncSeries and BiSeries share one product and one inverse loop
+    (qspt.series._Series); each is pinned to the loop its ring had of its own
+    (tuple_sums), the int product also through the dict loop of BiSeries."""
+
+    @given(a=bi_series, b=bi_series)
+    @settings(max_examples=200, deadline=None)
+    def test_bi_product_matches_dict_loop(self, a, b):
+        assert a * b == tuple_sums.bi_product(a, b)
+
+    @given(a=bi_series, lead=laurent_units)
+    @settings(max_examples=200, deadline=None)
+    def test_bi_inverse_matches_own_loop(self, a, lead):
+        unit = BiSeries((lead,) + a.coeffs[1:])
+        assert unit.inverse() == tuple_sums.bi_inverse(unit)
+
+    @given(a=int_series, b=int_series)
+    @settings(max_examples=200, deadline=None)
+    def test_int_product_matches_dict_loop(self, a, b):
+        lifted = tuple_sums.bi_product(BiSeries.from_series(a), BiSeries.from_series(b))
+        assert BiSeries.from_series(a * b) == lifted
+
+    @given(a=int_series, lead=st.sampled_from([1, -1]))
+    @settings(max_examples=200, deadline=None)
+    def test_int_inverse_matches_own_loop(self, a, lead):
+        unit = TruncSeries((lead,) + a.coeffs[1:])
+        assert unit.inverse() == tuple_sums.int_inverse(unit)
+
+    @pytest.mark.parametrize("series", [TruncSeries([0, 1]),
+                                        BiSeries([lp({0: 1, 1: 1}), lp({})]),
+                                        BiSeries([lp({}), lp({0: 1})])])
+    def test_non_unit_lead_rejected(self, series):
+        with pytest.raises(ValueError):
+            series.inverse()
+
+    def test_rings_do_not_compare_equal(self):
+        assert TruncSeries.one(3) != BiSeries.one(3)
+        assert BiSeries.one(3) != TruncSeries.one(3)
 
 
 class TestFactorKernels:

@@ -523,6 +523,19 @@ class TestMemo:
         # built at orders 1, 2, 4, ..., 64 and read by truncation in between
         assert (info.misses, info.hits) == (7, 33)
 
+    @pytest.mark.parametrize("case", SERIES_BUILDERS + BISERIES_BUILDERS,
+                             ids=_ids(SERIES_BUILDERS + BISERIES_BUILDERS))
+    @pytest.mark.parametrize("built", [None, 12], ids=["empty", "filled"])
+    def test_negative_order_raises(self, case, built):
+        # a hit once answered by slicing from the end: gf_spt_j(2, -3) read an
+        # order-8 series off the order-10 build, where a miss raised
+        clear_memos()
+        if built:
+            read(case, built)
+        for order in (-1, -4):
+            with pytest.raises(ValueError, match=f"order {order} is negative"):
+                read(case, order)
+
     def test_spellings_of_one_call_share_an_entry(self):
         clear_memos()
         calls = [inv_one_minus(3, 10), inv_one_minus(3, 10, 1),

@@ -10,7 +10,9 @@ same for one level: one dense link product per pair of chain ends.
 the smallest-part forms carry in every chain end, where ``qspt.spt`` carries
 it once in the linear chain.  ``signed_sum`` and ``kn1_correction`` sum the
 bilateral sums one term per n, the oracles for the column writers of
-``qspt.stats`` and their layouts.
+``qspt.stats`` and their layouts.  ``bi_product``, ``bi_inverse`` and
+``int_inverse`` are the product and inverses each ring had before the two
+shared one series algebra: the oracles for ``qspt.series._Series``.
 """
 
 import functools
@@ -232,6 +234,57 @@ def kn1_correction(j, order):
         correction = correction - term if n % 2 == 1 else correction + term
         n += 1
     return correction
+
+
+def bi_product(a, b):
+    """a * b for two BiSeries, each pair of Laurent terms multiplied into one dict per row."""
+    n = min(a.order, b.order)
+    out = [dict() for _ in range(n + 1)]
+    for i in range(n + 1):
+        x = a.coeffs[i]
+        if not x.terms:
+            continue
+        for j in range(n + 1 - i):
+            y = b.coeffs[j]
+            if not y.terms:
+                continue
+            acc = out[i + j]
+            for m1, c1 in x.terms.items():
+                for m2, c2 in y.terms.items():
+                    k = m1 + m2
+                    acc[k] = acc.get(k, 0) + c1 * c2
+    return laurent.BiSeries([laurent.LaurentPoly(d) for d in out])
+
+
+def bi_inverse(a):
+    """1 / a for a BiSeries whose q^0 coefficient is a monomial +-z^m."""
+    lead_inv = a.coeffs[0].unit_inverse()
+    n = a.order
+    out = [lead_inv] + [laurent.LaurentPoly()] * n
+    for i in range(1, n + 1):
+        acc = laurent.LaurentPoly()
+        for j in range(1, i + 1):
+            if a.coeffs[j].terms:
+                acc = acc + a.coeffs[j] * out[i - j]
+        out[i] = -(lead_inv * acc)
+    return laurent.BiSeries(out)
+
+
+def int_inverse(a):
+    """1 / a for a TruncSeries whose constant term is +1 or -1."""
+    c0 = a.coeffs[0]
+    if c0 not in (1, -1):
+        raise ValueError(f"constant term {c0} is not a unit")
+    n = a.order
+    out = [0] * (n + 1)
+    out[0] = c0
+    for i in range(1, n + 1):
+        acc = 0
+        for j in range(1, i + 1):
+            if a.coeffs[j]:
+                acc += a.coeffs[j] * out[i - j]
+        out[i] = -c0 * acc
+    return TruncSeries(out)
 
 
 def clear_memos():
