@@ -10,6 +10,8 @@ that enumerate partitions.
 
 from __future__ import annotations
 
+import operator
+
 from . import spt as sptmod
 from . import stats
 from .laurent import LaurentPoly, build_jrank_gf, build_kn1_sides, symmetrized_extract
@@ -17,11 +19,11 @@ from .partitions import _durfee_sides, _lower_durfee_sides, _walk, partition_cou
 from .series import read_down
 
 
-def _rows(lhs, rhs, order, start=1, tag=""):
-    """Rows (label, lhs(n), rhs(n), equal) for n = start..order."""
+def _rows(lhs, rhs, order, start=1, tag="", ok=operator.eq):
+    """Rows (label, lhs(n), rhs(n), ok(lhs(n), rhs(n))) for n = start..order."""
     def row(n):
         a, b = lhs(n), rhs(n)
-        return f"n={n}{tag}", a, b, a == b
+        return f"n={n}{tag}", a, b, ok(a, b)
 
     return read_down(row, start, order)
 
@@ -67,13 +69,11 @@ def _verify_jgn(j, k, r, order):
 def _verify_sptdiff(j, k, r, order):
     if j < 2:
         raise ValueError("sptdiff needs j >= 2")
-
-    def row(n):
-        lhs = sptmod.spt_j(j, n, "moments") - sptmod.spt_j(j - 1, n, "moments")
-        diff, rem = divmod(stats.moment(j, 2, n) - stats.moment(j + 1, 2, n), 2)
-        return f"n={n}", lhs, diff, rem == 0 and lhs == diff
-
-    return read_down(row, 1, order), []
+    # the left side by the gf route, so the moments route is not checked against itself
+    hi, lo = sptmod.gf_spt_j(j, order), sptmod.gf_spt_j(j - 1, order)
+    return _rows(lambda n: hi.coefficient(n) - lo.coefficient(n),
+                 lambda n: sptmod._half_moment(j, n) - sptmod._half_moment(j + 1, n),
+                 order), []
 
 
 def _verify_kn1(j, k, r, order):
@@ -116,12 +116,9 @@ def _verify_relos(j, k, r, order):
 
 
 def _verify_fdyson(j, k, r, order):
-    def row(n):
-        half, rem = divmod(stats.moment(1, 2, n), 2)
-        lhs = n * partition_count(n)
-        return f"n={n}", lhs, half, rem == 0 and lhs == half
-
-    return read_down(row, 2, order), ["n=1 is excluded: the identity is stated for n > 1 only"]
+    return (_rows(lambda n: n * partition_count(n), lambda n: sptmod._half_moment(1, n),
+                  order, start=2),
+            ["n=1 is excluded: the identity is stated for n > 1 only"])
 
 
 def _verify_rk_forms(j, k, r, order):
@@ -171,11 +168,8 @@ def _verify_lemma32(j, k, r, order):
 
 
 def _verify_genineq(j, k, r, order):
-    def row(n):
-        lhs, rhs = stats.moment(j, 2 * k, n), stats.moment(j + 1, 2 * k, n)
-        return f"n={n}", lhs, rhs, lhs >= rhs
-
-    rows = read_down(row, 1, order)
+    rows = _rows(lambda n: stats.moment(j, 2 * k, n), lambda n: stats.moment(j + 1, 2 * k, n),
+                 order, ok=operator.ge)
     # past the last tie, every row is strict
     threshold = max((n + 1 for n, (_, lhs, rhs, _) in enumerate(rows, 1) if lhs == rhs), default=1)
     return rows, [f"strict inequality holds for all tested n >= {threshold}"]

@@ -34,7 +34,7 @@ from .series import (
     memo,
     pochhammer_inf,
 )
-from .stats import _njm_column, gf_njm
+from .stats import _bilateral_column, _njm_column, gf_njm
 
 
 def falling_factorial(x: int, t: int) -> int:
@@ -64,6 +64,29 @@ def integer_binomial(x: int, k: int) -> int:
     return q
 
 
+def _add_shifted(a: LaurentPoly, b: LaurentPoly, z_exp: int = 0, c: int = 1) -> LaurentPoly:
+    """a + c * z**z_exp * b: the one loop that adds a Laurent row into another.
+
+    Sums, differences, negation and scaling of rows, the factor kernels and
+    ``BiSeries.mul_series`` all step through it; ``a`` comes back unchanged
+    when ``b`` is zero or ``c == 0``.
+    """
+    if not b.terms or not c:
+        return a
+    acc = dict(a.terms)
+    get = acc.get
+    for m, v in b.terms.items():
+        m += z_exp
+        v = get(m, 0) + c * v
+        if v:
+            acc[m] = v
+        else:
+            del acc[m]  # c * v != 0, so the sum is 0 only when it cancels a present term
+    out = LaurentPoly.__new__(LaurentPoly)
+    out.terms = acc  # zero-free by construction
+    return out
+
+
 class LaurentPoly:
     """A finite-support Laurent polynomial in z over the integers.
 
@@ -83,8 +106,7 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return _add_shifted(self, other)
+    __add__ = _add_shifted
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return _add_shifted(self, other, 0, -1)
@@ -127,29 +149,6 @@ class LaurentPoly:
             return "LaurentPoly(0)"
         body = " + ".join(f"{c}*z^{m}" for m, c in sorted(self.terms.items()))
         return f"LaurentPoly({body})"
-
-
-def _add_shifted(a: LaurentPoly, b: LaurentPoly, z_exp: int = 0, c: int = 1) -> LaurentPoly:
-    """a + c * z**z_exp * b: the one loop that adds a Laurent row into another.
-
-    Sums, differences, negation and scaling of rows, the factor kernels and
-    ``BiSeries.mul_series`` all step through it; ``a`` comes back unchanged
-    when ``b`` is zero or ``c == 0``.
-    """
-    if not b.terms or not c:
-        return a
-    acc = dict(a.terms)
-    get = acc.get
-    for m, v in b.terms.items():
-        m += z_exp
-        v = get(m, 0) + c * v
-        if v:
-            acc[m] = v
-        else:
-            del acc[m]  # c * v != 0, so the sum is 0 only when it cancels a present term
-    out = LaurentPoly.__new__(LaurentPoly)
-    out.terms = acc  # zero-free by construction
-    return out
 
 
 _LP_ZERO = LaurentPoly()
@@ -301,10 +300,9 @@ def _kn1_correction(j: int, order: int) -> BiSeries:
     where each term's ratio R_n = (z)_n (z^{-1})_n / ((zq)_n (z^{-1}q)_n) telescopes to
     (1-z)(1-z^{-1}) / ((1-zx)(1-z^{-1}x)).  By columns, as (1+x) R_n = 2 - (1-x) sum_{m != 0}
     x^(|m|-1) z^m: column m != 0 is _njm_column(j+1, |m|), and column 0, 1 + 2 sum (-1)^n q^e,
-    is 1 - 2 * the sum of the columns m >= 1, which telescope to -sum (-1)^n q^e."""
-    cols = [_njm_column(j + 1, m, order) for m in range(1, order + 1)]
-    col0 = [1] + [-2 * sum(c[i] for c in cols) for i in range(1, order + 1)]
-    return _from_columns([col0] + cols)
+    is 1 - 2 * the (j+1)-rank bilateral sum at a = 1 with the weight w = 1."""
+    col0 = [1] + [-2 * c for c in _bilateral_column(j + 1, 1, (1,), order)[1:]]
+    return _from_columns([col0] + [_njm_column(j + 1, m, order) for m in range(1, order + 1)])
 
 
 def build_kn1_sides(j: int, order: int) -> tuple[BiSeries, BiSeries]:

@@ -248,11 +248,12 @@ def gf_genn1_rhs(j: int, order: int) -> TruncSeries:
     return gf_np(order) - gf_sym_mu(j + 1, 1, order)
 
 
-def _spt_j_moments(j: int, n: int) -> int:
-    half, rem = divmod(moment(j + 1, 2, n), 2)
+def _half_moment(j: int, n: int) -> int:
+    """Half the second j-rank moment, even as N_j(m, n) = N_j(-m, n); checked exact."""
+    half, rem = divmod(moment(j, 2, n), 2)
     if rem:
-        raise DiscrepancyError(f"second moment of the {j + 1}-rank is odd at n={n}")
-    return n * partition_count(n) - half
+        raise DiscrepancyError(f"second moment of the {j}-rank is odd at n={n}")
+    return half
 
 
 def spt_j(j: int, n: int, route: str = "moments") -> int:
@@ -368,7 +369,7 @@ FAMILIES: dict[str, Family] = {
         "weight": lambda k, n: _spt_weight_row(k, n).coefficient(n),
     }),
     "Spt_j": Family(("j",), {
-        "moments": _spt_j_moments,
+        "moments": lambda j, n: n * partition_count(n) - _half_moment(j + 1, n),
         "gf": lambda j, n: gf_spt_j(j, n).coefficient(n),
         "weight": lambda j, n: sum(_mark_weight(a, m, h, j) for a, m, h in _walk(n)),
     }),

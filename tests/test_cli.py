@@ -4,17 +4,21 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qspt
 from qspt import cli, identities, stats
 from qspt import spt as sptmod
 from qspt.cli import main
 from qspt.partitions import Partition
+from qspt.series import DiscrepancyError, TruncSeries
 
 
 @pytest.fixture
@@ -320,6 +324,41 @@ class TestVerify:
         assert result.exit_code == 0
 
 
+class TestOneMomentParityCheck:
+    """Every halved second moment goes through one exactness check: an odd
+    moment raises DiscrepancyError, which the CLI reports as exit 1."""
+
+    @pytest.fixture
+    def odd_at_7(self, monkeypatch):
+        moment = sptmod.moment
+        monkeypatch.setattr(sptmod, "moment", lambda j, t, n: moment(j, t, n) + (n == 7))
+
+    @pytest.mark.parametrize("identity", ["sptdiff", "fdyson"])
+    def test_library_raises(self, odd_at_7, identity):
+        with pytest.raises(DiscrepancyError, match="second moment of the .*-rank is odd at n=7"):
+            identities.verify(identity)
+
+    @pytest.mark.parametrize("identity", ["sptdiff", "fdyson"])
+    def test_cli_exits_1(self, runner, odd_at_7, identity):
+        result = runner.invoke(main, ["verify", identity])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("FAIL second moment")
+
+    def test_sptdiff_left_side_is_the_gf_route(self, runner, monkeypatch):
+        # a left side read off the moments route would pass with any gf_spt_j
+        gf_spt_j = sptmod.gf_spt_j
+
+        def shifted(j, order):
+            s = gf_spt_j(j, order)
+            return TruncSeries([c + 1 for c in s.coeffs]) if j == 2 else s
+
+        monkeypatch.setattr(sptmod, "gf_spt_j", shifted)
+        result = runner.invoke(main, ["verify", "sptdiff"])
+        assert result.exit_code == 1
+        assert result.stdout.startswith("FAIL sptdiff at n=1:")
+
+
 class TestNoPartitionObjects:
     """The lemma verifiers and the enumerating weight routes read the walk's
     working list: none of them builds a Partition."""
@@ -461,3 +500,75 @@ class TestInternalErrors:
         assert result.exit_code == 3
         assert result.stdout == ""
         assert result.stderr == "error: RuntimeError: route failed\n"
+
+
+# ---------------------------------------------------------------------------
+# the documented range as one property
+
+# j, k and r: small values, the extremes CI runs, and now and then an invalid
+# one (exit 2)
+_PARAM = st.one_of(st.integers(1, 6), st.sampled_from([100000, 10**12]), st.integers(-1, 6))
+# the moment index 2k of relos and genineq stays small: the 2k-th moments of n
+# have about 2k * log10(n) digits, so k = 10**12 cannot be printed
+_MOMENT_K = st.one_of(st.integers(1, 6), st.just(30), st.integers(-1, 6))
+_N_MAX = st.integers(-1, 12)
+_TABLE_INDEX = {
+    "count": st.integers(-13, 13) | st.just(10**12),
+    "moment": st.integers(-1, 60),
+    "symmetrized": st.integers(-1, 12) | st.just(10**12),
+}
+
+
+def _opt(name, value):
+    return [] if value is None else [f"--{name}", str(value)]
+
+
+@st.composite
+def _requests(draw):
+    """One command line of compute, verify, table or congruence, in any format."""
+    command = draw(st.sampled_from(["compute", "verify", "table", "congruence"]))
+    argv = [command, "--format", draw(st.sampled_from(["plain", "csv", "json"]))]
+    if command == "compute":
+        family = draw(st.sampled_from(list(sptmod.FAMILIES)))
+        argv += ["--family", family, *_opt("n-max", draw(_N_MAX)),
+                 *_opt("route", draw(st.sampled_from([None, *sptmod.ROUTES])))]
+        for name in ("j", "k"):
+            # the family's own parameters, and now and then one it does not take
+            own = name in sptmod.FAMILIES[family].params
+            argv += _opt(name, draw(_PARAM if own else st.sampled_from([None, None, 2])))
+    elif command == "verify":
+        identity = draw(st.sampled_from([*identities.IDENTITIES, "nonsense"]))
+        k = _MOMENT_K if identity in ("relos", "genineq") else _PARAM
+        argv.insert(1, identity)
+        for name, values in (("j", _PARAM), ("k", k), ("r", _PARAM), ("n-max", _N_MAX)):
+            argv += _opt(name, draw(st.none() | values))
+    elif command == "table":
+        kind = draw(st.sampled_from(list(_TABLE_INDEX)))
+        argv += ["--kind", kind, *_opt("j", draw(_PARAM)),
+                 *_opt("index", draw(_TABLE_INDEX[kind])), *_opt("n-max", draw(_N_MAX))]
+    else:
+        argv += _opt("n-max", draw(st.none() | _N_MAX))
+    return argv
+
+
+class TestDocumentedRange:
+    """No request inside the documented range crashes: it exits 0, or 2 for a
+    usage error with nothing on stdout; exit 1 would be a discrepancy."""
+
+    @given(argv=_requests())
+    @settings(max_examples=500, deadline=None)  # a fixed budget of a few seconds
+    def test_exit_0_or_2(self, argv):
+        runner = CliRunner()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cache.json")
+            cache = ["--cache", path] if argv[0] == "compute" else []
+            result = runner.invoke(main, argv + cache)
+            assert result.exit_code in (0, 2), (argv, result.output, result.exception)
+            assert "Traceback" not in result.output
+            if result.exit_code == 2:
+                assert result.stdout == ""
+            if cache:
+                # a computed request is stored, and its cache hit prints the same bytes
+                assert os.path.exists(path) == (result.exit_code == 0)
+                hit = runner.invoke(main, argv + cache)
+                assert (hit.exit_code, hit.stdout) == (result.exit_code, result.stdout)

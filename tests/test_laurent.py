@@ -165,6 +165,12 @@ class TestAddShifted:
         assert _add_shifted(a, lp({}), 3, 2) is a
         assert _add_shifted(a, lp({0: 5}), 3, 0) is a
 
+    def test_add_is_the_kernel(self):
+        # a row sum costs one call, not a method that forwards to the kernel
+        assert LaurentPoly.__add__ is _add_shifted
+        a = lp({1: 2})
+        assert a + lp({}) is a
+
 
 class TestBiSeries:
     def test_finite_geometric_product(self):
@@ -467,6 +473,13 @@ class TestKn1:
     def test_correction_columns_match_per_n_terms(self, j):
         # the bivariate term per n that the column layout replaced
         assert _kn1_correction(j, 150) == tuple_sums.kn1_correction(j, 150)
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_correction_column_0_matches_column_sum(self, j):
+        # one bilateral column in place of the sum over the N other columns
+        for order in [*range(41), 90, 150, 300]:
+            col0 = [row.terms.get(0, 0) for row in _kn1_correction(j, order).coeffs]
+            assert col0 == tuple_sums.kn1_column0(j, order), order
 
     def test_constant_terms(self):
         lhs, rhs = build_kn1_sides(2, 8)

@@ -10,7 +10,8 @@ same for one level: one dense link product per pair of chain ends.
 the smallest-part forms carry in every chain end, where ``qspt.spt`` carries
 it once in the linear chain.  ``signed_sum`` and ``kn1_correction`` sum the
 bilateral sums one term per n, the oracles for the column writers of
-``qspt.stats`` and their layouts.  ``bi_product``, ``bi_inverse`` and
+``qspt.stats`` and their layouts; ``kn1_column0`` sums every other column of
+the kn1 correction into its column z^0.  ``bi_product``, ``bi_inverse`` and
 ``int_inverse`` are the product and inverses each ring had before the two
 shared one series algebra: the oracles for ``qspt.series._Series``.
 """
@@ -234,6 +235,14 @@ def kn1_correction(j, order):
         correction = correction - term if n % 2 == 1 else correction + term
         n += 1
     return correction
+
+
+def kn1_column0(j, order):
+    """Column z^0 of the kn1 correction as 1 - 2 * the sum of its columns m >= 1,
+    which telescope to -sum (-1)^n q^e: O(N**2), the oracle for the one bilateral
+    column that ``laurent._kn1_correction`` writes there."""
+    cols = [stats._njm_column(j + 1, m, order) for m in range(1, order + 1)]
+    return [1] + [-2 * sum(c[i] for c in cols) for i in range(1, order + 1)]
 
 
 def bi_product(a, b):
