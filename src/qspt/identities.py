@@ -10,6 +10,7 @@ that enumerate partitions.
 
 from __future__ import annotations
 
+import functools
 import operator
 
 from . import spt as sptmod
@@ -111,7 +112,8 @@ def _verify_gtjsptk(j, k, r, order):
 
 def _verify_relos(j, k, r, order):
     counts = build_jrank_gf(j, order, "counts")  # moments straight from N_j(m, n)
-    return _rows(lambda n: counts.coefficient(n).weighted_sum(lambda m: m ** (2 * k)),
+    power = functools.cache(lambda m: m ** (2 * k))  # once per exponent
+    return _rows(lambda n: counts.coefficient(n).weighted_sum(power),
                  lambda n: stats.moment_via_sym(j, k, n), order), []
 
 

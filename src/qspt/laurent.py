@@ -4,24 +4,27 @@ This module houses the two-variable generating functions for the crank, the
 rank and the j-rank, together with the z-derivative and symmetrized-moment
 extractions that turn them into single-variable series.
 
-Every bivariate product and quotient in these builders is by one-term
-factors (1 - z**a * q**e), so the builders apply them with the factor kernels
-``BiSeries.mul_factor`` and ``BiSeries.div_factor``: one pass over the rows,
-O(N * width) each, where a general ``BiSeries`` product or inverse costs
+The crank and nested j-rank builders divide by one-term factors
+(1 - z**a * q**e) with the factor kernel ``BiSeries.div_factor``: one pass over
+the rows, O(N * width), where a general ``BiSeries`` inverse costs
 O(N**2 * width**2).  The general ``__mul__`` and ``inverse`` are those of the
 series algebra ``qspt.series._Series``, which ``BiSeries`` shares with
-``TruncSeries``; the tests pin the kernels and builders to them.  The scalar
-series of the nested j-rank sum and of the kn1 left side are the chain
-recursions of the spt builders.  The nested j-rank sum meets its bivariate
-factors by Horner over its first index t, two division passes per t (the rank
-function is its j = 2 case).  The bilateral and count forms and the kn1
-correction (at j + 1) lay the z^|m| columns of ``qspt.stats._njm_column`` out
-as rows through one layout, ``_from_columns``.
+``TruncSeries``; the tests pin the kernels and builders to them.  The nested
+j-rank sum meets its factors by Horner over its first index t, two division
+passes per t (the rank function is its j = 2 case).  The kn1 identity is built
+on plain int lists: its left side by a Horner over z-columns, its right side
+by Jacobi's triple product and one division by (q)_inf^3 on q-rows, so neither
+side takes a factor pass.  The bilateral and count forms and both kn1 sides
+lay their z^|m| columns out as rows through one layout, ``_from_columns``,
+which raises on a term that no row could show.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from itertools import accumulate, repeat, zip_longest
+from operator import add, mul, neg, sub
 
 from .series import (
     DiscrepancyError,
@@ -181,19 +184,6 @@ class BiSeries(_Series):
                 out[i + j] = _add_shifted(out[i + j], self.coeffs[i], 0, c)
         return BiSeries(out)
 
-    def mul_factor(self, z_exp: int, q_exp: int) -> "BiSeries":
-        """Multiply by the one-term factor (1 - z**z_exp * q**q_exp), q_exp >= 0.
-
-        One pass over the rows: row i loses row i - q_exp shifted by z**z_exp.
-        """
-        if q_exp < 0:
-            raise ValueError("q_exp must be >= 0")
-        rows = self.coeffs
-        out = list(rows)
-        for i in range(q_exp, len(rows)):
-            out[i] = _add_shifted(rows[i], rows[i - q_exp], z_exp, -1)
-        return BiSeries(out)
-
     def div_factor(self, z_exp: int, q_exp: int) -> "BiSeries":
         """Divide by the one-term factor (1 - z**z_exp * q**q_exp), q_exp >= 1.
 
@@ -230,9 +220,13 @@ def build_rank_gf(order: int) -> BiSeries:
 
 
 def _from_columns(cols: list) -> BiSeries:
-    """The series symmetric in z whose z^m column is cols[|m|], every column
-    nonzero at q^n only for |m| <= n: row n is read off columns 0..n."""
-    return BiSeries(LaurentPoly({m: cols[abs(m)][n] for m in range(-n, n + 1)})
+    """The series symmetric in z whose z^m column is cols[|m|], zero past the last;
+    row n is read off columns 0..n, so a column m nonzero below q^m raises."""
+    for m, col in enumerate(cols):
+        if any(col[:m]):
+            raise DiscrepancyError(f"column z^{m} is nonzero below q^{m}")
+    top = len(cols) - 1
+    return BiSeries(LaurentPoly({m: cols[abs(m)][n] for m in range(-min(n, top), min(n, top) + 1)})
                     for n in range(len(cols[0])))
 
 
@@ -277,9 +271,8 @@ def dz_at_1(a: BiSeries, t: int) -> TruncSeries:
     """The t-th z-derivative evaluated at z = 1, coefficient by coefficient."""
     if t < 0:
         raise ValueError("derivative order must be nonnegative")
-    return TruncSeries(
-        [c.weighted_sum(lambda m: falling_factorial(m, t)) for c in a.coeffs]
-    )
+    weight = functools.cache(lambda m: falling_factorial(m, t))  # once per exponent
+    return TruncSeries([c.weighted_sum(weight) for c in a.coeffs])
 
 
 def symmetrized_extract(a: BiSeries, k: int) -> TruncSeries:
@@ -290,9 +283,8 @@ def symmetrized_extract(a: BiSeries, k: int) -> TruncSeries:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return TruncSeries(
-        [c.weighted_sum(lambda m: integer_binomial(m + k - 1, 2 * k)) for c in a.coeffs]
-    )
+    weight = functools.cache(lambda m: integer_binomial(m + k - 1, 2 * k))  # once per exponent
+    return TruncSeries([c.weighted_sum(weight) for c in a.coeffs])
 
 
 def _kn1_correction(j: int, order: int) -> BiSeries:
@@ -305,30 +297,75 @@ def _kn1_correction(j: int, order: int) -> BiSeries:
     return _from_columns([col0] + [_njm_column(j + 1, m, order) for m in range(1, order + 1)])
 
 
+def _kn1_lhs_columns(j: int, order: int) -> list:
+    """The kn1 left side sum_o (z)_o (z^{-1})_o S_o as columns, S_o the scalar series of
+    the terms with outer index n_j = o (q^o times the link sum to o of the chains 0 <=
+    n_1 <= ... <= n_{j-1}), by a Horner suffix sum over o: the step o multiplies by
+    (1-zq^o)(1-z^{-1}q^o), col_m += q^(2o) col_m - q^o (col_{m-1} + col_{m+1}) (column
+    0's neighbours both column 1), and adds S_o.  After step o, column m has no term
+    below q^(o(m+1) + m(m+1)/2), the least degree of z^m in (zq^o)_(p-o) (z^{-1}q^o)_(p-o)
+    q^p over p >= o + m: it is kept from there, and dropped if that is past the order."""
+    chain = _square_chain(j - 1, _difference_step, order)
+    sums = list(_link_sums(chain, _difference_step, range(order + 1), lambda o: order - o))
+    cols: list = []
+    for o in range(order, -1, -1):
+        old, cols = cols + [[], []], []
+        m = 0
+        while (start := o * (m + 1) + m * (m + 1) // 2) <= order:
+            # old columns m - 1, m and m + 1 land at 0, m + 1 (and m + 1 + 2o) and 2o + 2m + 3
+            size = order + 1 - start
+            col = list(map(neg, old[m - 1][:size])) if m else [0] * size
+            for at in (m + 1, m + 1 + 2 * o):
+                col[at:] = map(add, col[at:], old[m])
+            for _ in range(1 if m else 2):
+                col[2 * o + 2 * m + 3:] = map(sub, col[2 * o + 2 * m + 3:], old[m + 1])
+            cols.append(col)
+            m += 1
+        cols[0] = list(map(add, cols[0], sums[o]))
+    return [[0] * (m * (m + 1) // 2) + col for m, col in enumerate(cols)]
+
+
+def _triple_product_rows(rows: list) -> list:
+    """A series symmetric in z times sum_k z^k T_|k|, T_k = sum_{n>k} (-1)^(n+1) q^(n(n-1)/2),
+    which is (q)_inf prod_{e>=1} (1-zq^e)(1-z^{-1}q^e) by Jacobi's triple product.  Row i
+    lists z^0..z^i, in and out; it adds its box sums z^(1-n) + ... + z^(n-1), read off one
+    prefix-sum list, into row i + n(n-1)/2."""
+    out = [[0] * (i + 1) for i in range(len(rows))]
+    for i, row in enumerate(rows):
+        reach = (math.isqrt(8 * (len(rows) - 1 - i) + 1) + 1) // 2  # the largest n that lands
+        pre = [0] * reach + list(accumulate(row[:0:-1] + row, initial=0))
+        pre += pre[-1:] * (2 * reach)
+        base = i + 1 + reach  # pre[base + x] sums the row over z^-i..z^x
+        for n in range(1, reach + 1):
+            width = i + n  # z^0..z^(i+n-1)
+            box = map(sub, pre[base + n - 1: base + n - 1 + width], pre[base - n: base - n + width])
+            target = out[i + n * (n - 1) // 2]
+            target[:width] = map(add if n % 2 else sub, target, box)
+    return out
+
+
+def _div_q_inf_cubed(rows: list) -> None:
+    """Divide rows (row i lists z^0..z^i) in place by (q)_inf^3 = sum_{n>=0} (-1)^n
+    (2n+1) q^(n(n+1)/2), Jacobi's identity: one recurrence along q, each of its
+    O(sqrt(N)) terms per row one slice operation across z."""
+    for i, row in enumerate(rows):
+        for n in range(1, (math.isqrt(8 * i + 1) + 1) // 2):  # n(n+1)/2 <= i
+            prev = rows[i - n * (n + 1) // 2]
+            row[:len(prev)] = map(add if n % 2 else sub, row, map(mul, prev, repeat(2 * n + 1)))
+
+
 def build_kn1_sides(j: int, order: int) -> tuple[BiSeries, BiSeries]:
     """Both sides of the nested-sum / bilateral-product identity at depth j.
 
-    The left side is the nested sum over n_j >= ... >= n_1 >= 0 with
-    numerator (z)_{n_j} (z^{-1})_{n_j}; the right side is the product form
-    with the alternating correction sum.  Callers assert equality.
+    The left side is the nested sum over n_j >= ... >= n_1 >= 0 with numerator
+    (z)_{n_j} (z^{-1})_{n_j}; the right side is the correction sum times
+    prod_{e>=1} (1-zq^e)(1-z^{-1}q^e) / (q)_inf^2, its triple product rows over
+    (q)_inf^3.  The sides share no kernel; callers assert equality.
     """
     if j < 1:
         raise ValueError("j must be >= 1")
-    # Left side: the scalar series S_o sums the terms with outer index n_j = o,
-    # q^o times the link sum to o of the chains 0 <= n_1 <= ... <= n_{j-1}.
-    # (z)_o (z^{-1})_o grows by the factors at q^o from o to o + 1, so the
-    # sum over o is a Horner suffix sum: acc = S_o + (1-zq^o)(1-z^{-1}q^o) acc.
-    chain = _square_chain(j - 1, _difference_step, order)
-    sums = list(_link_sums(chain, _difference_step, range(order + 1), lambda o: order - o))
-    lhs = BiSeries.zero(order)
-    for outer in range(order, -1, -1):
-        lhs = lhs.mul_factor(1, outer).mul_factor(-1, outer)
-        lhs = lhs + BiSeries.from_series(TruncSeries([0] * outer + sums[outer]))
-
-    # Right side: the product form applied to the correction sum, as one-term
-    # factor passes and one pure-q product.
-    correction = _kn1_correction(j, order)
-    for e in range(1, order + 1):
-        correction = correction.mul_factor(1, e).mul_factor(-1, e)
-    rhs = correction.mul_series(inv_pochhammer_inf(1, order) * inv_pochhammer_inf(1, order))
-    return lhs, rhs
+    rows = _triple_product_rows([[p.terms.get(m, 0) for m in range(i + 1)]
+                                 for i, p in enumerate(_kn1_correction(j, order).coeffs)])
+    _div_q_inf_cubed(rows)
+    rhs = _from_columns(list(zip_longest(*rows, fillvalue=0)))
+    return _from_columns(_kn1_lhs_columns(j, order)), rhs

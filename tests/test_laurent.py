@@ -1,18 +1,24 @@
 """Bivariate series, the crank/rank/j-rank generating functions, extractions."""
 
 import sys
+from itertools import zip_longest
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tuple_sums
-from qspt import stats
+from qspt import laurent, stats
+from qspt.cli import main
 from qspt.laurent import (
     BiSeries,
     LaurentPoly,
     _add_shifted,
+    _div_q_inf_cubed,
+    _from_columns,
     _kn1_correction,
+    _triple_product_rows,
     build_crank_gf,
     build_jrank_gf,
     build_kn1_sides,
@@ -23,7 +29,7 @@ from qspt.laurent import (
     symmetrized_extract,
 )
 from qspt.partitions import enumerate_partitions
-from qspt.series import TruncSeries, inv_pochhammer_inf, pochhammer_inf
+from qspt.series import DiscrepancyError, TruncSeries, inv_pochhammer_inf, pochhammer_inf
 from qspt.stats import crank, gf_sym_mu, rank
 from tuple_sums import clear_memos
 
@@ -49,7 +55,7 @@ def bi_pochhammer(z_exp, q_start, n_factors, order):
     stop = order + 1 if n_factors is None else min(q_start + n_factors, order + 1)
     out = BiSeries.one(order)
     for e in range(q_start, stop):
-        out = out.mul_factor(z_exp, e)
+        out = tuple_sums.mul_factor(out, z_exp, e)
     return out
 
 
@@ -260,7 +266,7 @@ class TestFactorKernels:
     @given(a=bi_series, z_exp=st.integers(-3, 3), q_exp=st.integers(0, 5))
     @settings(max_examples=200, deadline=None)
     def test_mul_factor_matches_product(self, a, z_exp, q_exp):
-        assert a.mul_factor(z_exp, q_exp) == a * factor(z_exp, q_exp, a.order)
+        assert tuple_sums.mul_factor(a, z_exp, q_exp) == a * factor(z_exp, q_exp, a.order)
 
     @given(a=bi_series, z_exp=st.integers(-3, 3), q_exp=st.integers(1, 5))
     @settings(max_examples=200, deadline=None)
@@ -270,11 +276,11 @@ class TestFactorKernels:
     @given(a=bi_series, z_exp=st.integers(-3, 3), q_exp=st.integers(1, 5))
     @settings(max_examples=200, deadline=None)
     def test_div_then_mul_round_trips(self, a, z_exp, q_exp):
-        assert a.div_factor(z_exp, q_exp).mul_factor(z_exp, q_exp) == a
+        assert tuple_sums.mul_factor(a.div_factor(z_exp, q_exp), z_exp, q_exp) == a
 
     def test_bad_exponents(self):
         with pytest.raises(ValueError):
-            BiSeries.one(3).mul_factor(1, -1)
+            tuple_sums.mul_factor(BiSeries.one(3), 1, -1)
         with pytest.raises(ValueError):
             BiSeries.one(3).div_factor(1, 0)
 
@@ -432,6 +438,18 @@ class TestExtractions:
         got = symmetrized_extract(build_jrank_gf(j, order), k)
         assert got == gf_sym_mu(j, k, order)
 
+    @pytest.mark.parametrize("name,extract", [("integer_binomial", symmetrized_extract),
+                                              ("falling_factorial", dz_at_1)])
+    def test_each_weight_once_per_extraction(self, monkeypatch, name, extract):
+        # one weight per distinct z-exponent, not one per term
+        a = build_jrank_gf(2, 30)
+        expected = extract(a, 2)
+        calls = []
+        weight = getattr(laurent, name)
+        monkeypatch.setattr(laurent, name, lambda *args: calls.append(args) or weight(*args))
+        assert extract(a, 2) == expected
+        assert len(calls) == len({m for row in a.coeffs for m in row.terms})
+
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_symmetrized_matches_closed_form_order_60(self, j):
         clear_memos()
@@ -464,8 +482,9 @@ class TestKn1:
         lhs, _ = build_kn1_sides(j, 30)
         scalars = tuple_sums.kn1_scalars(j, 30)
         expected = BiSeries.zero(30)
+        mul_factor = tuple_sums.mul_factor
         for outer in range(max(scalars), -1, -1):  # Horner over the outer index
-            expected = expected.mul_factor(1, outer).mul_factor(-1, outer)
+            expected = mul_factor(mul_factor(expected, 1, outer), -1, outer)
             expected = expected + BiSeries.from_series(scalars[outer])
         assert lhs == expected
 
@@ -485,3 +504,81 @@ class TestKn1:
         lhs, rhs = build_kn1_sides(2, 8)
         assert lhs.coefficient(0) == lp({0: 1})
         assert rhs.coefficient(0) == lp({0: 1})
+
+
+class TestKn1Builders:
+    """The left side on z-columns and the right side by the triple product, pinned
+    side by side to the factor-pass builder they replaced (tuple_sums)."""
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_each_side_matches_factor_passes(self, j):
+        for order in range(61):
+            lhs, rhs = build_kn1_sides(j, order)
+            want_lhs, want_rhs = tuple_sums.kn1_sides_by_factors(j, order)
+            assert lhs == want_lhs, order
+            assert rhs == want_rhs, order
+
+    def test_each_side_matches_factor_passes_order_150(self):
+        lhs, rhs = build_kn1_sides(2, 150)
+        want_lhs, want_rhs = tuple_sums.kn1_sides_by_factors(2, 150)
+        assert lhs == want_lhs
+        assert rhs == want_rhs
+
+    @pytest.mark.parametrize("order", [*range(25), 120, 500])
+    def test_jacobi_cube_identity(self, order):
+        # (q)_inf^3 = sum_{n>=0} (-1)^n (2n+1) q^(n(n+1)/2): dividing its cube leaves 1
+        p = pochhammer_inf(1, order)
+        rows = [[c] for c in (p * p * p).coeffs]
+        _div_q_inf_cubed(rows)
+        assert rows == [[1]] + [[0]] * order
+
+    def test_triple_product_columns(self):
+        # column k is T_k = sum_{n>k} (-1)^(n+1) q^(n(n-1)/2), and the columns times
+        # 1/(q)_inf are prod_{e>=1} (1 - zq^e)(1 - z^{-1}q^e), by factor passes
+        mul_factor = tuple_sums.mul_factor
+        for order in range(61):
+            one = [[1]] + [[0] * (i + 1) for i in range(1, order + 1)]
+            cols = list(zip_longest(*_triple_product_rows(one), fillvalue=0))
+            for k, col in enumerate(cols):
+                t_k = [0] * (order + 1)
+                for n in range(k + 1, order + 2):
+                    if n * (n - 1) // 2 <= order:
+                        t_k[n * (n - 1) // 2] = (-1) ** (n + 1)
+                assert list(col) == t_k, (order, k)
+            product = BiSeries.one(order)
+            for e in range(1, order + 1):
+                product = mul_factor(mul_factor(product, 1, e), -1, e)
+            assert _from_columns(cols).mul_series(inv_pochhammer_inf(1, order)) == product, order
+
+    def test_builds_without_bivariate_products(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a factor pass or a pure-q product of BiSeries")
+
+        for name in ("mul_factor", "div_factor", "mul_series"):
+            monkeypatch.setattr(BiSeries, name, refuse, raising=False)
+        lhs, rhs = build_kn1_sides(2, 40)
+        assert lhs == rhs
+
+
+class TestFromColumns:
+    def test_reads_row_n_off_columns_0_to_n(self):
+        got = _from_columns([[1, 2, 3], [0, 4, 5]])  # column z^2 and on are zero
+        assert got == BiSeries([lp({0: 1}), lp({-1: 4, 0: 2, 1: 4}), lp({-1: 5, 0: 3, 1: 5})])
+
+    def test_term_below_its_column_raises(self):
+        # z^2 q^1 lies in no row 0..n, n >= |m|: it must not vanish silently
+        with pytest.raises(DiscrepancyError, match=r"column z\^2 is nonzero below q\^2"):
+            _from_columns([[1, 0, 0], [0, 1, 0], [0, 7, 1]])
+
+    def test_bad_kn1_column_exits_1(self, monkeypatch):
+        columns = laurent._kn1_lhs_columns
+
+        def with_stray_term(j, order):
+            cols = columns(j, order)
+            return cols + [[0, 1] + [0] * (order - 1)]  # z^len(cols) at q^1
+
+        monkeypatch.setattr(laurent, "_kn1_lhs_columns", with_stray_term)
+        result = CliRunner().invoke(main, ["verify", "kn1", "--n-max", "12"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert "is nonzero below q^" in result.stderr

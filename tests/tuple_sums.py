@@ -14,6 +14,10 @@ bilateral sums one term per n, the oracles for the column writers of
 the kn1 correction into its column z^0.  ``bi_product``, ``bi_inverse`` and
 ``int_inverse`` are the product and inverses each ring had before the two
 shared one series algebra: the oracles for ``qspt.series._Series``.
+``mul_factor`` is the one-pass bivariate factor kernel, and
+``kn1_sides_by_factors`` builds both kn1 sides with it: 2N factor passes per
+side and a dense product by 1/(q)_inf^2, the oracle for the column and row
+builders of ``qspt.laurent.build_kn1_sides``.
 """
 
 import functools
@@ -226,7 +230,7 @@ def kn1_correction(j, order):
     """The kn1 correction sum 1 + sum_{n>=1} (-1)^n q^e (1+q^n) (1-z)(1-z^{-1}) /
     ((1-zq^n)(1-z^{-1}q^n)), e = n((2j+1)n+1)/2, one bivariate term per n built by
     factor passes: the oracle for the column layout of ``laurent._kn1_correction``."""
-    numerator = laurent.BiSeries.one(order).mul_factor(1, 0).mul_factor(-1, 0)
+    numerator = mul_factor(mul_factor(laurent.BiSeries.one(order), 1, 0), -1, 0)
     correction = laurent.BiSeries.one(order)
     n = 1
     while (e := n * ((2 * j + 1) * n + 1) // 2) <= order:
@@ -235,6 +239,37 @@ def kn1_correction(j, order):
         correction = correction - term if n % 2 == 1 else correction + term
         n += 1
     return correction
+
+
+def mul_factor(a, z_exp, q_exp):
+    """a times the one-term factor (1 - z**z_exp * q**q_exp), q_exp >= 0: one pass
+    over the rows, row i losing row i - q_exp shifted by z**z_exp."""
+    if q_exp < 0:
+        raise ValueError("q_exp must be >= 0")
+    rows = a.coeffs
+    out = list(rows)
+    for i in range(q_exp, len(rows)):
+        out[i] = laurent._add_shifted(rows[i], rows[i - q_exp], z_exp, -1)
+    return laurent.BiSeries(out)
+
+
+def kn1_sides_by_factors(j, order):
+    """Both kn1 sides by factor passes.  Left: a Horner suffix sum over the outer
+    index o, acc = S_o + (1-zq^o)(1-z^{-1}q^o) acc, two passes per o.  Right: the
+    correction times prod_{e>=1} (1-zq^e)(1-z^{-1}q^e), two passes per e, times the
+    pure-q series 1/(q)_inf^2."""
+    chain = series._square_chain(j - 1, series._difference_step, order)
+    sums = list(series._link_sums(chain, series._difference_step, range(order + 1),
+                                  lambda o: order - o))
+    lhs = laurent.BiSeries.zero(order)
+    for outer in range(order, -1, -1):
+        lhs = mul_factor(mul_factor(lhs, 1, outer), -1, outer)
+        lhs = lhs + laurent.BiSeries.from_series(TruncSeries([0] * outer + sums[outer]))
+    rhs = laurent._kn1_correction(j, order)
+    for e in range(1, order + 1):
+        rhs = mul_factor(mul_factor(rhs, 1, e), -1, e)
+    inv = inv_pochhammer_inf(1, order)
+    return lhs, rhs.mul_series(inv * inv)
 
 
 def kn1_column0(j, order):
