@@ -11,6 +11,7 @@ that enumerate partitions.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 
 from . import spt as sptmod
@@ -146,14 +147,13 @@ def _count_bad(order, is_bad):
 
     Both lemmas read the parts > 1 alone: the trailing ones end the Durfee
     chain and the reversed lower chain in the same unit squares.  So the bad
-    partitions of n with a part 1 are those of n - 1, each with one more 1,
-    and ``is_bad(a, m)`` runs only on the partitions a[:m] with no part 1.
+    partitions of n with a part 1 are those of n - 1, each with one more 1, and
+    one walk of the order serves every n: ``is_bad(a, m)`` reads the parts > 1.
     """
-    counts, bad = [], 0
-    for n in range(order + 1):
-        bad += sum(1 for a, m, h in _walk(n) if m == h + 1 and is_bad(a, m))
-        counts.append(bad)
-    return _rows(counts.__getitem__, lambda n: 0, order)
+    bad = [0] * (order + 1)
+    for a, m, h in _walk(order):
+        bad[order - m + h + 1] += is_bad(a, h + 1)
+    return _rows(list(itertools.accumulate(bad)).__getitem__, lambda n: 0, order)
 
 
 def _verify_lemma31(j, k, r, order):
@@ -195,8 +195,8 @@ IDENTITIES = {
     "genineq": (_verify_genineq, {"j": 2, "k": 1, "order": 40}),
 }
 
-# These verifiers enumerate every partition of every n up to the order, so
-# they share the limit of the enumerating weight routes.
+# These verifiers enumerate the partitions of the order, one walk for every n
+# up to it, so they share the limit of the enumerating weight routes.
 _ENUMERATING = ("lemma31", "lemma32")
 
 

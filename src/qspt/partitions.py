@@ -59,6 +59,8 @@ def _walk(n: int) -> Iterator[tuple[list[int], int, int]]:
     Yields the working list a, the number of parts m and the index h of the
     last part > 1: the partition is a[:m], and its m - h - 1 trailing ones,
     which no step rescans, follow a[h].  The list changes after each yield.
+    At every yield all of a[h + 1:] is ones: with s = sum(a[:h + 1]), the
+    a[:h + 1 + r], r <= n - s, are every partition of every n' <= n once.
     """
     if n == 0:
         yield [], 0, -1

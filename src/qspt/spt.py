@@ -5,8 +5,8 @@ function, combinatorial weight over partitions, and moment differences --
 and the routes are required to agree.  Every division along the way is on a
 provably divisible integer and is checked exact.  The weights of spt and
 spt_k are summed by one sweep over the smallest part; those of Spt_j and
-jspt_k over the partitions, where each split part contributes one coefficient
-of a polynomial product over the larger part values, truncated at degree k.
+jspt_k by one walk of the partitions of the order, where each split part
+adds one coefficient of a product over the larger part values.
 The generating functions are nested sums over chains of Durfee-square sides;
 each is summed by one recursion over the levels of its chain, not one index
 tuple at a time.
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable
 
-from .partitions import Partition, _lower_durfee_sides, _walk, _walk_state, partition_count
+from .partitions import Partition, _walk, _walk_state, partition_count
 from .series import (
     DiscrepancyError,
     TruncSeries,
@@ -91,10 +91,14 @@ def gf_spt(order: int) -> TruncSeries:
 
 def _lower_block(a, m: int, h: int, s: int) -> int | None:
     """Parts consumed by the first s lower-Durfee squares of a[:m], None if fewer."""
-    if s <= m - h - 1:  # they are trailing ones
+    ones, rest = m - h - 1, h + 1
+    if s <= ones:  # they are trailing ones
         return s
-    sides = _lower_durfee_sides(a, m, h)
-    return sum(sides[:s]) if len(sides) >= s else None
+    for _ in range(s - ones):  # each takes the min(a[rest - 1], rest) smallest parts left
+        if not rest:
+            return None
+        rest -= a[rest - 1] if a[rest - 1] < rest else rest
+    return m - rest
 
 
 def _mark_weight(a, m: int, h: int, j: int) -> int:
@@ -103,8 +107,7 @@ def _mark_weight(a, m: int, h: int, j: int) -> int:
     # lower-Durfee squares, or every part when there are fewer squares
     d = _lower_block(a, m, h, j - 1)
     lo = 0 if d is None else max(m - d - 1, 0)  # the top designated part
-    total = 0
-    i = m - 1
+    total, i = 0, m - 1
     while i >= lo:
         # the copies of a[i] in a[lo:i + 1]: b of them, below `above` copies
         # outside the block; a mark counts the equal parts down to its part
@@ -149,25 +152,32 @@ def _split_chain_weight(a, m: int, h: int, j: int, k: int) -> int:
     if end is None:
         return 0
     start = _lower_block(a, m, h, j - 2) if j > 1 else -1
-    total = 0
-    prev = None
+    total, prev = 0, None
     for top in range(m - 2 - start, max(m - 2 - end, -1), -1):  # the split parts, upward
         t1 = a[top]
         first = a.index(t1)  # a[:first] are the parts larger than t1
         if t1 != prev:  # a repeated split value reuses the product of the last one
-            prev = t1
-            # the product over the larger values, truncated below x**k; it has
-            # no degree above the number of parts larger than t1
-            rest = [1] + [0] * min(k - 1, first)
-            if len(rest) > 1:
-                for f in Counter(a[:first]).values():
-                    for d in range(len(rest) - 1, 0, -1):
-                        rest[d] += sum(comb(f + e, 2 * e) * rest[d - e]
-                                       for e in range(1, min(d, f) + 1))
-        mark = top - first + 1
-        total += sum(comb(mark + c - 1, 2 * c - 1) * rest[k - c]
-                     for c in range(max(1, k + 1 - len(rest)), min(k, mark) + 1))
+            prev, rest = t1, _larger_product(a, first, k)
+        total += _split_term(top - first + 1, rest, k)
     return total
+
+
+def _larger_product(a, first: int, k: int) -> list[int]:
+    """The product over the values of a[:first], with frequency f, of
+    1 + sum_{e>=1} C(f + e, 2e) x**e, truncated below x**k and above x**first."""
+    rest = [1] + [0] * min(k - 1, first)
+    if len(rest) > 1:
+        for f in Counter(a[:first]).values():
+            for d in range(len(rest) - 1, 0, -1):
+                rest[d] += sum(comb(f + e, 2 * e) * rest[d - e]
+                               for e in range(1, min(d, f) + 1))
+    return rest
+
+
+def _split_term(mark: int, rest: list[int], k: int) -> int:
+    """The x**k coefficient of sum_{c>=1} C(mark + c - 1, 2c - 1) x**c times ``rest``."""
+    return sum(comb(mark + c - 1, 2 * c - 1) * rest[k - c]
+               for c in range(max(1, k + 1 - len(rest)), min(k, mark) + 1))
 
 
 def split_chain_weight(p: Partition, j: int, k: int) -> int:
@@ -186,6 +196,54 @@ def split_chain_weight(p: Partition, j: int, k: int) -> int:
     if j < 1 or k < 1:
         raise ValueError("j and k must be >= 1")
     return _split_chain_weight(*_walk_state(p.parts), j, k)
+
+
+# (weight, params) -> (row, heads) of _walk_row, kept at the largest order asked
+_ROWS: dict[tuple, tuple[list[int], list[list[int]]]] = {}
+
+
+def _walk_row(order: int, j: int, k: int, weight, params: tuple, tail) -> list[int]:
+    """row[n], the sum of weight(a, m, h, *params) over the partitions a[:m] of n, n <= order.
+
+    The row is extended in place to a larger order by one walk of that order; series.memo
+    would build at twice the order held.  A state of _walk(order) whose parts > 1 sum to
+    s = order - ones gives the partitions a[:m - order + n] of n >= s, with r = n - s ones;
+    new[ones] holds the n past the row with r < j.  For r >= j the first j - 1 lower-Durfee
+    squares are ones: tail(r, heads[s]) sums their weights, heads[s] adding
+    :func:`_larger_product` over the parts > 1.
+    """
+    row, heads = _ROWS.setdefault((weight, params), ([], []))
+    done, known = len(row), len(heads)
+    if done > order:
+        return row
+    row += [0] * (order + 1 - done)
+    heads += [[0] * (min(k - 1, s // 2) + 1) for s in range(known, order - j + 1)]
+    new = [range(max(done, s), min(s + j, order + 1)) for s in range(order, -1, -1)]
+    for a, m, h in _walk(order):
+        ones = m - h - 1
+        for n in new[ones]:
+            row[n] += weight(a, m - order + n, h, *params)
+        if j <= ones <= order - known:  # below x**1 the product is 1
+            for d, c in enumerate(_larger_product(a, h + 1, k) if k > 1 else (1,)):
+                heads[order - ones][d] += c
+    for n in range(done, order + 1):
+        row[n] += sum(tail(n - s, heads[s]) for s in range(n - j + 1))
+    return row
+
+
+_walk_row.cache_clear = _ROWS.clear
+
+
+def _mark_weight_row(j: int, order: int) -> list[int]:
+    # for r >= j the designated parts are the j bottom ones, marked r - j + 1..r
+    return _walk_row(order, j, 1, _mark_weight, (j,),
+                     lambda r, count: count[0] * (j * r - j * (j - 1) // 2))
+
+
+def _split_weight_row(j: int, k: int, order: int) -> list[int]:
+    # for r >= j the one split part is the j-th one from the bottom, marked r - j + 1
+    return _walk_row(order, j, k, _split_chain_weight, (j, k),
+                     lambda r, rest: _split_term(r - j + 1, rest, k))
 
 
 # ---------------------------------------------------------------------------
@@ -371,19 +429,18 @@ FAMILIES: dict[str, Family] = {
     "Spt_j": Family(("j",), {
         "moments": lambda j, n: n * partition_count(n) - _half_moment(j + 1, n),
         "gf": lambda j, n: gf_spt_j(j, n).coefficient(n),
-        "weight": lambda j, n: sum(_mark_weight(a, m, h, j) for a, m, h in _walk(n)),
+        "weight": lambda j, n: _mark_weight_row(j, n)[n],
     }),
     "jspt_k": Family(("j", "k"), {
         "moments": lambda j, k, n: sym_mu(j, 2 * k, n) - sym_mu(j + 1, 2 * k, n),
         "gf": lambda j, k, n: gf_jspt_k(j, k, n).coefficient(n),
-        "weight": lambda j, k, n: sum(_split_chain_weight(a, m, h, j, k)
-                                      for a, m, h in _walk(n)),
+        "weight": lambda j, k, n: _split_weight_row(j, k, n)[n],
     }),
 }
 
-# The weight routes of these families enumerate every partition of each n
-# (p(40) = 37338, p(50) = 204226); SptRequest refuses them, and "all", beyond
-# WEIGHT_N_MAX; the weight routes of spt and spt_k read a counting row instead.
+# The weight routes of these families enumerate the partitions of the order, one
+# walk for every n up to it (p(40) = 37338, p(50) = 204226); SptRequest refuses them,
+# and "all", beyond WEIGHT_N_MAX; those of spt and spt_k read a counting row instead.
 ENUMERATING_WEIGHT = ("Spt_j", "jspt_k")
 WEIGHT_N_MAX = 40
 

@@ -103,6 +103,25 @@ class TestWalk:
                 assert all(part > 1 for part in a[:h + 1]), (n, a[:m])
                 assert all(part == 1 for part in a[h + 1:m]), (n, a[:m])
 
+    def test_list_past_the_last_part_above_one_is_all_ones(self):
+        # the whole working list, not only a[:m]: the one-walk rows read
+        # a[:h + 1 + r] for every r up to the order minus the parts > 1
+        for n in range(21):
+            for a, m, h in _walk(n):
+                assert len(a) == n and all(part == 1 for part in a[h + 1:]), (n, a)
+
+    def test_heads_and_ones_give_every_partition_of_every_n_once(self):
+        for order in range(21):
+            got = {}
+            for a, m, h in _walk(order):
+                s = sum(a[:h + 1])
+                for r in range(order - s + 1):
+                    parts = tuple(a[:h + 1 + r])
+                    assert parts not in got.setdefault(s + r, set()), parts
+                    got[s + r].add(parts)
+            assert got == {n: set(partition_oracles.partition_tuples(n))
+                           for n in range(order + 1)}, order
+
     def test_walk_state_of_a_tuple(self):
         assert _walk_state((4, 2, 1, 1)) == ((4, 2, 1, 1), 4, 1)
         assert _walk_state((1, 1, 1)) == ((1, 1, 1), 3, -1)

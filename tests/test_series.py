@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qspt import cli, identities, laurent, series, spt, stats
+from qspt import cli, identities, laurent, partitions, series, spt, stats
 from qspt.series import (
     TruncSeries,
     gauss_binomial,
@@ -393,6 +393,27 @@ class TestChainPower:
         spt.gf_genn1_lhs(3, 60)
         for form in spt._FORMS:
             spt.gf_jspt_k(2, 2, 60, form)
+
+    def test_enumerating_routes_read_no_series_kernel(self, monkeypatch):
+        # the weight rows of Spt_j and jspt_k and the lemma verifiers count
+        # partitions on the walk: no p(n) table, no moments route, no series
+        # product and no gf chain recursion
+        def refuse(*args):
+            raise AssertionError("an enumerating route read a series kernel")
+
+        for mod in (partitions, series, spt, stats, identities):
+            for name in ("partition_count", "gf_sym_mu", "_linear_chain", "_square_chain",
+                         "_link_sums"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, refuse)
+        monkeypatch.setattr(TruncSeries, "__mul__", refuse)
+        clear_memos()
+        spt._walk_row.cache_clear()
+        assert spt.spt_j(3, 30, "weight") > 0
+        assert spt.jspt_k(2, 3, 30, "weight") > 0
+        for identity in ("lemma31", "lemma32"):
+            _, rows, _ = identities.verify(identity, order=30)
+            assert len(rows) == 30 and all(row[3] for row in rows)
 
 
 class TestLinkSums:

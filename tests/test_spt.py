@@ -8,6 +8,7 @@ import pytest
 
 import partition_oracles
 import tuple_sums
+from qspt import spt as sptmod
 from qspt import stats
 from qspt.partitions import Partition, enumerate_partitions, partition_count
 from qspt.series import TruncSeries, inv_pochhammer_inf
@@ -384,21 +385,57 @@ class TestRelations:
 
 
 class TestWeightRoutesAgainstOracles:
-    """The weight routes read the ZS1 walk's working list; the oracles sum the
-    plain weights over Partition objects (tests/partition_oracles.py)."""
+    """The weight routes read one row per order, built by one walk of the
+    order's partitions; the oracles sum the plain weights over the Partition
+    objects of each n (tests/partition_oracles.py).  At j = 4 and 5 many
+    partitions have fewer than j - 1 lower-Durfee squares."""
 
-    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    @pytest.mark.parametrize("j", [1, 2, 3, 4, 5])
     def test_spt_j_weight_route(self, j):
         route = FAMILIES["Spt_j"].routes["weight"]
         for n in range(1, 31):
             assert route(j, n) == partition_oracles.spt_j_weight(j, n), (j, n)
 
-    @pytest.mark.parametrize("j", [1, 2, 3])
+    @pytest.mark.parametrize("j", [1, 2, 3, 4, 5])
     def test_jspt_k_weight_route(self, j):
         route = FAMILIES["jspt_k"].routes["weight"]
         for n in range(1, 31):
             expected = partition_oracles.jspt_k_weights(j, n, range(1, 7))
             assert [route(j, k, n) for k in range(1, 7)] == expected, (j, n)
+
+    @pytest.mark.parametrize("j,k", [(2, 3), (3, 1)])
+    def test_jspt_k_weight_route_at_the_limit(self, j, k):
+        route = FAMILIES["jspt_k"].routes["weight"]
+        expected = partition_oracles.jspt_k_weights(j, WEIGHT_N_MAX, [k])
+        assert [route(j, k, WEIGHT_N_MAX)] == expected
+
+    def test_spt_j_weight_route_at_the_limit(self):
+        route = FAMILIES["Spt_j"].routes["weight"]
+        assert route(3, WEIGHT_N_MAX) == partition_oracles.spt_j_weight(3, WEIGHT_N_MAX)
+
+    @pytest.mark.parametrize("family,params", [("Spt_j", (2,)), ("Spt_j", (5,)),
+                                               ("jspt_k", (2, 3)), ("jspt_k", (4, 6))])
+    def test_read_down_and_ascending_agree(self, family, params):
+        # a row built at 30 answers every smaller n; one extended to each n in
+        # turn, or by a jump past j, gives the same values
+        route = FAMILIES[family].routes["weight"]
+        tuple_sums.clear_memos()
+        down = [route(*params, n) for n in range(30, 0, -1)][::-1]
+        tuple_sums.clear_memos()
+        assert [route(*params, n) for n in range(1, 31)] == down
+        tuple_sums.clear_memos()
+        reads = (3, 13, 12, 30)
+        assert [route(*params, n) for n in reads] == [down[n - 1] for n in reads]
+
+    def test_ascending_reads_walk_no_order_above_the_one_asked(self, monkeypatch):
+        # a miss builds the row at the order asked, never at twice the order
+        # held as series.memo does: p(80) is about 1.6e7 partitions
+        asked, walk = [], sptmod._walk
+        monkeypatch.setattr(sptmod, "_walk", lambda n: asked.append(n) or walk(n))
+        tuple_sums.clear_memos()
+        for n in range(1, 41):
+            spt_j(2, n, "weight")
+        assert asked and max(asked) <= 40
 
 
 class TestCompositions:
