@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable
 
-from .partitions import Partition, _walk, _walk_state, partition_count
+from .partitions import Partition, _lower_durfee_sides, _walk, _walk_state, partition_count
 from .series import (
     DiscrepancyError,
     TruncSeries,
@@ -91,14 +91,10 @@ def gf_spt(order: int) -> TruncSeries:
 
 def _lower_block(a, m: int, h: int, s: int) -> int | None:
     """Parts consumed by the first s lower-Durfee squares of a[:m], None if fewer."""
-    ones, rest = m - h - 1, h + 1
-    if s <= ones:  # they are trailing ones
+    if s <= m - h - 1:  # they are trailing ones
         return s
-    for _ in range(s - ones):  # each takes the min(a[rest - 1], rest) smallest parts left
-        if not rest:
-            return None
-        rest -= a[rest - 1] if a[rest - 1] < rest else rest
-    return m - rest
+    sides = _lower_durfee_sides(a, m, h)
+    return sum(sides[:s]) if len(sides) >= s else None
 
 
 def _mark_weight(a, m: int, h: int, j: int) -> int:
@@ -198,36 +194,38 @@ def split_chain_weight(p: Partition, j: int, k: int) -> int:
     return _split_chain_weight(*_walk_state(p.parts), j, k)
 
 
-# (weight, params) -> (row, heads) of _walk_row, kept at the largest order asked
+# (weight, params) -> (row, heads) of _walk_row, kept at the largest order built
 _ROWS: dict[tuple, tuple[list[int], list[list[int]]]] = {}
 
 
 def _walk_row(order: int, j: int, k: int, weight, params: tuple, tail) -> list[int]:
     """row[n], the sum of weight(a, m, h, *params) over the partitions a[:m] of n, n <= order.
 
-    The row is extended in place to a larger order by one walk of that order; series.memo
-    would build at twice the order held.  A state of _walk(order) whose parts > 1 sum to
-    s = order - ones gives the partitions a[:m - order + n] of n >= s, with r = n - s ones;
-    new[ones] holds the n past the row with r < j.  For r >= j the first j - 1 lower-Durfee
-    squares are ones: tail(r, heads[s]) sums their weights, heads[s] adding
+    A larger order extends the row by one walk of that order; series.memo would build at
+    twice the order held.  The extension is built on copies and stored only when complete,
+    so an interrupted build leaves the row it had.  A state of _walk(order) whose parts > 1
+    sum to s = order - ones gives the partitions a[:m - order + n] of n >= s, with r = n - s
+    ones; new[ones] holds the n past the row with r < j.  For r >= j the first j - 1
+    lower-Durfee squares are ones: tail(r, heads[s]) sums their weights, heads[s] adding
     :func:`_larger_product` over the parts > 1.
     """
-    row, heads = _ROWS.setdefault((weight, params), ([], []))
+    row, heads = _ROWS.get((weight, params), ([], []))
     done, known = len(row), len(heads)
     if done > order:
         return row
-    row += [0] * (order + 1 - done)
-    heads += [[0] * (min(k - 1, s // 2) + 1) for s in range(known, order - j + 1)]
+    row = row + [0] * (order + 1 - done)
+    heads = heads + [[0] * (min(k - 1, s // 2) + 1) for s in range(known, order - j + 1)]
     new = [range(max(done, s), min(s + j, order + 1)) for s in range(order, -1, -1)]
     for a, m, h in _walk(order):
         ones = m - h - 1
         for n in new[ones]:
             row[n] += weight(a, m - order + n, h, *params)
-        if j <= ones <= order - known:  # below x**1 the product is 1
-            for d, c in enumerate(_larger_product(a, h + 1, k) if k > 1 else (1,)):
+        if j <= ones <= order - known:
+            for d, c in enumerate(_larger_product(a, h + 1, k)):
                 heads[order - ones][d] += c
     for n in range(done, order + 1):
         row[n] += sum(tail(n - s, heads[s]) for s in range(n - j + 1))
+    _ROWS[weight, params] = row, heads
     return row
 
 

@@ -437,6 +437,40 @@ class TestWeightRoutesAgainstOracles:
             spt_j(2, n, "weight")
         assert asked and max(asked) <= 40
 
+    @pytest.mark.parametrize("stop", ["_walk", "_lower_block"])
+    @pytest.mark.parametrize("family,params", [("Spt_j", (2,)), ("jspt_k", (2, 3))])
+    def test_an_interrupted_build_keeps_the_row_it_had(self, family, params, stop,
+                                                       monkeypatch):
+        # a build stopped partway through the walk or a weight (Ctrl-C, a
+        # MemoryError) stores nothing: the next read builds again
+        route = FAMILIES[family].routes["weight"]
+        oracle = {"Spt_j": partition_oracles.spt_j_weight,
+                  "jspt_k": lambda j, k, n: partition_oracles.jspt_k_weights(j, n, [k])[0]}
+        tuple_sums.clear_memos()
+        route(*params, 12)
+        real = getattr(sptmod, stop)
+
+        def walk_stopped(n):
+            for i, state in enumerate(real(n)):
+                if i == 300:
+                    raise MemoryError
+                yield state
+
+        calls = []
+
+        def weight_stopped(*args):
+            calls.append(args)
+            if len(calls) == 300:
+                raise MemoryError
+            return real(*args)
+
+        monkeypatch.setattr(sptmod, stop, walk_stopped if stop == "_walk" else weight_stopped)
+        with pytest.raises(MemoryError):
+            route(*params, 25)
+        monkeypatch.undo()
+        for n in (25, 20, 12, 13, 30):
+            assert route(*params, n) == oracle[family](*params, n), n
+
 
 class TestCompositions:
     def test_oracle_enumerates_every_composition(self):
