@@ -10,7 +10,6 @@ that enumerate partitions.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 
@@ -37,9 +36,11 @@ def _poly_str(p: LaurentPoly) -> str:
 
 
 def _poly_rows(lhs, rhs, order, tag=""):
-    """The rows of :func:`_rows` for n = 0..order, their Laurent polynomials printed."""
-    return [(label, _poly_str(a), _poly_str(b), ok)
-            for label, a, b, ok in _rows(lhs, rhs, order, start=0, tag=tag)]
+    """The rows of :func:`_rows` for n = 0..order of two series symmetric in z: each pair
+    of rows compared in z, then printed one at a time as Laurent polynomials."""
+    compared = _rows(lhs.rows.__getitem__, rhs.rows.__getitem__, order, start=0, tag=tag)
+    return [(label, _poly_str(lhs.coefficient(n)), _poly_str(rhs.coefficient(n)), ok)
+            for n, (label, _, _, ok) in enumerate(compared)]
 
 
 def _verify_sptpn(j, k, r, order):
@@ -79,8 +80,7 @@ def _verify_sptdiff(j, k, r, order):
 
 
 def _verify_kn1(j, k, r, order):
-    lhs, rhs = build_kn1_sides(j, order)
-    return _poly_rows(lhs.coefficient, rhs.coefficient, order), []
+    return _poly_rows(*build_kn1_sides(j, order), order), []
 
 
 def _verify_genjmu2k(j, k, r, order):
@@ -112,9 +112,9 @@ def _verify_gtjsptk(j, k, r, order):
 
 
 def _verify_relos(j, k, r, order):
-    counts = build_jrank_gf(j, order, "counts")  # moments straight from N_j(m, n)
-    power = functools.cache(lambda m: m ** (2 * k))  # once per exponent
-    return _rows(lambda n: counts.coefficient(n).weighted_sum(power),
+    # moments straight from N_j(m, n)
+    counts = build_jrank_gf(j, order, "counts").weighted(lambda m: m ** (2 * k))
+    return _rows(counts.coefficient,
                  lambda n: stats.moment_via_sym(j, k, n), order), []
 
 
@@ -125,10 +125,10 @@ def _verify_fdyson(j, k, r, order):
 
 
 def _verify_rk_forms(j, k, r, order):
-    nested = build_jrank_gf(j, order, "nested").coefficient
+    nested = build_jrank_gf(j, order, "nested")
     return [row for name in ("bilateral", "counts")
-            for row in _poly_rows(nested, build_jrank_gf(j, order, name).coefficient,
-                                  order, tag=f":{name}")], []
+            for row in _poly_rows(nested, build_jrank_gf(j, order, name), order,
+                                  tag=f":{name}")], []
 
 
 def _strict_rr(a, lower) -> bool:

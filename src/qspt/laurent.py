@@ -1,29 +1,17 @@
-"""Laurent polynomials in z and bivariate series in q with Laurent coefficients.
+"""The crank, rank and j-rank generating functions in two variables, and the
+z-derivative and symmetrized-moment extractions that make them q-series.
 
-This module houses the two-variable generating functions for the crank, the
-rank and the j-rank, together with the z-derivative and symmetrized-moment
-extractions that turn them into single-variable series.
-
-The crank and nested j-rank builders divide by one-term factors
-(1 - z**a * q**e) with the factor kernel ``BiSeries.div_factor``: one pass over
-the rows, O(N * width), where a general ``BiSeries`` inverse costs
-O(N**2 * width**2).  The general ``__mul__`` and ``inverse`` are those of the
-series algebra ``qspt.series._Series``, which ``BiSeries`` shares with
-``TruncSeries``; the tests pin the kernels and builders to them.  The nested
-j-rank sum meets its factors by Horner over its first index t, two division
-passes per t (the rank function is its j = 2 case).  The kn1 identity is built
-on plain int lists: its left side by a Horner over z-columns, its right side
-by Jacobi's triple product and one division by (q)_inf^3 on q-rows, so neither
-side takes a factor pass.  The bilateral and count forms and both kn1 sides
-lay their z^|m| columns out as rows through one layout, ``_from_columns``,
-which raises on a term that no row could show.
+Each series built here is symmetric in z and held as ``SymRows``, int rows of
+z^0..z^n, built by two in-place kernels: ``_div_pair`` divides by (1 - zq^t)
+(1 - z^{-1}q^t), ``_div_rows`` by a pure-q series of few terms.  ``LaurentPoly``
+and ``BiSeries`` are the general bivariate algebra, which the tests pin the
+builders to; rows meet it only at the edge, in ``SymRows.coefficient``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from itertools import accumulate, repeat, zip_longest
+from itertools import accumulate
 from operator import add, mul, neg, sub
 
 from .series import (
@@ -33,7 +21,6 @@ from .series import (
     _difference_step,
     _link_sums,
     _square_chain,
-    inv_pochhammer_inf,
     memo,
     pochhammer_inf,
 )
@@ -42,19 +29,13 @@ from .stats import _bilateral_column, _njm_column, gf_njm
 
 def falling_factorial(x: int, t: int) -> int:
     """x * (x-1) * ... * (x-t+1) for integer x (possibly negative)."""
-    out = 1
-    for i in range(t):
-        out *= x - i
-    return out
+    return math.prod(range(x, x - t, -1))
 
 
 def integer_binomial(x: int, k: int) -> int:
-    """binom(x, k) as the falling-factorial polynomial, valid for negative x.
-
-    The product of k consecutive integers is always divisible by k!, so the
-    result is exact.  For 0 <= x < k the product holds the factor x - x, so
-    the result is 0 without multiplying out the other factors.
-    """
+    """binom(x, k) as the falling-factorial polynomial, valid for negative x: exact, as k!
+    divides the product of k consecutive integers, and 0 for 0 <= x < k without multiplying
+    out the product, which then holds the factor x - x."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     if 0 <= x < k:
@@ -68,12 +49,9 @@ def integer_binomial(x: int, k: int) -> int:
 
 
 def _add_shifted(a: LaurentPoly, b: LaurentPoly, z_exp: int = 0, c: int = 1) -> LaurentPoly:
-    """a + c * z**z_exp * b: the one loop that adds a Laurent row into another.
-
-    Sums, differences, negation and scaling of rows, the factor kernels and
-    ``BiSeries.mul_series`` all step through it; ``a`` comes back unchanged
-    when ``b`` is zero or ``c == 0``.
-    """
+    """a + c * z**z_exp * b: the one loop that adds a Laurent row into another, for sums,
+    differences, negation and scaling of rows and ``BiSeries.mul_series``; ``a`` comes back
+    unchanged when ``b`` is zero or ``c == 0``."""
     if not b.terms or not c:
         return a
     acc = dict(a.terms)
@@ -91,11 +69,8 @@ def _add_shifted(a: LaurentPoly, b: LaurentPoly, z_exp: int = 0, c: int = 1) -> 
 
 
 class LaurentPoly:
-    """A finite-support Laurent polynomial in z over the integers.
-
-    Stored as a map from z-exponent to nonzero coefficient; negative
-    exponents are allowed.
-    """
+    """A finite-support Laurent polynomial in z over the integers: a map from z-exponent,
+    negative exponents allowed, to nonzero coefficient."""
 
     __slots__ = ("terms",)
 
@@ -137,10 +112,6 @@ class LaurentPoly:
             raise ValueError("not an invertible Laurent polynomial")
         return LaurentPoly({-m: c})
 
-    def weighted_sum(self, weight) -> int:
-        """Sum of coeff * weight(exponent) over the support."""
-        return sum(c * weight(m) for m, c in self.terms.items())
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LaurentPoly) and self.terms == other.terms
 
@@ -169,10 +140,6 @@ class BiSeries(_Series):
     __mul__ = _Series.__mul__
     inverse = _Series.inverse
 
-    @classmethod
-    def from_series(cls, s: TruncSeries) -> "BiSeries":
-        return cls([LaurentPoly.const(c) for c in s.coeffs])
-
     def mul_series(self, s: TruncSeries) -> "BiSeries":
         """Multiply by a pure-q series (much cheaper than a full product)."""
         n = min(self.order, s.order)
@@ -184,127 +151,173 @@ class BiSeries(_Series):
                 out[i + j] = _add_shifted(out[i + j], self.coeffs[i], 0, c)
         return BiSeries(out)
 
-    def div_factor(self, z_exp: int, q_exp: int) -> "BiSeries":
-        """Divide by the one-term factor (1 - z**z_exp * q**q_exp), q_exp >= 1.
-
-        One ascending pass: row i of the quotient is row i of ``self`` plus
-        quotient row i - q_exp shifted by z**z_exp.
-        """
-        if q_exp < 1:
-            raise ValueError("q_exp must be >= 1")
-        out = list(self.coeffs)
-        for i in range(q_exp, len(out)):
-            out[i] = _add_shifted(out[i], out[i - q_exp], z_exp, 1)
-        return BiSeries(out)
-
     def __repr__(self) -> str:
         return f"BiSeries(order={self.order})"
 
 
+class SymRows:
+    """A series in q truncated at order N, symmetric in z, with int coefficients: row n
+    is the tuple of the coefficients of z^0..z^n in the q^n term, padded with zeros."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows: tuple = tuple(tuple(row) + (0,) * (n + 1 - len(row))
+                                 for n, row in enumerate(rows))
+
+    @property
+    def order(self) -> int:
+        return len(self.rows) - 1
+
+    def truncate(self, order: int) -> "SymRows":
+        if not 0 <= order <= self.order:
+            raise ValueError(f"truncation order {order} is outside 0..{self.order}")
+        return SymRows(self.rows[: order + 1])
+
+    def coefficient(self, n: int) -> LaurentPoly:
+        """The q^n coefficient as a Laurent polynomial in z."""
+        if not 0 <= n <= self.order:
+            raise IndexError(f"coefficient index {n} outside 0..{self.order}")
+        return LaurentPoly(dict(zip(range(-n, n + 1), self.rows[n][:0:-1] + self.rows[n])))
+
+    def weighted(self, weight) -> TruncSeries:
+        """sum_m weight(m) [z^m]: per row, one dot product with weight(0) at m = 0 and
+        weight(m) + weight(-m) at m > 0, each weight computed once."""
+        w = [weight(0)] + [weight(m) + weight(-m) for m in range(1, len(self.rows))]
+        return TruncSeries([sum(map(mul, row, w)) for row in self.rows])
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SymRows) and self.rows == other.rows
+
+
+def _div_pair(rows: list, t: int) -> None:
+    """Divide rows in place by (1 - zq^t)(1 - z^{-1}q^t): y_i = x_i + (z + z^{-1}) y_(i-t) -
+    y_(i-2t), z^{-1} y_(i-t) read at m = 0 as its z^1 term.  Row i may stop short of z^i and
+    grows only as far as y_i reaches; only lengths are read, so rows may start past zeros."""
+    for i in range(t, len(rows)):
+        row, prev = rows[i], rows[i - t]
+        before = rows[i - 2 * t] if i >= 2 * t else ()
+        row += [0] * (max(len(prev) + 1, len(before)) - len(row))
+        row[1:len(prev) + 1] = map(add, row[1:], prev)
+        row[:len(prev) - 1] = map(add, row, prev[1:])
+        if len(prev) > 1:
+            row[0] += prev[1]
+        row[:len(before)] = map(sub, row, before)
+
+
+def _div_rows(rows: list, terms) -> None:
+    """Divide rows (row i lists z^0..z^i) in place by 1 + sum c q^e over the terms (e, c),
+    e ascending from 1: y_i = x_i - sum c y_(i-e), one slice operation per term and row."""
+    for i, row in enumerate(rows):
+        for e, c in terms:
+            if e > i:
+                break
+            prev = rows[i - e]
+            scaled = prev if abs(c) == 1 else map(abs(c).__mul__, prev)
+            row[:len(prev)] = map(sub if c > 0 else add, row, scaled)
+
+
+def _div_q_inf(rows: list) -> None:
+    """Divide rows by (q)_inf = sum_k (-1)^k q^(k(3k-1)/2), Euler's pentagonal theorem."""
+    _div_rows(rows, [(k * (3 * k + s) // 2, (-1) ** k)
+                     for k in range(1, len(rows)) for s in (-1, 1)])
+
+
+def _div_q_inf_cubed(rows: list) -> None:
+    """Divide rows by (q)_inf^3 = sum_{n>=0} (-1)^n (2n+1) q^(n(n+1)/2), Jacobi's identity."""
+    _div_rows(rows, [(n * (n + 1) // 2, (-1) ** n * (2 * n + 1)) for n in range(1, len(rows))])
+
+
 @memo
-def build_crank_gf(order: int) -> BiSeries:
-    """The two-variable crank generating function (q)_inf / ((zq)_inf (z^{-1}q)_inf)."""
-    out = BiSeries.one(order)
-    for e in range(1, order + 1):
-        out = out.div_factor(1, e).div_factor(-1, e)
-    return out.mul_series(pochhammer_inf(1, order))
+def build_crank_gf(order: int) -> SymRows:
+    """The two-variable crank generating function (q)_inf / ((zq)_inf (z^{-1}q)_inf):
+    column 0 seeded with (q)_inf, then divided by the pair of every e."""
+    rows = [[c] for c in pochhammer_inf(1, order).coeffs]
+    for e in range(order, 0, -1):  # after the pairs of e and up, row i reaches z^(i // e)
+        _div_pair(rows, e)
+    return SymRows(rows)
 
 
-def build_rank_gf(order: int) -> BiSeries:
-    """The two-variable rank generating function: :func:`build_jrank_gf` at j = 2.
-
-    Sum over n >= 0 of q**(n*n) / ((zq)_n (z^{-1}q)_n); the n = 0 term
-    contributes the constant 1 for the empty partition.
-    """
+def build_rank_gf(order: int) -> SymRows:
+    """The two-variable rank generating function, sum_{n>=0} q**(n*n) / ((zq)_n (z^{-1}q)_n)
+    (the n = 0 term is the empty partition): :func:`build_jrank_gf` at j = 2."""
     return build_jrank_gf(2, order)
 
 
-def _from_columns(cols: list) -> BiSeries:
-    """The series symmetric in z whose z^m column is cols[|m|], zero past the last;
-    row n is read off columns 0..n, so a column m nonzero below q^m raises."""
+def _from_columns(cols: list) -> list:
+    """The rows (row n lists z^0..z^n) of the series symmetric in z whose z^m column is
+    cols[|m|], zero past the last: a transpose, so a column m nonzero below q^m raises."""
     for m, col in enumerate(cols):
         if any(col[:m]):
             raise DiscrepancyError(f"column z^{m} is nonzero below q^{m}")
     top = len(cols) - 1
-    return BiSeries(LaurentPoly({m: cols[abs(m)][n] for m in range(-min(n, top), min(n, top) + 1)})
-                    for n in range(len(cols[0])))
+    return [list(row[:n + 1]) + [0] * (n - top) for n, row in enumerate(zip(*cols))]
 
 
 @memo
-def build_jrank_gf(j: int, order: int, form: str = "nested") -> BiSeries:
-    """The two-variable j-rank generating function, normalized to constant term 1.
-
-    Forms: "nested" expands the multiple Durfee-square sum, "bilateral"
-    expands the single bilateral sum, and "counts" rebuilds the series from
-    the per-residue count generating functions.  All three agree (tested).
-    For j = 1 the function is the crank generating function by convention.
-    """
+def build_jrank_gf(j: int, order: int, form: str = "nested") -> SymRows:
+    """The two-variable j-rank generating function, normalized to constant term 1, the crank
+    at j = 1.  Forms: "nested" expands the multiple Durfee-square sum, "bilateral" the single
+    bilateral sum, and "counts" the per-residue count series.  All three agree (tested)."""
     if j < 1:
         raise ValueError("j must be >= 1")
+    if form == "nested" and j == 1:
+        return build_crank_gf(order)  # by convention, as their count series coincide
     if form == "nested":
-        if j == 1:
-            # The nested sum degenerates at depth 0; by convention the
-            # 1-rank is the crank (their count series coincide).
-            return build_crank_gf(order)
-        # the scalar series S_t of the chains 1 <= t_1 <= ... <= t_{j-1}, by
-        # their first index t = t_1, every t in 1..isqrt(order); summed by Horner,
-        # acc = (S_t + acc) / ((1 - zq^t)(1 - z^{-1}q^t)) from the largest t down
+        # the scalar series S_t of the chains 1 <= t_1 <= ... <= t_{j-1}, by their first
+        # index t = t_1 <= isqrt(order), summed by Horner from the largest t down:
+        # acc = (S_t + acc) / ((1 - zq^t)(1 - z^{-1}q^t)), zero below q^(t*t)
         chain = _square_chain(j - 1, _difference_step, order, lo=1, descending=True)
-        acc = BiSeries.zero(order)
+        rows = [[0] for _ in range(order + 1)]
         for first in sorted(chain, reverse=True):
-            acc = (acc + BiSeries.from_series(chain[first])).div_factor(1, first)
-            acc = acc.div_factor(-1, first)
-        return BiSeries.one(order) + acc
-    if form not in ("bilateral", "counts"):
+            for row, c in zip(rows, chain[first].coeffs):
+                row[0] += c
+            _div_pair(rows[first * first:], first)
+    elif form in ("bilateral", "counts"):
+        # one column per |m|, each read once: "counts" reads the count series,
+        # "bilateral" the raw columns and divides its rows once by (q)_inf
+        rows = _from_columns([gf_njm(j, m, order).coeffs if form == "counts"
+                              else _njm_column(j, m, order) for m in range(order + 1)])
+        if form == "bilateral":
+            _div_q_inf(rows)
+    else:
         raise ValueError(f"unknown form {form!r}")
-    # one column per |m|, as the sum is symmetric in z, each read once: "counts"
-    # reads the count series, "bilateral" the raw columns and divides its rows
-    # once by (q)_inf; for j >= 2 the sum has no q^0 term: add the empty partition
-    out = _from_columns([gf_njm(j, m, order).coeffs if form == "counts"
-                         else _njm_column(j, m, order) for m in range(order + 1)])
-    if form == "bilateral":
-        out = out.mul_series(inv_pochhammer_inf(1, order))
-    return out + BiSeries.one(order) if j >= 2 else out
+    if j >= 2:  # the empty partition, which the crank's sum holds already
+        rows[0][0] += 1
+    return SymRows(rows)
 
 
-def dz_at_1(a: BiSeries, t: int) -> TruncSeries:
+def dz_at_1(a: SymRows, t: int) -> TruncSeries:
     """The t-th z-derivative evaluated at z = 1, coefficient by coefficient."""
     if t < 0:
         raise ValueError("derivative order must be nonnegative")
-    weight = functools.cache(lambda m: falling_factorial(m, t))  # once per exponent
-    return TruncSeries([c.weighted_sum(weight) for c in a.coeffs])
+    return a.weighted(lambda m: falling_factorial(m, t))
 
 
-def symmetrized_extract(a: BiSeries, k: int) -> TruncSeries:
-    """Apply the symmetrized-moment weight binom(m+k-1, 2k) to each z-exponent m.
-
-    Equals (1/(2k)!) (d/dz)^{2k} z^{k-1} a(z, q) at z = 1, which for the
-    j-rank series is the generating function of the 2k-th symmetrized moments.
-    """
+def symmetrized_extract(a: SymRows, k: int) -> TruncSeries:
+    """Apply the symmetrized-moment weight binom(m+k-1, 2k) to each z-exponent m: (1/(2k)!)
+    (d/dz)^{2k} z^{k-1} a(z, q) at z = 1, for a j-rank series the 2k-th symmetrized moments."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    weight = functools.cache(lambda m: integer_binomial(m + k - 1, 2 * k))  # once per exponent
-    return TruncSeries([c.weighted_sum(weight) for c in a.coeffs])
+    return a.weighted(lambda m: integer_binomial(m + k - 1, 2 * k))
 
 
-def _kn1_correction(j: int, order: int) -> BiSeries:
-    """The kn1 correction sum 1 + sum_{n>=1} (-1)^n q^e (1+x) R_n, x = q^n, e = n((2j+1)n+1)/2,
-    where each term's ratio R_n = (z)_n (z^{-1})_n / ((zq)_n (z^{-1}q)_n) telescopes to
-    (1-z)(1-z^{-1}) / ((1-zx)(1-z^{-1}x)).  By columns, as (1+x) R_n = 2 - (1-x) sum_{m != 0}
-    x^(|m|-1) z^m: column m != 0 is _njm_column(j+1, |m|), and column 0, 1 + 2 sum (-1)^n q^e,
-    is 1 - 2 * the (j+1)-rank bilateral sum at a = 1 with the weight w = 1."""
+def _kn1_correction(j: int, order: int) -> list:
+    """The rows of the kn1 correction sum 1 + sum_{n>=1} (-1)^n q^e (1+x) R_n, x = q^n, e =
+    n((2j+1)n+1)/2, R_n = (z)_n (z^{-1})_n / ((zq)_n (z^{-1}q)_n) = (1-z)(1-z^{-1}) / ((1-zx)
+    (1-z^{-1}x)).  As (1+x) R_n = 2 - (1-x) sum_{m != 0} x^(|m|-1) z^m, column m != 0 is
+    _njm_column(j+1, |m|) and column 0, 1 + 2 sum (-1)^n q^e, a (j+1)-rank bilateral sum."""
     col0 = [1] + [-2 * c for c in _bilateral_column(j + 1, 1, (1,), order)[1:]]
     return _from_columns([col0] + [_njm_column(j + 1, m, order) for m in range(1, order + 1)])
 
 
 def _kn1_lhs_columns(j: int, order: int) -> list:
-    """The kn1 left side sum_o (z)_o (z^{-1})_o S_o as columns, S_o the scalar series of
-    the terms with outer index n_j = o (q^o times the link sum to o of the chains 0 <=
-    n_1 <= ... <= n_{j-1}), by a Horner suffix sum over o: the step o multiplies by
-    (1-zq^o)(1-z^{-1}q^o), col_m += q^(2o) col_m - q^o (col_{m-1} + col_{m+1}) (column
-    0's neighbours both column 1), and adds S_o.  After step o, column m has no term
-    below q^(o(m+1) + m(m+1)/2), the least degree of z^m in (zq^o)_(p-o) (z^{-1}q^o)_(p-o)
-    q^p over p >= o + m: it is kept from there, and dropped if that is past the order."""
+    """The kn1 left side sum_o (z)_o (z^{-1})_o S_o as columns, S_o the scalar series of the
+    terms with outer index n_j = o, by a Horner suffix sum over o: the step o multiplies by
+    (1-zq^o)(1-z^{-1}q^o), col_m += q^(2o) col_m - q^o (col_{m-1} + col_{m+1}) (column 0's
+    neighbours both column 1), and adds S_o.  After step o, column m is kept from q^(o(m+1) +
+    m(m+1)/2), the least degree of z^m in (zq^o)_(p-o) (z^{-1}q^o)_(p-o) q^p over p >= o + m,
+    and dropped if that is past the order."""
     chain = _square_chain(j - 1, _difference_step, order)
     sums = list(_link_sums(chain, _difference_step, range(order + 1), lambda o: order - o))
     cols: list = []
@@ -326,10 +339,9 @@ def _kn1_lhs_columns(j: int, order: int) -> list:
 
 
 def _triple_product_rows(rows: list) -> list:
-    """A series symmetric in z times sum_k z^k T_|k|, T_k = sum_{n>k} (-1)^(n+1) q^(n(n-1)/2),
-    which is (q)_inf prod_{e>=1} (1-zq^e)(1-z^{-1}q^e) by Jacobi's triple product.  Row i
-    lists z^0..z^i, in and out; it adds its box sums z^(1-n) + ... + z^(n-1), read off one
-    prefix-sum list, into row i + n(n-1)/2."""
+    """Rows times sum_k z^k T_|k|, T_k = sum_{n>k} (-1)^(n+1) q^(n(n-1)/2), which is (q)_inf
+    prod_{e>=1} (1-zq^e)(1-z^{-1}q^e) by Jacobi's triple product: row i adds its box sums
+    z^(1-n) + ... + z^(n-1), read off one prefix-sum list, into row i + n(n-1)/2."""
     out = [[0] * (i + 1) for i in range(len(rows))]
     for i, row in enumerate(rows):
         reach = (math.isqrt(8 * (len(rows) - 1 - i) + 1) + 1) // 2  # the largest n that lands
@@ -344,28 +356,15 @@ def _triple_product_rows(rows: list) -> list:
     return out
 
 
-def _div_q_inf_cubed(rows: list) -> None:
-    """Divide rows (row i lists z^0..z^i) in place by (q)_inf^3 = sum_{n>=0} (-1)^n
-    (2n+1) q^(n(n+1)/2), Jacobi's identity: one recurrence along q, each of its
-    O(sqrt(N)) terms per row one slice operation across z."""
-    for i, row in enumerate(rows):
-        for n in range(1, (math.isqrt(8 * i + 1) + 1) // 2):  # n(n+1)/2 <= i
-            prev = rows[i - n * (n + 1) // 2]
-            row[:len(prev)] = map(add if n % 2 else sub, row, map(mul, prev, repeat(2 * n + 1)))
-
-
-def build_kn1_sides(j: int, order: int) -> tuple[BiSeries, BiSeries]:
-    """Both sides of the nested-sum / bilateral-product identity at depth j.
-
-    The left side is the nested sum over n_j >= ... >= n_1 >= 0 with numerator
-    (z)_{n_j} (z^{-1})_{n_j}; the right side is the correction sum times
-    prod_{e>=1} (1-zq^e)(1-z^{-1}q^e) / (q)_inf^2, its triple product rows over
-    (q)_inf^3.  The sides share no kernel; callers assert equality.
-    """
+def build_kn1_sides(j: int, order: int) -> tuple[SymRows, SymRows]:
+    """Both sides of the nested-sum / bilateral-product identity at depth j: the nested sum
+    over n_j >= ... >= n_1 >= 0 with numerator (z)_{n_j} (z^{-1})_{n_j}, and the correction
+    sum times prod_{e>=1} (1-zq^e)(1-z^{-1}q^e) / (q)_inf^2, its triple product rows over
+    (q)_inf^3.  The sides share no kernel; callers assert equality."""
     if j < 1:
         raise ValueError("j must be >= 1")
-    rows = _triple_product_rows([[p.terms.get(m, 0) for m in range(i + 1)]
-                                 for i, p in enumerate(_kn1_correction(j, order).coeffs)])
-    _div_q_inf_cubed(rows)
-    rhs = _from_columns(list(zip_longest(*rows, fillvalue=0)))
-    return _from_columns(_kn1_lhs_columns(j, order)), rhs
+    if order < 0:
+        raise ValueError(f"order {order} is negative")
+    rhs = _triple_product_rows(_kn1_correction(j, order))
+    _div_q_inf_cubed(rhs)
+    return SymRows(_from_columns(_kn1_lhs_columns(j, order))), SymRows(rhs)

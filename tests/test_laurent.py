@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tuple_sums
-from qspt import laurent, stats
+from qspt import identities, laurent, stats
 from qspt.cli import main
 from qspt.laurent import (
     BiSeries,
     LaurentPoly,
+    SymRows,
     _add_shifted,
+    _div_q_inf,
     _div_q_inf_cubed,
     _from_columns,
     _kn1_correction,
@@ -31,7 +33,7 @@ from qspt.laurent import (
 from qspt.partitions import enumerate_partitions
 from qspt.series import DiscrepancyError, TruncSeries, inv_pochhammer_inf, pochhammer_inf
 from qspt.stats import crank, gf_sym_mu, rank
-from tuple_sums import clear_memos
+from tuple_sums import clear_memos, from_series, to_bi, to_rows
 
 
 def lp(d):
@@ -217,9 +219,9 @@ class TestBiSeries:
             cls.one(5).truncate(order)
 
     def test_mul_series_matches_full_mul(self):
-        a = build_crank_gf(6)
+        a = to_bi(build_crank_gf(6))
         s = pochhammer_inf(1, 6)
-        assert a.mul_series(s) == a * BiSeries.from_series(s)
+        assert a.mul_series(s) == a * from_series(s)
 
 
 class TestSharedAlgebra:
@@ -241,8 +243,8 @@ class TestSharedAlgebra:
     @given(a=int_series, b=int_series)
     @settings(max_examples=200, deadline=None)
     def test_int_product_matches_dict_loop(self, a, b):
-        lifted = tuple_sums.bi_product(BiSeries.from_series(a), BiSeries.from_series(b))
-        assert BiSeries.from_series(a * b) == lifted
+        lifted = tuple_sums.bi_product(from_series(a), from_series(b))
+        assert from_series(a * b) == lifted
 
     @given(a=int_series, lead=st.sampled_from([1, -1]))
     @settings(max_examples=200, deadline=None)
@@ -271,18 +273,18 @@ class TestFactorKernels:
     @given(a=bi_series, z_exp=st.integers(-3, 3), q_exp=st.integers(1, 5))
     @settings(max_examples=200, deadline=None)
     def test_div_factor_matches_inverse(self, a, z_exp, q_exp):
-        assert a.div_factor(z_exp, q_exp) == a * factor(z_exp, q_exp, a.order).inverse()
+        assert tuple_sums.div_factor(a, z_exp, q_exp) == a * factor(z_exp, q_exp, a.order).inverse()
 
     @given(a=bi_series, z_exp=st.integers(-3, 3), q_exp=st.integers(1, 5))
     @settings(max_examples=200, deadline=None)
     def test_div_then_mul_round_trips(self, a, z_exp, q_exp):
-        assert tuple_sums.mul_factor(a.div_factor(z_exp, q_exp), z_exp, q_exp) == a
+        assert tuple_sums.mul_factor(tuple_sums.div_factor(a, z_exp, q_exp), z_exp, q_exp) == a
 
     def test_bad_exponents(self):
         with pytest.raises(ValueError):
             tuple_sums.mul_factor(BiSeries.one(3), 1, -1)
         with pytest.raises(ValueError):
-            BiSeries.one(3).div_factor(1, 0)
+            tuple_sums.div_factor(BiSeries.one(3), 1, 0)
 
     @pytest.mark.parametrize("order", [0, 1, 7, 16])
     def test_pochhammers_match_dense(self, order):
@@ -291,11 +293,11 @@ class TestFactorKernels:
 
     @pytest.mark.parametrize("order", [0, 1, 7, 16])
     def test_crank_gf_matches_dense(self, order):
-        assert build_crank_gf(order) == dense_crank_gf(order)
+        assert to_bi(build_crank_gf(order)) == dense_crank_gf(order)
 
     @pytest.mark.parametrize("j,order", [(1, 16), (2, 16), (3, 16), (2, 5)])
     def test_kn1_sides_match_dense(self, j, order):
-        assert build_kn1_sides(j, order) == dense_kn1_sides(j, order)
+        assert tuple(map(to_bi, build_kn1_sides(j, order))) == dense_kn1_sides(j, order)
 
 
 def _statistic_poly(n, stat):
@@ -321,8 +323,8 @@ class TestCrankGf:
     def test_times_denominator_recovers_numerator(self):
         order = 10
         denom = bi_pochhammer(1, 1, None, order) * bi_pochhammer(-1, 1, None, order)
-        got = build_crank_gf(order) * denom
-        assert got == BiSeries.from_series(pochhammer_inf(1, order))
+        got = to_bi(build_crank_gf(order)) * denom
+        assert got == from_series(pochhammer_inf(1, order))
 
 
 class TestRankGf:
@@ -371,7 +373,7 @@ class TestJrankGf:
 
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_z_symmetry(self, j):
-        a = build_jrank_gf(j, 12)
+        a = to_bi(build_jrank_gf(j, 12))
         assert a == z_inverse(a)
 
     def test_unknown_form(self):
@@ -407,7 +409,7 @@ class TestJrankGf:
         expected = BiSeries.one(30)
         for first, scalar in tuple_sums.jrank_scalars(j, 30).items():
             expected = expected + dense_sym_pochhammer(first, 1, 30).inverse().mul_series(scalar)
-        assert nested == expected
+        assert to_bi(nested) == expected
 
 
 class TestExtractions:
@@ -417,7 +419,7 @@ class TestExtractions:
         assert dz_at_1(build_jrank_gf(3, 10), 1) == TruncSeries.zero(10)
 
     def test_derivative_of_constant(self):
-        assert dz_at_1(BiSeries.one(4), 2) == TruncSeries.zero(4)
+        assert dz_at_1(SymRows([[1]] + [[0]] * 4), 2) == TruncSeries.zero(4)
 
     def test_second_derivative_rank_q3(self):
         # sum of m(m-1) over ranks {2, 0, -2} of the partitions of 3 = 2 + 6
@@ -441,14 +443,14 @@ class TestExtractions:
     @pytest.mark.parametrize("name,extract", [("integer_binomial", symmetrized_extract),
                                               ("falling_factorial", dz_at_1)])
     def test_each_weight_once_per_extraction(self, monkeypatch, name, extract):
-        # one weight per distinct z-exponent, not one per term
+        # one weight per z-exponent -30..30 of the rows, not one per term
         a = build_jrank_gf(2, 30)
         expected = extract(a, 2)
         calls = []
         weight = getattr(laurent, name)
         monkeypatch.setattr(laurent, name, lambda *args: calls.append(args) or weight(*args))
         assert extract(a, 2) == expected
-        assert len(calls) == len({m for row in a.coeffs for m in row.terms})
+        assert len(calls) == len(set(calls)) == 61
 
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_symmetrized_matches_closed_form_order_60(self, j):
@@ -485,19 +487,19 @@ class TestKn1:
         mul_factor = tuple_sums.mul_factor
         for outer in range(max(scalars), -1, -1):  # Horner over the outer index
             expected = mul_factor(mul_factor(expected, 1, outer), -1, outer)
-            expected = expected + BiSeries.from_series(scalars[outer])
-        assert lhs == expected
+            expected = expected + from_series(scalars[outer])
+        assert to_bi(lhs) == expected
 
     @pytest.mark.parametrize("j", [1, 2, 3, 4])
     def test_correction_columns_match_per_n_terms(self, j):
         # the bivariate term per n that the column layout replaced
-        assert _kn1_correction(j, 150) == tuple_sums.kn1_correction(j, 150)
+        assert to_bi(SymRows(_kn1_correction(j, 150))) == tuple_sums.kn1_correction(j, 150)
 
     @pytest.mark.parametrize("j", [1, 2, 3, 4])
     def test_correction_column_0_matches_column_sum(self, j):
         # one bilateral column in place of the sum over the N other columns
         for order in [*range(41), 90, 150, 300]:
-            col0 = [row.terms.get(0, 0) for row in _kn1_correction(j, order).coeffs]
+            col0 = [row[0] for row in _kn1_correction(j, order)]
             assert col0 == tuple_sums.kn1_column0(j, order), order
 
     def test_constant_terms(self):
@@ -515,14 +517,14 @@ class TestKn1Builders:
         for order in range(61):
             lhs, rhs = build_kn1_sides(j, order)
             want_lhs, want_rhs = tuple_sums.kn1_sides_by_factors(j, order)
-            assert lhs == want_lhs, order
-            assert rhs == want_rhs, order
+            assert to_bi(lhs) == want_lhs, order
+            assert to_bi(rhs) == want_rhs, order
 
     def test_each_side_matches_factor_passes_order_150(self):
         lhs, rhs = build_kn1_sides(2, 150)
         want_lhs, want_rhs = tuple_sums.kn1_sides_by_factors(2, 150)
-        assert lhs == want_lhs
-        assert rhs == want_rhs
+        assert to_bi(lhs) == want_lhs
+        assert to_bi(rhs) == want_rhs
 
     @pytest.mark.parametrize("order", [*range(25), 120, 500])
     def test_jacobi_cube_identity(self, order):
@@ -548,22 +550,132 @@ class TestKn1Builders:
             product = BiSeries.one(order)
             for e in range(1, order + 1):
                 product = mul_factor(mul_factor(product, 1, e), -1, e)
-            assert _from_columns(cols).mul_series(inv_pochhammer_inf(1, order)) == product, order
+            got = to_bi(SymRows(_from_columns(cols))).mul_series(inv_pochhammer_inf(1, order))
+            assert got == product, order
 
     def test_builds_without_bivariate_products(self, monkeypatch):
+        # every builder, extraction and bivariate verifier runs on int rows alone
         def refuse(*args):
-            raise AssertionError("a factor pass or a pure-q product of BiSeries")
+            raise AssertionError("a BiSeries product or inverse, or a Laurent row sum")
 
-        for name in ("mul_factor", "div_factor", "mul_series"):
-            monkeypatch.setattr(BiSeries, name, refuse, raising=False)
-        lhs, rhs = build_kn1_sides(2, 40)
-        assert lhs == rhs
+        for name in ("__mul__", "inverse", "mul_series"):
+            monkeypatch.setattr(BiSeries, name, refuse)
+        monkeypatch.setattr(laurent, "_add_shifted", refuse)
+        monkeypatch.setattr(LaurentPoly, "__add__", refuse)  # bound to it in the class body
+        clear_memos()
+        for j in (1, 2, 3):
+            lhs, rhs = build_kn1_sides(j, 40)
+            assert lhs == rhs
+            forms = [build_jrank_gf(j, 40, form) for form in ("nested", "bilateral", "counts")]
+            assert forms[0] == forms[1] == forms[2]
+            assert symmetrized_extract(forms[0], 2) == gf_sym_mu(j, 2, 40)
+        assert build_crank_gf(40) == build_jrank_gf(1, 40)
+        assert dz_at_1(build_rank_gf(40), 1) == TruncSeries.zero(40)
+        for name in ("kn1", "genjmu2k", "Rk-forms", "relos"):
+            for order in (None, 40):
+                _, rows, _ = identities.verify(name, order=order)
+                assert all(row[-1] for row in rows), (name, order)
+
+    def test_forms_share_no_row_division(self, monkeypatch):
+        # the nested form, the counts form and the crank are the independent sides of
+        # the Rk-forms check: none divides its rows by a pure-q series
+        def refuse(*args):
+            raise AssertionError("the pure-q row division")
+
+        monkeypatch.setattr(laurent, "_div_rows", refuse)
+        clear_memos()
+        with pytest.raises(AssertionError, match="pure-q row division"):
+            build_jrank_gf(2, 40, "bilateral")
+        for j in (1, 2, 3, 4):
+            assert build_jrank_gf(j, 40, "nested") == build_jrank_gf(j, 40, "counts")
+        build_crank_gf(60)
+
+    @pytest.mark.parametrize("order", [-1, -4])
+    def test_negative_order_raises(self, order):
+        # it raised IndexError from the column Horner; the memoized builders say this
+        with pytest.raises(ValueError, match=f"order {order} is negative"):
+            build_kn1_sides(2, order)
+
+
+# symmetric rows, as the row kernels see them: row i lists z^0..z^i
+sym_rows = st.integers(0, 8).flatmap(lambda order: st.tuples(
+    *(st.lists(st.integers(-9, 9), min_size=i + 1, max_size=i + 1) for i in range(order + 1))))
+
+
+class TestRowKernels:
+    """The two in-place kernels on int rows, pinned to the dict-row algebra."""
+
+    @given(rows=sym_rows, t=st.integers(1, 5), start=st.integers(0, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_pair_division_matches_factor_passes(self, rows, t, start):
+        # rows below ``start`` zero and each row cut after its last nonzero term, as the
+        # crank and the nested form hold them; the slice from ``start`` is divided
+        rows = [[0]] * min(start, len(rows)) + list(rows[start:])
+        want = to_bi(SymRows(rows))
+        want = tuple_sums.div_factor(tuple_sums.div_factor(want, 1, t), -1, t)
+        cut = [row[:max((m + 1 for m, c in enumerate(row) if c), default=1)] for row in rows]
+        laurent._div_pair(cut[start:], t)
+        assert all(len(row) <= i + 1 for i, row in enumerate(cut))
+        assert to_bi(SymRows(cut)) == want
+
+    @given(rows=sym_rows)
+    @settings(max_examples=200, deadline=None)
+    def test_q_inf_divisions_match_mul_series(self, rows):
+        inv = inv_pochhammer_inf(1, len(rows) - 1)
+        want = to_bi(SymRows(rows)).mul_series(inv)
+        got = [list(row) for row in rows]
+        _div_q_inf(got)
+        assert to_bi(SymRows(got)) == want
+        _div_q_inf_cubed(got)
+        assert to_bi(SymRows(got)) == want.mul_series(inv * inv * inv)
+
+    @pytest.mark.parametrize("order", [*range(25), 120, 500])
+    def test_euler_pentagonal_division(self, order):
+        rows = [[c] for c in pochhammer_inf(1, order).coeffs]
+        _div_q_inf(rows)
+        assert rows == [[1]] + [[0]] * order
+
+    def test_coefficient_is_the_edge(self):
+        a = SymRows([[1], [2, 3], [4, 0, 5]])
+        assert a.coefficient(2) == lp({-2: 5, 0: 4, 2: 5})
+        assert a.coefficient(1) == lp({-1: 3, 0: 2, 1: 3})
+        for n in (-1, 3):
+            with pytest.raises(IndexError):
+                a.coefficient(n)
+        assert SymRows([[1], [2], [4]]).rows == ((1,), (2, 0), (4, 0, 0))  # padded
+
+
+class TestRowBuilders:
+    """Each row builder pinned to the dict-row builder it replaced (tuple_sums) at every
+    order <= 120: each oracle is built once at 120 and compared by its truncations, and
+    the row builder runs at each order, past its memo."""
+
+    def test_crank(self):
+        want = to_rows(tuple_sums.crank_gf(120))
+        for order in range(121):
+            assert build_crank_gf.__wrapped__(order) == want.truncate(order), order
+
+    @pytest.mark.parametrize("form", ["nested", "bilateral", "counts"])
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_jrank_forms(self, j, form):
+        want = to_rows(tuple_sums.jrank_gf(j, 120, form))
+        for order in range(121):
+            assert build_jrank_gf.__wrapped__(j, order, form) == want.truncate(order), order
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_kn1_sides(self, j):
+        want = [to_rows(side) for side in tuple_sums.kn1_sides_by_factors(j, 120)]
+        for order in range(121):
+            got = build_kn1_sides(j, order)
+            assert got == tuple(side.truncate(order) for side in want), order
 
 
 class TestFromColumns:
     def test_reads_row_n_off_columns_0_to_n(self):
         got = _from_columns([[1, 2, 3], [0, 4, 5]])  # column z^2 and on are zero
-        assert got == BiSeries([lp({0: 1}), lp({-1: 4, 0: 2, 1: 4}), lp({-1: 5, 0: 3, 1: 5})])
+        assert got == [[1], [2, 4], [3, 5, 0]]
+        assert to_bi(SymRows(got)) == BiSeries([lp({0: 1}), lp({-1: 4, 0: 2, 1: 4}),
+                                                lp({-1: 5, 0: 3, 1: 5})])
 
     def test_term_below_its_column_raises(self):
         # z^2 q^1 lies in no row 0..n, n >= |m|: it must not vanish silently

@@ -14,10 +14,14 @@ bilateral sums one term per n, the oracles for the column writers of
 the kn1 correction into its column z^0.  ``bi_product``, ``bi_inverse`` and
 ``int_inverse`` are the product and inverses each ring had before the two
 shared one series algebra: the oracles for ``qspt.series._Series``.
-``mul_factor`` is the one-pass bivariate factor kernel, and
-``kn1_sides_by_factors`` builds both kn1 sides with it: 2N factor passes per
-side and a dense product by 1/(q)_inf^2, the oracle for the column and row
-builders of ``qspt.laurent.build_kn1_sides``.
+``mul_factor`` and ``div_factor`` are the one-pass bivariate factor kernels on
+dict rows, and ``kn1_sides_by_factors`` builds both kn1 sides with them: 2N
+factor passes per side and a dense product by 1/(q)_inf^2, the oracle for the
+column and row builders of ``qspt.laurent.build_kn1_sides``.  ``crank_gf`` and
+``jrank_gf`` are the crank and the three j-rank forms on dict rows, as
+``qspt.laurent`` built them before its int rows: the oracles for its row
+builders.  ``to_bi`` and ``to_rows`` convert between the two layouts, each
+exactly.
 """
 
 import functools
@@ -234,7 +238,7 @@ def kn1_correction(j, order):
     correction = laurent.BiSeries.one(order)
     n = 1
     while (e := n * ((2 * j + 1) * n + 1) // 2) <= order:
-        term = numerator.div_factor(1, n).div_factor(-1, n).shift(e)
+        term = div_factor(div_factor(numerator, 1, n), -1, n).shift(e)
         term = term + term.shift(n)  # times 1 + q^n
         correction = correction - term if n % 2 == 1 else correction + term
         n += 1
@@ -253,6 +257,75 @@ def mul_factor(a, z_exp, q_exp):
     return laurent.BiSeries(out)
 
 
+def div_factor(a, z_exp, q_exp):
+    """a divided by the one-term factor (1 - z**z_exp * q**q_exp), q_exp >= 1: one
+    ascending pass, row i of the quotient gaining quotient row i - q_exp shifted by
+    z**z_exp."""
+    if q_exp < 1:
+        raise ValueError("q_exp must be >= 1")
+    out = list(a.coeffs)
+    for i in range(q_exp, len(out)):
+        out[i] = laurent._add_shifted(out[i], out[i - q_exp], z_exp, 1)
+    return laurent.BiSeries(out)
+
+
+def from_series(s):
+    """A pure-q series as a BiSeries."""
+    return laurent.BiSeries([laurent.LaurentPoly.const(c) for c in s.coeffs])
+
+
+def to_bi(a):
+    """The rows of a SymRows as a BiSeries, read through ``SymRows.coefficient``."""
+    return laurent.BiSeries(map(a.coefficient, range(a.order + 1)))
+
+
+def to_rows(a):
+    """A BiSeries as a SymRows.  Raises unless it is symmetric in z with no z^m past
+    |m| = n in row n, so comparing the rows loses nothing."""
+    rows = laurent.SymRows([p.terms.get(m, 0) for m in range(n + 1)]
+                           for n, p in enumerate(a.coeffs))
+    if to_bi(rows) != a:
+        raise AssertionError("not symmetric in z, or a term past z^n in row n")
+    return rows
+
+
+def dict_from_columns(cols):
+    """The series symmetric in z whose z^m column is cols[|m|], zero past the last, on
+    dict rows: row n reads columns 0..n, one dict entry per term."""
+    top = len(cols) - 1
+    return laurent.BiSeries(
+        laurent.LaurentPoly({m: cols[abs(m)][n] for m in range(-min(n, top), min(n, top) + 1)})
+        for n in range(len(cols[0])))
+
+
+def crank_gf(order):
+    """The crank on dict rows: 2N division passes, then times (q)_inf."""
+    out = laurent.BiSeries.one(order)
+    for e in range(1, order + 1):
+        out = div_factor(div_factor(out, 1, e), -1, e)
+    return out.mul_series(series.pochhammer_inf(1, order))
+
+
+def jrank_gf(j, order, form):
+    """The three j-rank forms on dict rows: the nested sum by Horner over its first index,
+    two division passes each; the bilateral and count forms laid out from their columns,
+    the bilateral rows times 1/(q)_inf."""
+    if form == "nested":
+        if j == 1:
+            return crank_gf(order)
+        chain = series._square_chain(j - 1, series._difference_step, order, lo=1,
+                                     descending=True)
+        acc = laurent.BiSeries.zero(order)
+        for first in sorted(chain, reverse=True):
+            acc = div_factor(div_factor(acc + from_series(chain[first]), 1, first), -1, first)
+        return laurent.BiSeries.one(order) + acc
+    out = dict_from_columns([stats.gf_njm(j, m, order).coeffs if form == "counts"
+                             else stats._njm_column(j, m, order) for m in range(order + 1)])
+    if form == "bilateral":
+        out = out.mul_series(inv_pochhammer_inf(1, order))
+    return out + laurent.BiSeries.one(order) if j >= 2 else out
+
+
 def kn1_sides_by_factors(j, order):
     """Both kn1 sides by factor passes.  Left: a Horner suffix sum over the outer
     index o, acc = S_o + (1-zq^o)(1-z^{-1}q^o) acc, two passes per o.  Right: the
@@ -264,8 +337,8 @@ def kn1_sides_by_factors(j, order):
     lhs = laurent.BiSeries.zero(order)
     for outer in range(order, -1, -1):
         lhs = mul_factor(mul_factor(lhs, 1, outer), -1, outer)
-        lhs = lhs + laurent.BiSeries.from_series(TruncSeries([0] * outer + sums[outer]))
-    rhs = laurent._kn1_correction(j, order)
+        lhs = lhs + from_series(TruncSeries([0] * outer + sums[outer]))
+    rhs = kn1_correction(j, order)
     for e in range(1, order + 1):
         rhs = mul_factor(mul_factor(rhs, 1, e), -1, e)
     inv = inv_pochhammer_inf(1, order)
