@@ -30,15 +30,18 @@ _FORMATS = click.Choice(["plain", "csv", "json"])
 
 
 def _emit(rows: list[tuple], header: tuple[str, ...], fmt: str) -> None:
+    """Write one row at a time, JSON byte for byte as one ``json.dumps`` of the row dicts."""
+    if fmt == "json":
+        click.echo("[", nl=False)
+        for i, row in enumerate(rows):
+            cells = (x if isinstance(x, (int, str)) else str(x) for x in row)
+            click.echo(", " * bool(i) + json.dumps(dict(zip(header, cells))), nl=False)
+        click.echo("]")
+        return
     if fmt == "csv":
         click.echo(",".join(header))
-        for row in rows:
-            click.echo(",".join(str(x) for x in row))
-    elif fmt == "json":
-        click.echo(json.dumps([dict(zip(header, row)) for row in rows], indent=None))
-    else:
-        for row in rows:
-            click.echo(" ".join(str(x) for x in row))
+    for row in rows:
+        click.echo(("," if fmt == "csv" else " ").join(map(str, row)))
 
 
 def _verdict(rows: list[tuple], fmt: str, passed: str, failed) -> None:

@@ -1,11 +1,11 @@
 """The identities that tie the routes together, as one registry of verifiers.
 
-Each verifier expands both sides of a named identity and returns
-``(rows, notes)``: a row is ``(label, lhs, rhs, ok)`` and a note is a
-diagnostic about the check itself.  :func:`verify` fills in the default
-parameters, and raises ValueError for an unknown identity or out-of-range
-parameters, among them an order above ``spt.WEIGHT_N_MAX`` for the verifiers
-that enumerate partitions.
+Each verifier expands both sides of a named identity and returns ``(rows, notes)``: a
+row is ``(label, lhs, rhs, ok)``, its sides values, not text (ints, or for ``kn1`` and
+``Rk-forms`` the int rows ``laurent.SymRow``, which only the CLI prints), and a note is
+a diagnostic about the check itself.  :func:`verify` fills in the default parameters,
+and raises ValueError for an unknown identity or out-of-range parameters, among them
+an order above ``spt.WEIGHT_N_MAX`` for the verifiers that enumerate partitions.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import operator
 
 from . import spt as sptmod
 from . import stats
-from .laurent import LaurentPoly, build_jrank_gf, build_kn1_sides, symmetrized_extract
+from .laurent import build_jrank_gf, build_kn1_sides, symmetrized_extract
 from .partitions import _durfee_sides, _lower_durfee_sides, _walk, partition_count
 from .series import read_down
 
@@ -27,20 +27,6 @@ def _rows(lhs, rhs, order, start=1, tag="", ok=operator.eq):
         return f"n={n}{tag}", a, b, ok(a, b)
 
     return read_down(row, start, order)
-
-
-def _poly_str(p: LaurentPoly) -> str:
-    if not p.terms:
-        return "0"
-    return "+".join(f"{c}z^{m}" for m, c in sorted(p.terms.items())).replace("+-", "-")
-
-
-def _poly_rows(lhs, rhs, order, tag=""):
-    """The rows of :func:`_rows` for n = 0..order of two series symmetric in z: each pair
-    of rows compared in z, then printed one at a time as Laurent polynomials."""
-    compared = _rows(lhs.rows.__getitem__, rhs.rows.__getitem__, order, start=0, tag=tag)
-    return [(label, _poly_str(lhs.coefficient(n)), _poly_str(rhs.coefficient(n)), ok)
-            for n, (label, _, _, ok) in enumerate(compared)]
 
 
 def _verify_sptpn(j, k, r, order):
@@ -80,7 +66,8 @@ def _verify_sptdiff(j, k, r, order):
 
 
 def _verify_kn1(j, k, r, order):
-    return _poly_rows(*build_kn1_sides(j, order), order), []
+    lhs, rhs = build_kn1_sides(j, order)
+    return _rows(lhs.rows.__getitem__, rhs.rows.__getitem__, order, start=0), []
 
 
 def _verify_genjmu2k(j, k, r, order):
@@ -125,10 +112,10 @@ def _verify_fdyson(j, k, r, order):
 
 
 def _verify_rk_forms(j, k, r, order):
-    nested = build_jrank_gf(j, order, "nested")
+    nested = build_jrank_gf(j, order, "nested").rows.__getitem__
     return [row for name in ("bilateral", "counts")
-            for row in _poly_rows(nested, build_jrank_gf(j, order, name), order,
-                                  tag=f":{name}")], []
+            for row in _rows(nested, build_jrank_gf(j, order, name).rows.__getitem__, order,
+                             start=0, tag=f":{name}")], []
 
 
 def _strict_rr(a, lower) -> bool:

@@ -3,9 +3,9 @@ z-derivative and symmetrized-moment extractions that make them q-series.
 
 Each series built here is symmetric in z and held as ``SymRows``, int rows of
 z^0..z^n, built by two in-place kernels: ``_div_pair`` divides by (1 - zq^t)
-(1 - z^{-1}q^t), ``_div_rows`` by a pure-q series of few terms.  ``LaurentPoly``
-and ``BiSeries`` are the general bivariate algebra, which the tests pin the
-builders to; rows meet it only at the edge, in ``SymRows.coefficient``.
+(1 - z^{-1}q^t), ``_div_rows`` by a pure-q series of few terms; a row prints itself.
+``LaurentPoly`` and ``BiSeries`` are the general bivariate algebra, which the tests
+pin the builders to; rows meet it only in the accessor ``SymRows.coefficient``.
 """
 
 from __future__ import annotations
@@ -155,14 +155,24 @@ class BiSeries(_Series):
         return f"BiSeries(order={self.order})"
 
 
+class SymRow(tuple):
+    """A row of ``SymRows``, printed as the Laurent polynomial whose z^m term is row[|m|]."""
+
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        terms = zip(range(1 - len(self), len(self)), self[:0:-1] + self)
+        return "+".join(f"{c}z^{m}" for m, c in terms if c).replace("+-", "-") or "0"
+
+
 class SymRows:
     """A series in q truncated at order N, symmetric in z, with int coefficients: row n
-    is the tuple of the coefficients of z^0..z^n in the q^n term, padded with zeros."""
+    is the ``SymRow`` of the coefficients of z^0..z^n in the q^n term, padded with zeros."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        self.rows: tuple = tuple(tuple(row) + (0,) * (n + 1 - len(row))
+        self.rows: tuple = tuple(SymRow(tuple(row) + (0,) * (n + 1 - len(row)))
                                  for n, row in enumerate(rows))
 
     @property

@@ -17,6 +17,7 @@ import qspt
 from qspt import cli, identities, stats
 from qspt import spt as sptmod
 from qspt.cli import main
+from qspt.laurent import SymRows
 from qspt.partitions import Partition
 from qspt.series import DiscrepancyError, TruncSeries
 
@@ -357,6 +358,78 @@ class TestOneMomentParityCheck:
         result = runner.invoke(main, ["verify", "sptdiff"])
         assert result.exit_code == 1
         assert result.stdout.startswith("FAIL sptdiff at n=1:")
+
+
+class TestBivariateFailureRow:
+    """A bivariate row that fails is printed in every format as the text of its two sides:
+    here the right side of kn1 (j = 2) at n = 3 has its z^0 term lowered by 1."""
+
+    LHS = "1z^-2-7z^-1+12z^0-7z^1+1z^2"
+    RHS = "1z^-2-7z^-1+11z^0-7z^1+1z^2"
+
+    @pytest.fixture(autouse=True)
+    def lowered(self, monkeypatch):
+        build = identities.build_kn1_sides
+
+        def lowered_at_3(j, order):
+            lhs, rhs = build(j, order)
+            rows = [list(row) for row in rhs.rows]
+            rows[3][0] -= 1
+            return lhs, SymRows(rows)
+
+        monkeypatch.setattr(identities, "build_kn1_sides", lowered_at_3)
+
+    def test_plain(self, runner):
+        result = runner.invoke(main, ["verify", "kn1"])
+        assert result.exit_code == 1
+        assert result.stdout == f"FAIL kn1 at n=3: lhs={self.LHS} rhs={self.RHS}\n"
+
+    def test_csv(self, runner):
+        result = runner.invoke(main, ["verify", "kn1", "--format", "csv"])
+        assert result.exit_code == 1
+        lines = result.stdout.splitlines()
+        assert lines[0] == "n,lhs,rhs,ok" and len(lines) == 32
+        assert lines[4] == f"n=3,{self.LHS},{self.RHS},False"
+        assert [line.endswith(",True") for line in lines[1:]] == [n != 3 for n in range(31)]
+
+    def test_json(self, runner):
+        result = runner.invoke(main, ["verify", "kn1", "--format", "json"])
+        assert result.exit_code == 1
+        rows = json.loads(result.stdout)
+        assert rows[3] == {"n": "n=3", "lhs": self.LHS, "rhs": self.RHS, "ok": False}
+        assert [row["ok"] for row in rows] == [n != 3 for n in range(31)]
+
+
+def _row_dicts(header, rows):
+    return [dict(zip(header, row)) for row in rows]
+
+
+def _verify_dicts(identity, order=None, text=False):
+    _, rows, _ = identities.verify(identity, order=order)
+    if text:  # the bivariate sides, as the text of each row
+        rows = [(label, str(lhs), str(rhs), ok) for label, lhs, rhs, ok in rows]
+    return _row_dicts(("n", "lhs", "rhs", "ok"), rows)
+
+
+class TestJsonBytes:
+    """--format json is written one row at a time, and its bytes are those of one
+    json.dumps of the row dicts, "[]" for no rows; a bivariate row is written as text."""
+
+    @pytest.mark.parametrize("args, want", [
+        (["verify", "kn1"], lambda: _verify_dicts("kn1", text=True)),
+        (["verify", "Rk-forms", "--n-max", "12"], lambda: _verify_dicts("Rk-forms", 12, True)),
+        (["verify", "relos"], lambda: _verify_dicts("relos")),
+        (["verify", "fdyson", "--n-max", "1"], lambda: []),
+        (["compute", "--family", "Spt_j", "--j", "2", "--n-max", "12"],
+         lambda: _row_dicts(("n", "value"),
+                            [(n, sptmod.spt_j(2, n, "moments")) for n in range(1, 13)])),
+        (["table", "--kind", "count", "--j", "2", "--index", "1", "--n-max", "12"],
+         lambda: _row_dicts(("n", "value"), [(n, stats.count_njm(2, 1, n)) for n in range(13)])),
+    ])
+    def test_bytes_of_one_dumps(self, runner, args, want):
+        result = runner.invoke(main, [*args, "--format", "json"])
+        assert result.exit_code == 0
+        assert result.stdout == json.dumps(want()) + "\n"
 
 
 class TestNoPartitionObjects:

@@ -1,5 +1,6 @@
 """Bivariate series, the crank/rank/j-rank generating functions, extractions."""
 
+import json
 import sys
 from itertools import zip_longest
 
@@ -668,6 +669,73 @@ class TestRowBuilders:
         for order in range(121):
             got = build_kn1_sides(j, order)
             assert got == tuple(side.truncate(order) for side in want), order
+
+
+class TestRowPrinter:
+    """A row prints itself as the Laurent polynomial the verifiers printed before through
+    ``SymRows.coefficient`` (tuple_sums.poly_str): every row of each series built at 120."""
+
+    @staticmethod
+    def assert_prints_as_before(a):
+        for n in range(a.order + 1):
+            assert str(a.rows[n]) == tuple_sums.poly_str(a.coefficient(n)), n
+
+    def test_crank(self):
+        self.assert_prints_as_before(build_crank_gf(120))
+
+    @pytest.mark.parametrize("form", ["nested", "bilateral", "counts"])
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    def test_jrank_forms(self, j, form):
+        self.assert_prints_as_before(build_jrank_gf(j, 120, form))
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_kn1_sides(self, j):
+        for side in build_kn1_sides(j, 120):
+            self.assert_prints_as_before(side)
+
+    def test_hand_rows(self):
+        a = SymRows([[-3], [0, 0], [0, 0, 0], [0, 2, 0, -1], [5, 0, 0, 0, 1]])
+        assert [str(row) for row in a.rows] == [
+            "-3z^0", "0", "0", "-1z^-3+2z^-1+2z^1-1z^3", "1z^-4+5z^0+1z^4"]
+        self.assert_prints_as_before(a)
+
+    def test_rows_compare_as_int_tuples(self):
+        a = SymRows([[1], [2, -3]])
+        assert a.rows == ((1,), (2, -3)) and a.rows[1] == (2, -3)
+        assert hash(a.rows[1]) == hash((2, -3)) and repr(a.rows[1]) == "(2, -3)"
+
+
+class TestPrintedOnlyByTheCli:
+    """The bivariate verifiers compare int rows and build no LaurentPoly; a row is made
+    text only when the CLI writes it, so a plain PASS formats none."""
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("a LaurentPoly or a printed row")
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+    @pytest.mark.parametrize("identity", ["kn1", "Rk-forms", "genjmu2k", "relos"])
+    def test_no_laurent_poly(self, monkeypatch, identity, fmt):
+        monkeypatch.setattr(LaurentPoly, "__init__", self.refuse)
+        clear_memos()
+        result = CliRunner().invoke(main, ["verify", identity, "--format", fmt])
+        assert result.exit_code == 0, result.output
+        if fmt == "plain":
+            assert result.output.startswith(f"PASS {identity} ")
+        elif fmt == "json":
+            assert all(row["ok"] for row in json.loads(result.output))
+        else:
+            assert all(line.endswith(",True") for line in result.output.splitlines()[1:])
+
+    @pytest.mark.parametrize("args", [["kn1"], ["kn1", "--j", "1"], ["Rk-forms"],
+                                      ["Rk-forms", "--j", "1"]])
+    def test_pass_prints_no_row(self, monkeypatch, args):
+        monkeypatch.setattr(laurent.SymRow, "__str__", self.refuse)
+        result = CliRunner().invoke(main, ["verify", *args])
+        assert result.exit_code == 0, result.output
+        assert result.output.startswith(f"PASS {args[0]} ")
+        # the patch holds: csv writes every row
+        assert CliRunner().invoke(main, ["verify", *args, "--format", "csv"]).exit_code == 3
 
 
 class TestFromColumns:

@@ -21,7 +21,9 @@ column and row builders of ``qspt.laurent.build_kn1_sides``.  ``crank_gf`` and
 ``jrank_gf`` are the crank and the three j-rank forms on dict rows, as
 ``qspt.laurent`` built them before its int rows: the oracles for its row
 builders.  ``to_bi`` and ``to_rows`` convert between the two layouts, each
-exactly.
+exactly.  ``poly_str`` prints a ``LaurentPoly`` as the verifiers printed each
+bivariate row before the rows printed themselves: the oracle for
+``qspt.laurent.SymRow.__str__``.
 """
 
 import functools
@@ -287,6 +289,14 @@ def to_rows(a):
     if to_bi(rows) != a:
         raise AssertionError("not symmetric in z, or a term past z^n in row n")
     return rows
+
+
+def poly_str(p):
+    """The nonzero terms {c}z^{m} of a LaurentPoly by ascending m, joined by "+" with
+    "+-" read as "-", or "0"."""
+    if not p.terms:
+        return "0"
+    return "+".join(f"{c}z^{m}" for m, c in sorted(p.terms.items())).replace("+-", "-")
 
 
 def dict_from_columns(cols):
