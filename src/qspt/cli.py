@@ -35,7 +35,7 @@ def _emit(rows: list[tuple], header: tuple[str, ...], fmt: str) -> None:
         click.echo("[", nl=False)
         for i, row in enumerate(rows):
             cells = (x if isinstance(x, (int, str)) else str(x) for x in row)
-            click.echo(", " * bool(i) + json.dumps(dict(zip(header, cells))), nl=False)
+            click.echo((", " if i else "") + json.dumps(dict(zip(header, cells))), nl=False)
         click.echo("]")
         return
     if fmt == "csv":
