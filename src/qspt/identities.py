@@ -5,7 +5,7 @@ row is ``(label, lhs, rhs, ok)``, its sides values, not text (ints, or for ``kn1
 ``Rk-forms`` the int rows ``laurent.SymRow``, which only the CLI prints), and a note is
 a diagnostic about the check itself.  :func:`verify` fills in the default parameters,
 and raises ValueError for an unknown identity or out-of-range parameters, among them
-an order above ``spt.WEIGHT_N_MAX`` for the verifiers that enumerate partitions.
+an order above ``LEMMA_N_MAX`` for the verifiers that enumerate partitions.
 """
 
 from __future__ import annotations
@@ -183,8 +183,9 @@ IDENTITIES = {
 }
 
 # These verifiers enumerate the partitions of the order, one walk for every n
-# up to it, so they share the limit of the enumerating weight routes.
+# up to it (p(60) = 966467), so they have a limit of their own.
 _ENUMERATING = ("lemma31", "lemma32")
+LEMMA_N_MAX = 60
 
 
 def verify(identity: str, j: int | None = None, k: int | None = None,
@@ -202,8 +203,7 @@ def verify(identity: str, j: int | None = None, k: int | None = None,
     order = order if order is not None else defaults["order"]
     if min(j, k, r) < 1 or order < 1:
         raise ValueError("j, k, r and the order must be >= 1")
-    if identity in _ENUMERATING and order > sptmod.WEIGHT_N_MAX:
-        raise ValueError(f"{identity} enumerates partitions; the order must be "
-                         f"<= {sptmod.WEIGHT_N_MAX}")
+    if identity in _ENUMERATING and order > LEMMA_N_MAX:
+        raise ValueError(f"{identity} enumerates partitions; the order must be <= {LEMMA_N_MAX}")
     rows, notes = fn(j, k, r, order)
     return order, rows, notes

@@ -5,8 +5,8 @@ function, combinatorial weight over partitions, and moment differences --
 and the routes are required to agree.  Every division along the way is on a
 provably divisible integer and is checked exact.  The weights of spt and
 spt_k are summed by one sweep over the smallest part; those of Spt_j and
-jspt_k by one walk of the partitions of the order, where each split part
-adds one coefficient of a product over the larger part values.
+jspt_k by one walk of the order's partitions with fewer than j ones, and
+by the same sweep, stopped at the part 2, for the rest.
 The generating functions are nested sums over chains of Durfee-square sides;
 each is summed by one recursion over the levels of its chain, not one index
 tuple at a time.
@@ -39,20 +39,18 @@ from .stats import _sym_mu_column, gf_sym_mu, moment, sym_mu
 # spt_k(n), spt = spt_1: one counting row per k and order.  Summed over the
 # multiplicity f of a part value t, the weight's factor sum_m C(f+m, 2m) x**m
 # is 1/((1 - q**t)(1 - x*y_t)) with y_t = q**t/(1 - q**t)**2, and the smallest
-# part s adds x*y_s/(1 - x*y_s).  A sweep over s, from the order down to 1,
-# keeps rows[d] = [x**d] of the product over the part values >= s.  The
-# partitions with smallest part s weigh the last w: [x**k] of x*y_s/(1 - x*y_s)
-# times the product over the values > s.
+# part s adds x*y_s/(1 - x*y_s).  A sweep over s, from the order down to lo,
+# keeps rows[d] = [x**d] of the product over the part values >= s, d < k; a
+# partition of n <= order into parts >= lo has at most order // lo parts, so
+# d <= order // lo.  The partitions with smallest part s weigh the last w:
+# [x**k] of x*y_s/(1 - x*y_s) times the product over the values > s.
 
 
-@memo
-def _spt_weight_row(k: int, order: int) -> TruncSeries:
-    """spt_k(n) for every n <= order, by one sweep over the smallest part."""
+def _sweep(k: int, order: int, lo: int) -> tuple[list[list[int]], list[int]]:
+    """The rows at s = lo, and spt_k(n) over the smallest parts >= lo, n <= order."""
     total = [0] * (order + 1)
-    if k > order:  # spt_k(n) = 0 for k > n
-        return TruncSeries(total)
-    rows = [[1] + [0] * order] + [[0] * (order + 1) for _ in range(k - 1)]
-    for s in range(order, 0, -1):
+    rows = [[1] + [0] * order] + [[0] * (order + 1) for _ in range(min(k, order // lo + 1) - 1)]
+    for s in range(order, lo - 1, -1):
         w = [0] * (order + 1)
         for d in range(min(k, order // s + 1)):  # a row with d*s > order is still zero
             row, last = rows[d], d == k - 1
@@ -62,7 +60,13 @@ def _spt_weight_row(k: int, order: int) -> TruncSeries:
                 w[i] = row[i - s] + w[i - s]
                 if last:
                     total[i] += w[i]
-    return TruncSeries(total)
+    return rows, total
+
+
+@memo
+def _spt_weight_row(k: int, order: int) -> TruncSeries:
+    """spt_k(n) for every n <= order, by one sweep over the smallest part (0 for k > n)."""
+    return TruncSeries(_sweep(k, order, 1)[1] if k <= order else [0] * (order + 1))
 
 
 def spt_weight(n: int) -> int:
@@ -194,38 +198,34 @@ def split_chain_weight(p: Partition, j: int, k: int) -> int:
     return _split_chain_weight(*_walk_state(p.parts), j, k)
 
 
-# (weight, params) -> (row, heads) of _walk_row, kept at the largest order built
-_ROWS: dict[tuple, tuple[list[int], list[list[int]]]] = {}
+# (weight, params) -> the row of _walk_row, kept at the largest order built
+_ROWS: dict[tuple, list[int]] = {}
 
 
 def _walk_row(order: int, j: int, k: int, weight, params: tuple, tail) -> list[int]:
     """row[n], the sum of weight(a, m, h, *params) over the partitions a[:m] of n, n <= order.
 
     A larger order extends the row by one walk of that order; series.memo would build at
-    twice the order held.  The extension is built on copies and stored only when complete,
+    twice the order held.  The extension is built on a copy and stored only when complete,
     so an interrupted build leaves the row it had.  A state of _walk(order) whose parts > 1
     sum to s = order - ones gives the partitions a[:m - order + n] of n >= s, with r = n - s
-    ones; new[ones] holds the n past the row with r < j.  For r >= j the first j - 1
-    lower-Durfee squares are ones: tail(r, heads[s]) sums their weights, heads[s] adding
-    :func:`_larger_product` over the parts > 1.
+    ones; new[ones] holds the n past the row with r < j, the only ones weighed.  For r >= j
+    the first j - 1 lower-Durfee squares are ones: tail(r, col[s]) sums their weights, col[s]
+    the q**s column of the sweep's product over the part values >= 2.
     """
-    row, heads = _ROWS.get((weight, params), ([], []))
-    done, known = len(row), len(heads)
+    row = _ROWS.get((weight, params), [])
+    done = len(row)
     if done > order:
         return row
     row = row + [0] * (order + 1 - done)
-    heads = heads + [[0] * (min(k - 1, s // 2) + 1) for s in range(known, order - j + 1)]
     new = [range(max(done, s), min(s + j, order + 1)) for s in range(order, -1, -1)]
     for a, m, h in _walk(order):
-        ones = m - h - 1
-        for n in new[ones]:
+        for n in new[m - h - 1]:
             row[n] += weight(a, m - order + n, h, *params)
-        if j <= ones <= order - known:
-            for d, c in enumerate(_larger_product(a, h + 1, k)):
-                heads[order - ones][d] += c
+    col = list(zip(*_sweep(k, order, 2)[0]))
     for n in range(done, order + 1):
-        row[n] += sum(tail(n - s, heads[s]) for s in range(n - j + 1))
-    _ROWS[weight, params] = row, heads
+        row[n] += sum(tail(n - s, col[s]) for s in range(n - j + 1))
+    _ROWS[weight, params] = row
     return row
 
 

@@ -269,9 +269,16 @@ class TestVerify:
         assert result.exit_code == 2
 
     @pytest.mark.parametrize("identity", ["lemma31", "lemma32"])
+    def test_enumerating_verifier_past_the_weight_limit(self, runner, identity):
+        # their limit is their own, above the enumerating weight routes' one
+        n_max = str(sptmod.WEIGHT_N_MAX + 1)
+        result = runner.invoke(main, ["verify", identity, "--n-max", n_max])
+        assert result.exit_code == 0 and "PASS" in result.output
+
+    @pytest.mark.parametrize("identity", ["lemma31", "lemma32"])
     def test_enumerating_verifier_over_limit_exit_2(self, runner, identity):
         # these enumerate every partition of every n up to the order
-        n_max = str(sptmod.WEIGHT_N_MAX + 1)
+        n_max = str(identities.LEMMA_N_MAX + 1)
         result = runner.invoke(main, ["verify", identity, "--n-max", n_max])
         assert result.exit_code == 2
         lines = result.output.splitlines()

@@ -472,6 +472,54 @@ class TestWeightRoutesAgainstOracles:
             assert route(*params, n) == oracle[family](*params, n), n
 
 
+def _larger_products_by_walk(order, k):
+    """The accumulation the weight rows made before the sweep served them:
+    heads[s][d], the sum of _larger_product(a, h + 1, k)[d] over the walk
+    states whose parts > 1 sum to s, each set of parts > 1 met once."""
+    heads = [[0] * k for _ in range(order + 1)]
+    for a, m, h in sptmod._walk(order):
+        for d, c in enumerate(sptmod._larger_product(a, h + 1, k)):
+            heads[order - m + h + 1][d] += c
+    return heads
+
+
+class TestLargerPartSweep:
+    """The smallest-part sweep stopped at lo = 2 is the product over the part
+    values >= 2 that the Spt_j and jspt_k weight rows read their tails from."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_rows_at_lo_2_match_the_walk_accumulation(self, k):
+        heads = _larger_products_by_walk(40, k)
+        for order in range(41):
+            rows, _ = sptmod._sweep(k, order, 2)
+            # a partition of s <= order into parts >= 2 has at most order // 2 parts
+            assert len(rows) == min(k, order // 2 + 1), (k, order)
+            for d in range(k):
+                expected = [heads[s][d] for s in range(order + 1)]
+                assert (rows[d] if d < len(rows) else [0] * (order + 1)) == expected, (k, order, d)
+
+    def test_mark_weight_row_reads_no_larger_product(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the Spt_j weight row read _larger_product")
+
+        monkeypatch.setattr(sptmod, "_larger_product", refuse)
+        tuple_sums.clear_memos()
+        assert spt_j(3, WEIGHT_N_MAX, "weight") == spt_j(3, WEIGHT_N_MAX, "moments")
+
+    def test_huge_k_builds_at_most_order_over_2_plus_1_rows(self, monkeypatch):
+        widths, sweep = [], sptmod._sweep
+
+        def counted(k, order, lo):
+            rows, total = sweep(k, order, lo)
+            widths.append(len(rows))
+            return rows, total
+
+        monkeypatch.setattr(sptmod, "_sweep", counted)
+        tuple_sums.clear_memos()
+        assert jspt_k(2, 10 ** 12, WEIGHT_N_MAX, "weight") == 0
+        assert widths and max(widths) <= WEIGHT_N_MAX // 2 + 1 == 21
+
+
 class TestCompositions:
     def test_oracle_enumerates_every_composition(self):
         for k in range(1, 9):
