@@ -4,9 +4,10 @@ Each family is computable by several independent routes -- generating
 function, combinatorial weight over partitions, and moment differences --
 and the routes are required to agree.  Every division along the way is on a
 provably divisible integer and is checked exact.  The weights of spt and
-spt_k are summed by one sweep over the smallest part; those of Spt_j and
-jspt_k by one walk of the order's partitions with fewer than j ones, and
-by the same sweep, stopped at the part 2, for the rest.
+spt_k are summed by one sweep over the smallest part.  Those of Spt_j and
+jspt_k read that row for the partitions with at least j - 1 ones, whose
+ones only move the weight down that many lower-Durfee squares, and weigh
+each set of parts > 1 once, on one walk of the order, for the rest.
 The generating functions are nested sums over chains of Durfee-square sides;
 each is summed by one recursion over the levels of its chain, not one index
 tuple at a time.
@@ -39,18 +40,20 @@ from .stats import _sym_mu_column, gf_sym_mu, moment, sym_mu
 # spt_k(n), spt = spt_1: one counting row per k and order.  Summed over the
 # multiplicity f of a part value t, the weight's factor sum_m C(f+m, 2m) x**m
 # is 1/((1 - q**t)(1 - x*y_t)) with y_t = q**t/(1 - q**t)**2, and the smallest
-# part s adds x*y_s/(1 - x*y_s).  A sweep over s, from the order down to lo,
-# keeps rows[d] = [x**d] of the product over the part values >= s, d < k; a
-# partition of n <= order into parts >= lo has at most order // lo parts, so
-# d <= order // lo.  The partitions with smallest part s weigh the last w:
-# [x**k] of x*y_s/(1 - x*y_s) times the product over the values > s.
+# part s adds x*y_s/(1 - x*y_s).  A sweep over s, from the order down to 1,
+# keeps rows[d] = [x**d] of the product over the part values >= s.  The
+# partitions with smallest part s weigh the last w: [x**k] of x*y_s/(1 - x*y_s)
+# times the product over the values > s.
 
 
-def _sweep(k: int, order: int, lo: int) -> tuple[list[list[int]], list[int]]:
-    """The rows at s = lo, and spt_k(n) over the smallest parts >= lo, n <= order."""
+@memo
+def _spt_weight_row(k: int, order: int) -> TruncSeries:
+    """spt_k(n) for every n <= order, by one sweep over the smallest part."""
     total = [0] * (order + 1)
-    rows = [[1] + [0] * order] + [[0] * (order + 1) for _ in range(min(k, order // lo + 1) - 1)]
-    for s in range(order, lo - 1, -1):
+    if k > order:  # spt_k(n) = 0 for k > n
+        return TruncSeries(total)
+    rows = [[1] + [0] * order] + [[0] * (order + 1) for _ in range(k - 1)]
+    for s in range(order, 0, -1):
         w = [0] * (order + 1)
         for d in range(min(k, order // s + 1)):  # a row with d*s > order is still zero
             row, last = rows[d], d == k - 1
@@ -60,13 +63,7 @@ def _sweep(k: int, order: int, lo: int) -> tuple[list[list[int]], list[int]]:
                 w[i] = row[i - s] + w[i - s]
                 if last:
                     total[i] += w[i]
-    return rows, total
-
-
-@memo
-def _spt_weight_row(k: int, order: int) -> TruncSeries:
-    """spt_k(n) for every n <= order, by one sweep over the smallest part (0 for k > n)."""
-    return TruncSeries(_sweep(k, order, 1)[1] if k <= order else [0] * (order + 1))
+    return TruncSeries(total)
 
 
 def spt_weight(n: int) -> int:
@@ -102,12 +99,12 @@ def _lower_block(a, m: int, h: int, s: int) -> int | None:
 
 
 def _mark_weight(a, m: int, h: int, j: int) -> int:
-    """mark_weight of a[:m], summed one part value at a time."""
+    """The marks of the designated parts of a[:m] but its last, summed one part value at a time."""
     # the designated parts are the d+1 smallest, d the size of the first j-1
     # lower-Durfee squares, or every part when there are fewer squares
     d = _lower_block(a, m, h, j - 1)
     lo = 0 if d is None else max(m - d - 1, 0)  # the top designated part
-    total, i = 0, m - 1
+    total, i = 0, m - 2
     while i >= lo:
         # the copies of a[i] in a[lo:i + 1]: b of them, below `above` copies
         # outside the block; a mark counts the equal parts down to its part
@@ -123,7 +120,8 @@ def mark_weight(p: Partition, j: int) -> int:
     """Sum of the marks of the designated bottom parts (weight behind Spt_j)."""
     if j < 1:
         raise ValueError("j must be >= 1")
-    return _mark_weight(*_walk_state(p.parts), j)
+    parts = p.parts  # the last, smallest part is always designated, marked by its multiplicity
+    return _mark_weight(*_walk_state(parts), j) + (parts.count(parts[-1]) if parts else 0)
 
 
 def chain_weight(p: Partition, k: int) -> int:
@@ -198,50 +196,43 @@ def split_chain_weight(p: Partition, j: int, k: int) -> int:
     return _split_chain_weight(*_walk_state(p.parts), j, k)
 
 
-# (weight, params) -> the row of _walk_row, kept at the largest order built
+# A set P of parts > 1 with r ones has r ones for its first lower-Durfee squares: at
+# level j it weighs what P weighs at level j - r for r <= j - 2, and for r >= j - 1 what
+# P with r - j + 1 ones weighs in spt_k.  So, over the P of sum n - r (spt_k(m) = 0, m <= 0),
+#   jspt_k(n) = spt_k(n - j + 1) + sum_{r <= j - 2} sum_P split_chain_weight(P, j - r, k),
+#   Spt_j(n) = sum_{r < j} spt(n - r) + sum_{r <= j - 2} sum_P _mark_weight(P, j - r),
+# the second the first summed over 1..j at k = 1, where mark_weight(P, j - r) less
+# mark_weight(P, 1) is _mark_weight(P, j - r).
+
+# (weight, j, params) -> the row of _walk_row, kept at the largest order built
 _ROWS: dict[tuple, list[int]] = {}
 
 
-def _walk_row(order: int, j: int, k: int, weight, params: tuple, tail) -> list[int]:
-    """row[n], the sum of weight(a, m, h, *params) over the partitions a[:m] of n, n <= order.
+def _walk_row(order: int, j: int, weight, params: tuple) -> list[int]:
+    """row[n], the sum of weight(P, j - r, *params) over r <= j - 2 and the P into parts > 1
+    of n - r, n <= order.
 
-    A larger order extends the row by one walk of that order; series.memo would build at
-    twice the order held.  The extension is built on a copy and stored only when complete,
-    so an interrupted build leaves the row it had.  A state of _walk(order) whose parts > 1
-    sum to s = order - ones gives the partitions a[:m - order + n] of n >= s, with r = n - s
-    ones; new[ones] holds the n past the row with r < j, the only ones weighed.  For r >= j
-    the first j - 1 lower-Durfee squares are ones: tail(r, col[s]) sums their weights, col[s]
-    the q**s column of the sweep's product over the part values >= 2.
+    Each P of sum s <= order is a[:h + 1] of the state of _walk(order) with order - s ones;
+    new[order - s] holds its (n, j - r) past the row.  At j = 1 nothing is weighed and
+    nothing walked.  A larger order extends the row by one walk of that order (series.memo
+    would build at twice the order held), on a copy stored only when complete, so an
+    interrupted build leaves the row it had.
     """
-    row = _ROWS.get((weight, params), [])
+    row = _ROWS.get((weight, j, params), [])
     done = len(row)
     if done > order:
         return row
     row = row + [0] * (order + 1 - done)
-    new = [range(max(done, s), min(s + j, order + 1)) for s in range(order, -1, -1)]
-    for a, m, h in _walk(order):
-        for n in new[m - h - 1]:
-            row[n] += weight(a, m - order + n, h, *params)
-    col = list(zip(*_sweep(k, order, 2)[0]))
-    for n in range(done, order + 1):
-        row[n] += sum(tail(n - s, col[s]) for s in range(n - j + 1))
-    _ROWS[weight, params] = row
+    new = [[(s + r, j - r) for r in range(max(done - s, 0), min(j - 1, order - s + 1))]
+           for s in range(order, -1, -1)]
+    for a, m, h in _walk(order) if j > 1 else ():
+        for n, level in new[m - h - 1]:
+            row[n] += weight(a, h + 1, h, level, *params)
+    _ROWS[weight, j, params] = row
     return row
 
 
 _walk_row.cache_clear = _ROWS.clear
-
-
-def _mark_weight_row(j: int, order: int) -> list[int]:
-    # for r >= j the designated parts are the j bottom ones, marked r - j + 1..r
-    return _walk_row(order, j, 1, _mark_weight, (j,),
-                     lambda r, count: count[0] * (j * r - j * (j - 1) // 2))
-
-
-def _split_weight_row(j: int, k: int, order: int) -> list[int]:
-    # for r >= j the one split part is the j-th one from the bottom, marked r - j + 1
-    return _walk_row(order, j, k, _split_chain_weight, (j, k),
-                     lambda r, rest: _split_term(r - j + 1, rest, k))
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +377,8 @@ def relation_sum(j: int, n: int) -> int:
     if j < 1 or n < 1:
         raise ValueError("j and n must be >= 1")
     via_moments = spt_j(j, n, "moments")
-    via_telescope = sum(jspt_k(ell, 1, n, "moments") for ell in range(1, j + 1))
+    # lspt_1(n) = 0 for l > n, as sym_mu(l, 2, n) is
+    via_telescope = sum(jspt_k(ell, 1, n, "moments") for ell in range(1, min(j, n) + 1))
     via_sym = sym_mu(1, 2, n) - sym_mu(j + 1, 2, n)
     if not via_moments == via_telescope == via_sym:
         raise DiscrepancyError(
@@ -427,12 +419,14 @@ FAMILIES: dict[str, Family] = {
     "Spt_j": Family(("j",), {
         "moments": lambda j, n: n * partition_count(n) - _half_moment(j + 1, n),
         "gf": lambda j, n: gf_spt_j(j, n).coefficient(n),
-        "weight": lambda j, n: _mark_weight_row(j, n)[n],
+        "weight": lambda j, n: (sum(_spt_weight_row(1, n).coeffs[max(n - j + 1, 0):])
+                                + _walk_row(n, j, _mark_weight, ())[n]),
     }),
     "jspt_k": Family(("j", "k"), {
         "moments": lambda j, k, n: sym_mu(j, 2 * k, n) - sym_mu(j + 1, 2 * k, n),
         "gf": lambda j, k, n: gf_jspt_k(j, k, n).coefficient(n),
-        "weight": lambda j, k, n: _split_weight_row(j, k, n)[n],
+        "weight": lambda j, k, n: ((_spt_weight_row(k, n).coeffs[n - j + 1] if j <= n else 0)
+                                   + _walk_row(n, j, _split_chain_weight, (k,))[n]),
     }),
 }
 

@@ -363,6 +363,20 @@ class TestRelations:
             for n in range(1, 13):
                 assert relation_sum(j, n) == spt_j(j, n, "moments")
 
+    def test_relation_sum_at_huge_j_stops_at_n(self, monkeypatch):
+        # lspt_1(n) = 0 for l > n: the telescoping sum reads at most n terms
+        calls, real = [], sptmod.jspt_k
+
+        def counted(*args):
+            calls.append(args)
+            if len(calls) > 100:
+                raise AssertionError("relation_sum read jspt_k past l = n")
+            return real(*args)
+
+        monkeypatch.setattr(sptmod, "jspt_k", counted)
+        assert relation_sum(10 ** 12, 30) == 30 * partition_count(30)
+        assert len(calls) <= 30
+
     def test_jspt1_is_spt_difference(self):
         for j in (2, 3):
             for n in range(1, 16):
@@ -472,31 +486,29 @@ class TestWeightRoutesAgainstOracles:
             assert route(*params, n) == oracle[family](*params, n), n
 
 
-def _larger_products_by_walk(order, k):
-    """The accumulation the weight rows made before the sweep served them:
-    heads[s][d], the sum of _larger_product(a, h + 1, k)[d] over the walk
-    states whose parts > 1 sum to s, each set of parts > 1 met once."""
-    heads = [[0] * k for _ in range(order + 1)]
-    for a, m, h in sptmod._walk(order):
-        for d, c in enumerate(sptmod._larger_product(a, h + 1, k)):
-            heads[order - m + h + 1][d] += c
-    return heads
-
-
 class TestLargerPartSweep:
-    """The smallest-part sweep stopped at lo = 2 is the product over the part
-    values >= 2 that the Spt_j and jspt_k weight rows read their tails from."""
+    """A partition's ones are its first lower-Durfee squares, each of side 1: the
+    Spt_j and jspt_k weight rows read the smallest-part sweep for the partitions
+    with at least j - 1 ones and weigh each set of parts > 1 once for the rest."""
 
-    @pytest.mark.parametrize("k", range(1, 7))
-    def test_rows_at_lo_2_match_the_walk_accumulation(self, k):
-        heads = _larger_products_by_walk(40, k)
-        for order in range(41):
-            rows, _ = sptmod._sweep(k, order, 2)
-            # a partition of s <= order into parts >= 2 has at most order // 2 parts
-            assert len(rows) == min(k, order // 2 + 1), (k, order)
-            for d in range(k):
-                expected = [heads[s][d] for s in range(order + 1)]
-                assert (rows[d] if d < len(rows) else [0] * (order + 1)) == expected, (k, order, d)
+    def test_ones_shift_the_weights_down(self):
+        # every P into parts > 1 with r ones: below level j the ones only move the
+        # weight down r levels (and add their marks 1..r); from level j on the one
+        # split part is a one, which weighs as in spt_k with r - j + 1 ones
+        for s in range(17):
+            for p in enumerate_partitions(s):
+                if 1 in p.parts:
+                    continue
+                for r in range(8):
+                    with_ones = Partition(p.parts + (1,) * r)
+                    for j in range(1, 7):
+                        if r < j:
+                            assert mark_weight(with_ones, j) == \
+                                mark_weight(p, j - r) + r * (r + 1) // 2, (p, r, j)
+                        for k in range(1, 5):
+                            expected = (split_chain_weight(p, j - r, k) if r < j else
+                                        chain_weight(Partition(p.parts + (1,) * (r - j + 1)), k))
+                            assert split_chain_weight(with_ones, j, k) == expected, (p, r, j, k)
 
     def test_mark_weight_row_reads_no_larger_product(self, monkeypatch):
         def refuse(*args):
@@ -506,18 +518,35 @@ class TestLargerPartSweep:
         tuple_sums.clear_memos()
         assert spt_j(3, WEIGHT_N_MAX, "weight") == spt_j(3, WEIGHT_N_MAX, "moments")
 
-    def test_huge_k_builds_at_most_order_over_2_plus_1_rows(self, monkeypatch):
-        widths, sweep = [], sptmod._sweep
-
-        def counted(k, order, lo):
-            rows, total = sweep(k, order, lo)
-            widths.append(len(rows))
-            return rows, total
-
-        monkeypatch.setattr(sptmod, "_sweep", counted)
+    def test_huge_k_builds_at_most_order_over_2_plus_1_rows(self):
+        # k above the order builds no row of the sweep at all
         tuple_sums.clear_memos()
         assert jspt_k(2, 10 ** 12, WEIGHT_N_MAX, "weight") == 0
-        assert widths and max(widths) <= WEIGHT_N_MAX // 2 + 1 == 21
+        assert _spt_weight_row(10 ** 12, WEIGHT_N_MAX) == TruncSeries.zero(WEIGHT_N_MAX)
+
+    def test_j_1_walks_no_partition(self, monkeypatch):
+        # at j = 1 every partition has at least j - 1 ones: the spt and spt_k rows
+        def refuse(n):
+            raise AssertionError("a weight route at j = 1 walked the partitions")
+
+        monkeypatch.setattr(sptmod, "_walk", refuse)
+        tuple_sums.clear_memos()
+        assert spt_j(1, WEIGHT_N_MAX, "weight") == spt_j(1, WEIGHT_N_MAX, "moments")
+        assert jspt_k(1, 3, WEIGHT_N_MAX, "weight") == jspt_k(1, 3, WEIGHT_N_MAX, "moments")
+
+    def test_j_2_weighs_each_set_of_parts_above_1_once(self, monkeypatch):
+        # at j = 2 only the partitions without a one are weighed: the P of every
+        # sum s <= 40, as many as the partitions of 40
+        calls, weight = [], sptmod._split_chain_weight
+
+        def counted(*args):
+            calls.append(args)
+            return weight(*args)
+
+        monkeypatch.setattr(sptmod, "_split_chain_weight", counted)
+        tuple_sums.clear_memos()
+        assert jspt_k(2, 3, WEIGHT_N_MAX, "weight") == jspt_k(2, 3, WEIGHT_N_MAX, "moments")
+        assert len(calls) == partition_count(WEIGHT_N_MAX) == 37338
 
 
 class TestCompositions:
