@@ -30,18 +30,25 @@ _FORMATS = click.Choice(["plain", "csv", "json"])
 
 
 def _emit(rows: list[tuple], header: tuple[str, ...], fmt: str) -> None:
-    """Write one row at a time, JSON byte for byte as one ``json.dumps`` of the row dicts."""
+    """Write one row at a time, JSON byte for byte as one ``json.dumps`` of the row dicts.
+
+    The rows are flushed once, at the end: still inside the command, so that
+    a closed pipe is reported as any other error is.
+    """
+    write = sys.stdout.write
     if fmt == "json":
-        click.echo("[", nl=False)
+        write("[")
         for i, row in enumerate(rows):
             cells = (x if isinstance(x, (int, str)) else str(x) for x in row)
-            click.echo((", " if i else "") + json.dumps(dict(zip(header, cells))), nl=False)
-        click.echo("]")
-        return
-    if fmt == "csv":
-        click.echo(",".join(header))
-    for row in rows:
-        click.echo(("," if fmt == "csv" else " ").join(map(str, row)))
+            write((", " if i else "") + json.dumps(dict(zip(header, cells))))
+        write("]\n")
+    else:
+        sep = "," if fmt == "csv" else " "
+        if fmt == "csv":
+            write(sep.join(header) + "\n")
+        for row in rows:
+            write(sep.join(map(str, row)) + "\n")
+    sys.stdout.flush()
 
 
 def _verdict(rows: list[tuple], fmt: str, passed: str, failed) -> None:

@@ -171,8 +171,10 @@ def memo(builder):
     any order at or below it is answered by ``.truncate(order)``: truncated
     series agree on every coefficient they share.  A miss builds at
     ``max(order, 2 * largest)``, so reading orders in ascending sequence
-    costs O(log order) builds.  ``cache_info()`` and ``cache_clear()`` work
-    as on the functools caches.
+    costs O(log order) builds.  A caller that needs one coefficient reads it
+    with :func:`value`, which indexes the held series: only a build costs
+    more than a lookup.  ``cache_info()`` and ``cache_clear()`` work as on
+    the functools caches.
     """
     sig = inspect.signature(builder)
     at = list(sig.parameters).index("order")
@@ -198,6 +200,27 @@ def memo(builder):
             series = built[key] = builder(*args[:at], size, *args[at + 1 :])
         return series if series.order == order else series.truncate(order)
 
+    def held(*args, **kwargs):
+        """The coefficient of q**order in the held series, a hit, or None.
+
+        The lookup of ``wrapper`` written out again: a value read is the hot
+        path, and one more call would cost about a tenth of it.
+        """
+        if kwargs or len(args) != len(sig.parameters):
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args
+        order = args[at]
+        if order < 0:
+            raise ValueError(f"order {order} is negative")
+        series = built.get(args[:at] + args[at + 1 :])
+        if series is None or series.order < order:
+            return None
+        counts[0] += 1
+        return series.coeffs[order]
+
+    # functools.wraps copies these onto any wrapper around this one
+    wrapper.held = held
     wrapper.cache_info = lambda: CacheInfo(counts[0], counts[1], None, len(built))
 
     def cache_clear() -> None:
@@ -206,6 +229,17 @@ def memo(builder):
 
     wrapper.cache_clear = cache_clear
     return wrapper
+
+
+def value(builder, *args, **kwargs):
+    """``builder(*args, **kwargs).coefficient(order)`` for a :func:`memo` builder of
+    :class:`TruncSeries`.
+
+    A hit indexes the held series, with no truncated copy; a miss is the
+    builder's own call, so it builds, and counts, as that call does.
+    """
+    c = builder.held(*args, **kwargs)
+    return builder(*args, **kwargs).coeffs[-1] if c is None else c
 
 
 def read_down(f, lo: int, hi: int) -> list:

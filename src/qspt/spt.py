@@ -32,6 +32,7 @@ from .series import (
     memo,
     pochhammer_inf,
     read_down,
+    value,
 )
 from .stats import _sym_mu_column, gf_sym_mu, moment, sym_mu
 
@@ -76,7 +77,7 @@ def spt_weight(n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _spt_weight_row(1, n).coefficient(n)
+    return value(_spt_weight_row, 1, n)
 
 
 def gf_spt(order: int) -> TruncSeries:
@@ -212,22 +213,31 @@ def _walk_row(order: int, j: int, weight, params: tuple) -> list[int]:
     """row[n], the sum of weight(P, j - r, *params) over r <= j - 2 and the P into parts > 1
     of n - r, n <= order.
 
-    Each P of sum s <= order is a[:h + 1] of the state of _walk(order) with order - s ones;
-    new[order - s] holds its (n, j - r) past the row.  At j = 1 nothing is weighed and
-    nothing walked.  A larger order extends the row by one walk of that order (series.memo
-    would build at twice the order held), on a copy stored only when complete, so an
-    interrupted build leaves the row it had.
+    Each P of sum s <= order is a[:h + 1] of the state of _walk(order) with order - s ones,
+    and weighs its levels j - r at the n = s + r past the row.  P has at most h + 1
+    lower-Durfee squares, so every level from h + 3 on weighs what level h + 3 weighs (no
+    split part; every part designated): each state weighs it once, for all those n.  At
+    j = 1 nothing is weighed and nothing walked.  A larger order extends the row by one
+    walk of that order (series.memo would build at twice the order held), on a copy
+    stored only when complete, so an interrupted build leaves the row it had.
     """
     row = _ROWS.get((weight, j, params), [])
     done = len(row)
     if done > order:
         return row
     row = row + [0] * (order + 1 - done)
-    new = [[(s + r, j - r) for r in range(max(done - s, 0), min(j - 1, order - s + 1))]
-           for s in range(order, -1, -1)]
+    # per count t of ones: s and the r of the n past the row
+    spans = [(order - t, max(done - order + t, 0), min(j - 1, t + 1)) for t in range(order + 1)]
     for a, m, h in _walk(order) if j > 1 else ():
-        for n, level in new[m - h - 1]:
-            row[n] += weight(a, h + 1, h, level, *params)
+        s, lo, hi = spans[m - h - 1]
+        if lo < j - h - 2:  # r < j - h - 2 is a level from h + 3 on
+            top = min(j - h - 2, hi)
+            if w := weight(a, h + 1, h, h + 3, *params):
+                for n in range(s + lo, s + top):
+                    row[n] += w
+            lo = top
+        for r in range(lo, hi):
+            row[s + r] += weight(a, h + 1, h, j - r, *params)
     _ROWS[weight, j, params] = row
     return row
 
@@ -404,27 +414,29 @@ class Family:
 
 
 # The routes are lambdas so that they look up the module's functions when
-# called, not when this table is built.
+# called, not when this table is built.  A route that reads one coefficient
+# reads it with series.value, off the memoized builder itself: gf_spt_j for
+# gf_spt, gf_jspt_k's binomial form for gf_spt_k.
 FAMILIES: dict[str, Family] = {
     "p": Family((), {"recurrence": lambda n: partition_count(n)}),
     "spt": Family((), {
         "weight": lambda n: spt_weight(n),
-        "gf": lambda n: gf_spt(n).coefficient(n),
+        "gf": lambda n: value(gf_spt_j, 1, n),
     }),
     "spt_k": Family(("k",), {
         "moments": lambda k, n: sym_mu(1, 2 * k, n) - sym_mu(2, 2 * k, n),
-        "gf": lambda k, n: gf_spt_k(k, n).coefficient(n),
-        "weight": lambda k, n: _spt_weight_row(k, n).coefficient(n),
+        "gf": lambda k, n: value(gf_jspt_k, 1, k, n, "binomial"),
+        "weight": lambda k, n: value(_spt_weight_row, k, n),
     }),
     "Spt_j": Family(("j",), {
         "moments": lambda j, n: n * partition_count(n) - _half_moment(j + 1, n),
-        "gf": lambda j, n: gf_spt_j(j, n).coefficient(n),
+        "gf": lambda j, n: value(gf_spt_j, j, n),
         "weight": lambda j, n: (sum(_spt_weight_row(1, n).coeffs[max(n - j + 1, 0):])
                                 + _walk_row(n, j, _mark_weight, ())[n]),
     }),
     "jspt_k": Family(("j", "k"), {
         "moments": lambda j, k, n: sym_mu(j, 2 * k, n) - sym_mu(j + 1, 2 * k, n),
-        "gf": lambda j, k, n: gf_jspt_k(j, k, n).coefficient(n),
+        "gf": lambda j, k, n: value(gf_jspt_k, j, k, n),
         "weight": lambda j, k, n: ((_spt_weight_row(k, n).coeffs[n - j + 1] if j <= n else 0)
                                    + _walk_row(n, j, _split_chain_weight, (k,))[n]),
     }),

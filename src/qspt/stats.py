@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .partitions import Partition, successive_durfee
-from .series import TruncSeries, inv_pochhammer_inf, memo
+from .series import TruncSeries, inv_pochhammer_inf, memo, value
 
 
 def rank(p: Partition) -> int:
@@ -90,7 +90,7 @@ def count_njm(j: int, m: int, n: int) -> int:
         raise ValueError("j must be >= 1")
     if n < 0 or abs(m) > n:
         return 0
-    return gf_njm(j, abs(m), n).coefficient(n)
+    return value(gf_njm, j, abs(m), n)
 
 
 def moment(j: int, t: int, n: int) -> int:
@@ -110,7 +110,7 @@ def sym_mu(j: int, k: int, n: int) -> int:
         raise ValueError("j and k must be >= 1")
     if k % 2 == 1 or n < j - 1 + k // 2:  # odd k cancels; the column starts at q**(j-1+k/2)
         return 0
-    return gf_sym_mu(j, k // 2, n).coefficient(n)
+    return value(gf_sym_mu, j, k // 2, n)
 
 
 def _sym_mu_column(j: int, k: int, order: int) -> list[int]:

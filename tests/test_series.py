@@ -1,13 +1,18 @@
 """Ring axioms, inversion, Pochhammer and Gaussian-binomial oracles, the memo."""
 
+import importlib.util
+import inspect
 import itertools
+import sys
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qspt
 from qspt import cli, identities, laurent, partitions, series, spt, stats
 from qspt.series import (
     TruncSeries,
@@ -507,6 +512,25 @@ def fresh(case, order):
     return read(case, order)
 
 
+def read_value(case, order):
+    fn, before, after = case
+    return series.value(fn, *before, order, *after)
+
+
+def stored_orders(fn):
+    """The order of each series a memoized builder holds, by its key."""
+    return {key: s.order for key, s in inspect.getclosurevars(fn).nonlocals["built"].items()}
+
+
+def load_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks its module up there
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestMemo:
     def test_every_memoized_builder_is_tested(self):
         assert memoized() == {fn for fn, _, _ in SERIES_BUILDERS + BISERIES_BUILDERS}
@@ -554,8 +578,9 @@ class TestMemo:
         if built:
             read(case, built)
         for order in (-1, -4):
-            with pytest.raises(ValueError, match=f"order {order} is negative"):
-                read(case, order)
+            for read_at in (read, read_value):
+                with pytest.raises(ValueError, match=f"order {order} is negative"):
+                    read_at(case, order)
 
     def test_spellings_of_one_call_share_an_entry(self):
         clear_memos()
@@ -564,6 +589,49 @@ class TestMemo:
         assert all(c == calls[0] for c in calls)
         assert inv_one_minus.cache_info()[:2] == (3, 1)  # hits, misses
         assert inv_one_minus.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("case", SERIES_BUILDERS, ids=_ids(SERIES_BUILDERS))
+    @given(reads=st.lists(st.tuples(st.integers(0, 24), st.booleans()), min_size=1, max_size=6))
+    @settings(max_examples=15, deadline=None)
+    def test_value_reads_match_coefficients(self, case, reads):
+        # value and whole-series reads in any order: a value read is the
+        # coefficient that a build at its order alone ends in
+        expected = {order: fresh(case, order).coefficient(order) for order, _ in reads}
+        clear_memos()
+        for order, whole in reads:
+            got = read(case, order).coefficient(order) if whole else read_value(case, order)
+            assert got == expected[order], order
+
+    def test_value_reads_share_the_entry_of_every_spelling(self):
+        clear_memos()
+        reads = [series.value(inv_one_minus, 3, 12),  # the one miss
+                 series.value(inv_one_minus, 3, 12, 1),
+                 series.value(inv_one_minus, 3, order=12),
+                 series.value(inv_one_minus, exp=3, power=1, order=12),
+                 series.value(inv_one_minus, 3, 11)]
+        assert reads == [1, 1, 1, 1, 0]
+        assert inv_one_minus.cache_info() == (4, 1, None, 1)
+
+    def test_value_reads_build_as_truncating_reads_do(self, monkeypatch):
+        # a lib-session call sequence read through series.value builds every
+        # series at the orders, and as often, as one whose every value read
+        # is builder(..., n).coefficient(n), the truncated copy
+        calls = load_workloads().lib_calls(1)[:300]
+
+        def replay():
+            clear_memos()
+            values = [getattr(qspt, fn)(*args) for fn, args in calls]
+            return values, {fn: (fn.cache_info(), stored_orders(fn)) for fn in memoized()}
+
+        by_value = replay()
+
+        def truncating(builder, *args, **kwargs):
+            built = builder(*args, **kwargs)
+            return built.coefficient(built.order)
+
+        for module in (stats, spt):
+            monkeypatch.setattr(module, "value", truncating)
+        assert replay() == by_value
 
     def test_bilateral_sums_build_no_inv_one_minus(self):
         # the symmetrized-moment sums are written into one list, with no

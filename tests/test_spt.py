@@ -11,7 +11,7 @@ import tuple_sums
 from qspt import spt as sptmod
 from qspt import stats
 from qspt.partitions import Partition, enumerate_partitions, partition_count
-from qspt.series import TruncSeries, inv_pochhammer_inf
+from qspt.series import TruncSeries, inv_pochhammer_inf, read_down
 from qspt.spt import (
     FAMILIES,
     WEIGHT_N_MAX,
@@ -426,6 +426,32 @@ class TestWeightRoutesAgainstOracles:
     def test_spt_j_weight_route_at_the_limit(self):
         route = FAMILIES["Spt_j"].routes["weight"]
         assert route(3, WEIGHT_N_MAX) == partition_oracles.spt_j_weight(3, WEIGHT_N_MAX)
+
+    @pytest.mark.parametrize("j", [2, 5, 41, 10**12])
+    def test_weight_routes_at_the_limit_at_any_level(self, j):
+        # from j = 5 on, many states weigh their levels past h + 2 as one
+        tuple_sums.clear_memos()
+        assert spt_j(j, WEIGHT_N_MAX, "weight") == \
+            partition_oracles.spt_j_weight(j, WEIGHT_N_MAX)
+        assert jspt_k(j, 2, WEIGHT_N_MAX, "weight") == \
+            partition_oracles.jspt_k_weights(j, WEIGHT_N_MAX, [2])[0]
+
+    def test_levels_past_every_square_weigh_once_per_state(self, monkeypatch):
+        # a[:h + 1] has at most h + 1 lower-Durfee squares, so every level from
+        # h + 3 on weighs what h + 3 weighs: one weight per state of the walk,
+        # where each level was weighed on its own in 215,308 calls
+        levels, real = [], sptmod._split_chain_weight
+
+        def counted(a, m, h, j, k):
+            levels.append(j)
+            return real(a, m, h, j, k)
+
+        monkeypatch.setattr(sptmod, "_split_chain_weight", counted)
+        tuple_sums.clear_memos()
+        values = read_down(lambda n: jspt_k(10**12, 2, n, "weight"), 1, WEIGHT_N_MAX)
+        assert values == [0] * WEIGHT_N_MAX
+        assert len(levels) == partition_count(WEIGHT_N_MAX)
+        assert max(levels) <= WEIGHT_N_MAX // 2 + 2  # h + 3, at most
 
     @pytest.mark.parametrize("family,params", [("Spt_j", (2,)), ("Spt_j", (5,)),
                                                ("jspt_k", (2, 3)), ("jspt_k", (4, 6))])
