@@ -7,13 +7,12 @@ pipe), reported as one ``error:`` line on stderr.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 
 import click
 
-from . import __version__, identities
+from . import __version__
 from . import spt as sptmod
 from . import stats
 from .partitions import partition_count
@@ -37,6 +36,7 @@ def _emit(rows: list[tuple], header: tuple[str, ...], fmt: str) -> None:
     """
     write = sys.stdout.write
     if fmt == "json":
+        import json
         write("[")
         for i, row in enumerate(rows):
             cells = (x if isinstance(x, (int, str)) else str(x) for x in row)
@@ -71,6 +71,7 @@ def _load_cache(path: str | None) -> dict:
     empty = {"version": CACHE_VERSION, "entries": {}}
     if not path or not os.path.exists(path):
         return empty
+    import json
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -100,6 +101,7 @@ def _save_cache(path: str | None, doc: dict) -> None:
     """Write the cache through a temporary file, so readers never see a partial one."""
     if not path:
         return
+    import json
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -180,6 +182,7 @@ def compute(family, j, k, n_max, route, fmt, cache) -> None:
 @click.option("--format", "fmt", type=_FORMATS, default="plain", show_default=True)
 def verify(identity, j, k, r, order, fmt) -> None:
     """Expand both sides of a named identity and report PASS or the first gap."""
+    from . import identities
     try:
         order, rows, notes = identities.verify(identity, j, k, r, order)
     except ValueError as exc:

@@ -9,28 +9,37 @@ one pass over the parts > 1, with the trailing ones as unit squares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import ge
 from typing import Iterator
 
 
-@dataclass(frozen=True, slots=True)
 class Partition:
-    """A weakly decreasing tuple of positive parts."""
+    """A weakly decreasing tuple of positive parts, compared and hashed by them."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self) -> None:
-        parts = self.parts
-        if not parts or (parts[-1] >= 1 and all(map(ge, parts, parts[1:]))):
-            return
-        prev = None
-        for p in self.parts:
-            if p < 1:
-                raise ValueError("parts must be positive")
-            if prev is not None and p > prev:
-                raise ValueError("parts must be weakly decreasing")
-            prev = p
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        if parts and not (parts[-1] >= 1 and all(map(ge, parts, parts[1:]))):
+            i = next(i for i, p in enumerate(parts) if p < 1 or i and p > parts[i - 1])
+            raise ValueError(f"parts must be {'positive' if parts[i] < 1 else 'weakly decreasing'}")
+        object.__setattr__(self, "parts", parts)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: {name} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), (self.parts,)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(parts={self.parts!r})"
+
+    def __eq__(self, other: object):
+        return self.parts == other.parts if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.parts,))
 
     @property
     def n(self) -> int:

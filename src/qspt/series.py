@@ -12,7 +12,6 @@ polynomials in z.
 from __future__ import annotations
 
 import functools
-import inspect
 from collections import namedtuple
 from math import comb, isqrt
 from operator import add
@@ -174,19 +173,36 @@ def memo(builder):
     costs O(log order) builds.  A caller that needs one coefficient reads it
     with :func:`value`, which indexes the held series: only a build costs
     more than a lookup.  ``cache_info()`` and ``cache_clear()`` work as on
-    the functools caches.
+    the functools caches.  The builder's parameters, read off its code object,
+    must be positional-or-keyword: a call that does not pass each by position
+    is bound to them first, and raises TypeError where the builder would.
     """
-    sig = inspect.signature(builder)
-    at = list(sig.parameters).index("order")
+    code = builder.__code__
+    # 0x0C is CO_VARARGS | CO_VARKEYWORDS
+    if code.co_flags & 0x0C or code.co_kwonlyargcount or code.co_posonlyargcount:
+        raise TypeError(f"memo needs positional-or-keyword parameters: {builder.__qualname__}")
+    names = code.co_varnames[: code.co_argcount]
+    width, at = len(names), names.index("order")
+    tail = builder.__defaults__ or ()
+    defaults = dict(zip(names[width - len(tail):], tail))
     built: dict[tuple, object] = {}
     counts = [0, 0]  # hits, misses
 
+    def bind(args: tuple, kwargs: dict) -> tuple:
+        """The call's arguments as one positional tuple over every parameter."""
+        left = width - len(args)  # the parameters not passed by position
+        if not kwargs and 0 <= left <= len(tail):
+            return args + tail[len(tail) - left:]
+        rest, bound = names[len(args):], {**defaults, **kwargs}
+        if left < 0 or not kwargs.keys() <= set(rest) or not bound.keys() >= set(rest):
+            raise TypeError(f"{builder.__name__}() takes ({', '.join(names)}), not "
+                            f"{len(args)} by position and {', '.join(kwargs) or 'none'} by keyword")
+        return args + tuple(map(bound.__getitem__, rest))
+
     @functools.wraps(builder)
     def wrapper(*args, **kwargs):
-        if kwargs or len(args) != len(sig.parameters):
-            bound = sig.bind(*args, **kwargs)
-            bound.apply_defaults()
-            args = bound.args
+        if kwargs or len(args) != width:
+            args = bind(args, kwargs)
         order = args[at]
         if order < 0:  # before the lookup, so that a hit raises as a miss does
             raise ValueError(f"order {order} is negative")
@@ -206,10 +222,8 @@ def memo(builder):
         The lookup of ``wrapper`` written out again: a value read is the hot
         path, and one more call would cost about a tenth of it.
         """
-        if kwargs or len(args) != len(sig.parameters):
-            bound = sig.bind(*args, **kwargs)
-            bound.apply_defaults()
-            args = bound.args
+        if kwargs or len(args) != width:
+            args = bind(args, kwargs)
         order = args[at]
         if order < 0:
             raise ValueError(f"order {order} is negative")

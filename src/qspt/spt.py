@@ -16,9 +16,8 @@ tuple at a time.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .partitions import Partition, _lower_durfee_sides, _walk, _walk_state, partition_count
 from .series import (
@@ -402,8 +401,7 @@ def relation_sum(j: int, n: int) -> int:
 # request plumbing
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """One smallest-part family: the parameters it takes before n, and its routes.
 
     Every route is a function of (*params, n); the first route is the default.
@@ -476,38 +474,44 @@ def _evaluate(family: str, args: tuple[int, ...], n: int, route: str) -> int:
     return next(iter(vals.values()))
 
 
-@dataclass(frozen=True)
 class SptRequest:
-    """A validated computation request for one of the families in FAMILIES.
+    """A validated, immutable computation request for one of the families in FAMILIES.
 
     ``route=None`` selects the family's default route.
     """
 
-    family: str
-    n_max: int
-    j: int | None = None
-    k: int | None = None
-    route: str | None = None
-
-    def __post_init__(self) -> None:
-        fam = FAMILIES.get(self.family)
+    def __init__(self, family: str, n_max: int, j: int | None = None, k: int | None = None,
+                 route: str | None = None) -> None:
+        fam = FAMILIES.get(family)
         if fam is None:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.n_max < 1:
+            raise ValueError(f"unknown family {family!r}")
+        if n_max < 1:
             raise ValueError("n_max must be >= 1")
-        for name in ("j", "k"):
-            value = getattr(self, name)
+        for name, value in (("j", j), ("k", k)):
             if (name in fam.params) != (value is not None):
-                raise ValueError(f"family {self.family} and {name} parameter are inconsistent")
+                raise ValueError(f"family {family} and {name} parameter are inconsistent")
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.route is None:
-            object.__setattr__(self, "route", next(iter(fam.routes)))
-        _check_route(self.family, self.route)
-        if (self.route in ("weight", "all") and self.family in ENUMERATING_WEIGHT
-                and self.n_max > WEIGHT_N_MAX):
-            raise ValueError(f"route {self.route!r} of family {self.family} enumerates "
+        route = next(iter(fam.routes)) if route is None else route
+        _check_route(family, route)
+        if route in ("weight", "all") and family in ENUMERATING_WEIGHT and n_max > WEIGHT_N_MAX:
+            raise ValueError(f"route {route!r} of family {family} enumerates "
                              f"partitions; n_max must be <= {WEIGHT_N_MAX}")
+        self.__dict__.update(family=family, n_max=n_max, j=j, k=k, route=route)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: {name} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+    def __eq__(self, other: object):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
 
     def values(self) -> list[int]:
         """Values for n = 1..n_max."""

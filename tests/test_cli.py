@@ -451,10 +451,10 @@ class TestNoPartitionObjects:
          "--n-max", "12"],
     ])
     def test_runs_without_building_a_partition(self, runner, monkeypatch, args):
-        def refuse(self):
+        def refuse(self, *args, **kwargs):
             raise AssertionError("a Partition was built")
 
-        monkeypatch.setattr(Partition, "__post_init__", refuse)
+        monkeypatch.setattr(Partition, "__init__", refuse)
         with pytest.raises(AssertionError, match="a Partition was built"):
             Partition((1,))
         patched = runner.invoke(main, args)

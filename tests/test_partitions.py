@@ -1,5 +1,8 @@
 """Enumeration, Durfee chains, the Rogers-Ramanujan predicate, and marks."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,6 +43,50 @@ class TestPartitionType:
             partition_oracles.check_parts(parts)
         with pytest.raises(ValueError, match=f"^{expected.value}$"):
             Partition(parts)
+
+    def test_repr(self):
+        assert repr(Partition((3, 1, 1))) == "Partition(parts=(3, 1, 1))"
+        assert repr(Partition(())) == "Partition(parts=())"
+
+    def test_equality_and_hash(self):
+        a, b, c = Partition((2, 1)), Partition((2, 1)), Partition((2, 1, 1))
+        assert a == b and hash(a) == hash(b)
+        assert a != c and not a == c
+        assert {a, b, c} == {a, c}
+        assert {a: 1, c: 2}[b] == 1
+
+    @pytest.mark.parametrize("other", [(2, 1), [2, 1], ((2, 1),), "21", None])
+    def test_unequal_to_other_types(self, other):
+        p = Partition((2, 1))
+        assert p != other and not p == other
+        assert p.__eq__(other) is NotImplemented
+
+    def test_immutable(self):
+        p = Partition((2, 1))
+        for attempt in (lambda: setattr(p, "parts", (3,)), lambda: delattr(p, "parts")):
+            with pytest.raises(AttributeError):
+                attempt()
+        assert p.parts == (2, 1)
+
+    def test_new_attribute_raises_attribute_error(self):
+        # a frozen slots dataclass raised TypeError here, from its super() call
+        with pytest.raises(AttributeError):
+            Partition((2, 1)).other = 1
+
+    def test_keyword_construction(self):
+        assert Partition(parts=(2, 1)) == Partition((2, 1))
+        with pytest.raises(ValueError):
+            Partition(parts=(1, 2))
+
+    def test_slots_and_no_dict(self):
+        p = Partition((2, 1))
+        assert not hasattr(p, "__dict__")
+        assert "parts" in Partition.__slots__
+
+    def test_copies_and_pickles(self):
+        p = Partition((3, 3, 1))
+        for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert twin == p and type(twin) is Partition
 
     def test_n_and_len(self):
         p = Partition((3, 2, 2))

@@ -1,5 +1,6 @@
 """Ring axioms, inversion, Pochhammer and Gaussian-binomial oracles, the memo."""
 
+import functools
 import importlib.util
 import inspect
 import itertools
@@ -589,6 +590,65 @@ class TestMemo:
         assert all(c == calls[0] for c in calls)
         assert inv_one_minus.cache_info()[:2] == (3, 1)  # hits, misses
         assert inv_one_minus.cache_info().currsize == 1
+
+    @pytest.mark.parametrize("case", SERIES_BUILDERS, ids=_ids(SERIES_BUILDERS))
+    def test_every_spelling_shares_one_entry(self, case):
+        # positional, keyword, mixed and defaulted spellings of one call, each
+        # read whole and by value: one build, and every other read a hit
+        fn, before, after = case
+        args = before + (9,) + after
+        params = inspect.signature(fn).parameters
+        names = list(params)
+        spellings = [(args, {}), ((), dict(zip(names, args))),
+                     (args[:1], dict(zip(names[1:], args[1:])))]
+        # the trailing arguments that equal their defaults left out
+        short = len(args)
+        while short and params[names[short - 1]].default == args[short - 1]:
+            short -= 1
+        if short < len(args):
+            spellings.append((args[:short], {}))
+        clear_memos()
+        expected = fresh(case, 9)
+        clear_memos()
+        for call_args, call_kwargs in spellings:
+            assert fn(*call_args, **call_kwargs) == expected
+            assert series.value(fn, *call_args, **call_kwargs) == expected.coeffs[-1]
+        assert fn.cache_info() == (2 * len(spellings) - 1, 1, None, 1)
+
+    @pytest.mark.parametrize("case", SERIES_BUILDERS, ids=_ids(SERIES_BUILDERS))
+    def test_bad_calls_raise_type_error(self, case):
+        # each call that Signature.bind refuses, refused by the wrapper, by its
+        # held lookup and by value, before the memo is read or written
+        fn, before, after = case
+        params = inspect.signature(fn).parameters
+        full = before + (9,) + after
+        full += tuple(p.default for p in list(params.values())[len(full):])
+        bad = [
+            (before, {}),  # no order
+            (full, {"bogus": 1}),  # an unexpected keyword
+            (full, {"order": 9}),  # a second value for the order
+            (full + (0,), {}),  # too many positionals
+        ]
+        clear_memos()
+        for args, kwargs in bad:
+            with pytest.raises(TypeError):
+                inspect.signature(fn).bind(*args, **kwargs)
+            for call in (fn, fn.held, functools.partial(series.value, fn)):
+                with pytest.raises(TypeError):
+                    call(*args, **kwargs)
+        assert fn.cache_info() == (0, 0, None, 0)
+
+    @pytest.mark.parametrize("builder", [
+        lambda order, *rest: None,
+        lambda j, *, order: None,
+        lambda j, order, *, form="nested": None,
+        lambda order, **options: None,
+        lambda j, /, order: None,
+    ], ids=["varargs", "keyword-only order", "keyword-only option", "varkeywords",
+            "positional-only"])
+    def test_memo_refuses_other_parameter_kinds(self, builder):
+        with pytest.raises(TypeError, match="positional-or-keyword"):
+            series.memo(builder)
 
     @pytest.mark.parametrize("case", SERIES_BUILDERS, ids=_ids(SERIES_BUILDERS))
     @given(reads=st.lists(st.tuples(st.integers(0, 24), st.booleans()), min_size=1, max_size=6))

@@ -642,6 +642,51 @@ class TestChainRecursions:
 
 
 class TestSptRequest:
+    def test_repr(self):
+        assert repr(SptRequest("Spt_j", 4, j=2)) == \
+            "SptRequest(family='Spt_j', n_max=4, j=2, k=None, route='moments')"
+        assert repr(SptRequest("jspt_k", 5, j=2, k=1, route="gf")) == \
+            "SptRequest(family='jspt_k', n_max=5, j=2, k=1, route='gf')"
+
+    def test_equality_and_hash(self):
+        a = SptRequest("spt_k", 6, k=2)
+        b = SptRequest("spt_k", 6, k=2, route="moments")  # the default, spelled out
+        c = SptRequest("spt_k", 6, k=2, route="gf")
+        assert a == b and hash(a) == hash(b)
+        assert a != c and not a == c
+        assert SptRequest("spt_k", 7, k=2) != a and SptRequest("spt_k", 6, k=3) != a
+        assert {a, b, c} == {a, c}
+        assert {a: 1, c: 2}[b] == 1
+
+    @pytest.mark.parametrize("other", [("spt", 5, None, None, "weight"), "spt", None])
+    def test_unequal_to_other_types(self, other):
+        req = SptRequest("spt", 5)
+        assert req != other and not req == other
+        assert req.__eq__(other) is NotImplemented
+
+    def test_immutable(self):
+        req = SptRequest("spt", 5)
+        for attempt in (lambda: setattr(req, "n_max", 6), lambda: delattr(req, "route"),
+                        lambda: setattr(req, "other", 1)):
+            with pytest.raises(AttributeError):
+                attempt()
+        assert (req.n_max, req.route) == (5, "weight")
+
+    def test_keyword_and_positional_construction(self):
+        by_keyword = SptRequest(family="jspt_k", n_max=5, j=2, k=1, route="gf")
+        assert by_keyword == SptRequest("jspt_k", 5, 2, 1, "gf")
+        assert (by_keyword.family, by_keyword.n_max, by_keyword.j, by_keyword.k) == \
+            ("jspt_k", 5, 2, 1)
+
+    @pytest.mark.parametrize("family,params,route", [
+        ("p", {}, "recurrence"), ("spt", {}, "weight"), ("spt_k", {"k": 2}, "moments"),
+        ("Spt_j", {"j": 2}, "moments"), ("jspt_k", {"j": 2, "k": 1}, "moments"),
+    ])
+    def test_route_default_resolution(self, family, params, route):
+        for req in (SptRequest(family, 5, **params), SptRequest(family, 5, route=None, **params)):
+            assert req.route == route
+        assert SptRequest(family, 5, route="all", **params).route == "all"
+
     def test_valid(self):
         req = SptRequest("Spt_j", 4, j=1)
         assert req.values() == [1, 3, 5, 10]
