@@ -145,15 +145,15 @@ def _count_bad(order, is_bad):
 
 def _verify_lemma31(j, k, r, order):
     def is_bad(a, m):
-        lower = _lower_durfee_sides(a, m, m - 1)
-        return _strict_rr(a, lower) and lower[::-1] != _durfee_sides(a, m, m - 1)
+        lower = _lower_durfee_sides(a, m)
+        return _strict_rr(a, lower) and lower[::-1] != _durfee_sides(a, m)
 
     return _count_bad(order, is_bad), []
 
 
 def _verify_lemma32(j, k, r, order):
-    return _count_bad(order, lambda a, m: len(_lower_durfee_sides(a, m, m - 1))
-                      != len(_durfee_sides(a, m, m - 1))), []
+    return _count_bad(order, lambda a, m: len(_lower_durfee_sides(a, m))
+                      != len(_durfee_sides(a, m))), []
 
 
 def _verify_genineq(j, k, r, order):

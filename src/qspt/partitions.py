@@ -3,8 +3,8 @@
 Covers enumeration (ZS1: Zoghbi and Stojmenovic, Int. J. Comput. Math. 70,
 1998), successive Durfee squares (from the top-left corner) and lower-Durfee
 squares (from the bottom-left corner), the Rogers-Ramanujan predicate, part
-marks and part frequencies.  Each chain is read off the walk's working list:
-one pass over the parts > 1, with the trailing ones as unit squares.
+marks and part frequencies.  Each chain is read off the walk's working list
+by one pass over the parts it is given; a part 1 is a square of side 1.
 """
 
 from __future__ import annotations
@@ -97,12 +97,6 @@ def _walk(n: int) -> Iterator[tuple[list[int], int, int]]:
         yield a, m, h
 
 
-def _walk_state(parts: tuple[int, ...]) -> tuple[tuple[int, ...], int, int]:
-    """The (a, m, h) that :func:`_walk` yields for these weakly decreasing parts."""
-    m = len(parts)
-    return parts, m, m - parts.count(1) - 1
-
-
 # _PARTITION_COUNTS[m] = p(m), grown in place, so each p(m) is computed once.
 _PARTITION_COUNTS: list[int] = [1]
 
@@ -122,11 +116,11 @@ def partition_count(n: int) -> int:
     return table[n]
 
 
-def _durfee_sides(a, m: int, h: int) -> list[int]:
-    """Successive Durfee sides of a[:m], whose parts after a[h] are all 1."""
+def _durfee_sides(a, m: int) -> list[int]:
+    """Successive Durfee sides of a[:m]."""
     sides = []
     d = 0  # rows of the square being grown
-    for part in a[:h + 1]:
+    for part in a[:m]:
         if part > d:  # the part reaches the square's next column: it grows
             d += 1
         else:  # the square is complete, and this part starts the next one
@@ -134,15 +128,13 @@ def _durfee_sides(a, m: int, h: int) -> list[int]:
             d = 1
     if d:
         sides.append(d)
-    # the first one completes the last square, if any, and each one is a square
-    sides += [1] * (m - h - 1)
     return sides
 
 
-def _lower_durfee_sides(a, m: int, h: int) -> list[int]:
-    """Successive lower-Durfee sides of a[:m], whose parts after a[h] are all 1."""
-    sides = [1] * (m - h - 1)  # each trailing one is a square of side 1
-    rest = h + 1  # the parts no square has consumed yet are a[:rest]
+def _lower_durfee_sides(a, m: int) -> list[int]:
+    """Successive lower-Durfee sides of a[:m]."""
+    sides = []
+    rest = m  # the parts no square has consumed yet are a[:rest]
     while rest:
         # the largest d whose d smallest remaining parts are all >= d: the
         # smallest of them, a[rest - 1], or every remaining part
@@ -156,12 +148,12 @@ def _lower_durfee_sides(a, m: int, h: int) -> list[int]:
 
 def successive_durfee(p: Partition) -> tuple[int, ...]:
     """The successive Durfee square sides, from the top-left corner down."""
-    return tuple(_durfee_sides(*_walk_state(p.parts)))
+    return tuple(_durfee_sides(p.parts, len(p.parts)))
 
 
 def successive_lower_durfee(p: Partition) -> tuple[int, ...]:
     """The successive lower-Durfee square sides, from the bottom-left corner up."""
-    return tuple(_lower_durfee_sides(*_walk_state(p.parts)))
+    return tuple(_lower_durfee_sides(p.parts, len(p.parts)))
 
 
 def is_rogers_ramanujan(p: Partition, s: int) -> bool:

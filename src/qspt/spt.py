@@ -4,10 +4,13 @@ Each family is computable by several independent routes -- generating
 function, combinatorial weight over partitions, and moment differences --
 and the routes are required to agree.  Every division along the way is on a
 provably divisible integer and is checked exact.  The weights of spt and
-spt_k are summed by one sweep over the smallest part.  Those of Spt_j and
-jspt_k read that row for the partitions with at least j - 1 ones, whose
-ones only move the weight down that many lower-Durfee squares, and weigh
-each set of parts > 1 once, on one walk of the order, for the rest.
+spt_k are summed by one sweep over the smallest part.  The per-partition
+weights are the levels of one reading of the lower-Durfee blocks
+(_level_weights): jspt_k reads one level, Spt_j the sum of the first j at
+k = 1.  The weight rows of Spt_j and jspt_k read the sweep's row for the
+partitions with at least j - 1 ones, whose ones only move the weight down
+that many lower-Durfee squares, and for the rest read each set of parts > 1
+once, all its levels by one call, on one walk of the order.
 The generating functions are nested sums over chains of Durfee-square sides;
 each is summed by one recursion over the levels of its chain, not one index
 tuple at a time.
@@ -16,10 +19,11 @@ tuple at a time.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate
 from math import comb
 from typing import Callable, NamedTuple
 
-from .partitions import Partition, _lower_durfee_sides, _walk, _walk_state, partition_count
+from .partitions import Partition, _lower_durfee_sides, _walk, partition_count
 from .series import (
     DiscrepancyError,
     TruncSeries,
@@ -85,43 +89,42 @@ def gf_spt(order: int) -> TruncSeries:
 
 
 # ---------------------------------------------------------------------------
-# combinatorial weights, each read off a[:m] whose parts after a[h] are all 1
-# (the state partitions._walk yields); each trailing one is a lower-Durfee
-# square of side 1.
+# combinatorial weights, read by one core off a[:m], a partition or the parts
+# > 1 of a state of partitions._walk
 
 
-def _lower_block(a, m: int, h: int, s: int) -> int | None:
-    """Parts consumed by the first s lower-Durfee squares of a[:m], None if fewer."""
-    if s <= m - h - 1:  # they are trailing ones
-        return s
-    sides = _lower_durfee_sides(a, m, h)
-    return sum(sides[:s]) if len(sides) >= s else None
+def _level_weights(a, m: int, k: int, lo: int, hi: int) -> list[int]:
+    """The split weights of a[:m] at the levels lo..hi, none past its last level.
 
-
-def _mark_weight(a, m: int, h: int, j: int) -> int:
-    """The marks of the designated parts of a[:m] but its last, summed one part value at a time."""
-    # the designated parts are the d+1 smallest, d the size of the first j-1
-    # lower-Durfee squares, or every part when there are fewer squares
-    d = _lower_block(a, m, h, j - 1)
-    lo = 0 if d is None else max(m - d - 1, 0)  # the top designated part
-    total, i = 0, m - 2
-    while i >= lo:
-        # the copies of a[i] in a[lo:i + 1]: b of them, below `above` copies
-        # outside the block; a mark counts the equal parts down to its part
-        first = a.index(a[i])
-        above = lo - first if lo > first else 0
-        b = i - first + 1 - above
-        total += b * above + b * (b + 1) // 2
-        i = first - 1
-    return total
+    Level 1 is the smallest part; level L >= 2 is the block of the (L-1)st
+    lower-Durfee square, moved up one row, the top block cut at the first part.
+    So s squares give s + 1 levels, which tile the parts bottom-up.  A split
+    part weighs _split_term of its mark and the _larger_product of the parts
+    above it: at k = 1 its mark, so levels 1..j sum the mark weight.
+    """
+    sizes = [1, *_lower_durfee_sides(a, m)]  # of the levels' blocks, bottom-up
+    i, weights = m - 1 - sum(sizes[:lo - 1]), []  # i: the lowest part of the next block
+    for size in sizes[lo - 1:hi]:
+        total, top = 0, max(i - size + 1, 0)
+        while i >= top:  # one value at a time, upward: its parts a[low:i + 1]
+            first = a.index(a[i])  # a[:first] are the parts larger than a[i]
+            low = first if first > top else top
+            if k == 1:  # the marks low - first + 1 .. i - first + 1
+                b = i - low + 1
+                total += b * (low - first) + b * (b + 1) // 2
+            else:
+                rest = _larger_product(a, first, k)
+                total += sum(_split_term(c, rest, k) for c in range(low - first + 1, i - first + 2))
+            i = low - 1
+        weights.append(total)
+    return weights
 
 
 def mark_weight(p: Partition, j: int) -> int:
     """Sum of the marks of the designated bottom parts (weight behind Spt_j)."""
     if j < 1:
         raise ValueError("j must be >= 1")
-    parts = p.parts  # the last, smallest part is always designated, marked by its multiplicity
-    return _mark_weight(*_walk_state(parts), j) + (parts.count(parts[-1]) if parts else 0)
+    return sum(_level_weights(p.parts, len(p.parts), 1, 1, j))
 
 
 def chain_weight(p: Partition, k: int) -> int:
@@ -135,29 +138,6 @@ def chain_weight(p: Partition, k: int) -> int:
     if not p.parts:
         raise ValueError("weight of the empty partition is undefined")
     return split_chain_weight(p, 1, k)
-
-
-def _split_chain_weight(a, m: int, h: int, j: int, k: int) -> int:
-    """split_chain_weight of a[:m].
-
-    For j = 1 the single split part is the smallest part.  For j >= 2 the
-    split parts sit right above each row of the (j-1)st lower-Durfee square;
-    if that square does not exist there are none.  The position blocks for
-    j = 1..s+1 tile the bottom parts, which makes the telescoping sum of
-    these weights reproduce the mark weight exactly.
-    """
-    end = _lower_block(a, m, h, j - 1)
-    if end is None:
-        return 0
-    start = _lower_block(a, m, h, j - 2) if j > 1 else -1
-    total, prev = 0, None
-    for top in range(m - 2 - start, max(m - 2 - end, -1), -1):  # the split parts, upward
-        t1 = a[top]
-        first = a.index(t1)  # a[:first] are the parts larger than t1
-        if t1 != prev:  # a repeated split value reuses the product of the last one
-            prev, rest = t1, _larger_product(a, first, k)
-        total += _split_term(top - first + 1, rest, k)
-    return total
 
 
 def _larger_product(a, first: int, k: int) -> list[int]:
@@ -179,7 +159,7 @@ def _split_term(mark: int, rest: list[int], k: int) -> int:
 
 
 def split_chain_weight(p: Partition, j: int, k: int) -> int:
-    """Generalized weight: one polynomial coefficient per split-point part.
+    """Generalized weight of the split parts at level j: one polynomial coefficient each.
 
     A split part t_1 with mark c contributes the x**k coefficient of
     sum_{c'>=1} binom(c + c' - 1, 2c' - 1) x**c' times the product, over the
@@ -193,34 +173,35 @@ def split_chain_weight(p: Partition, j: int, k: int) -> int:
     """
     if j < 1 or k < 1:
         raise ValueError("j and k must be >= 1")
-    return _split_chain_weight(*_walk_state(p.parts), j, k)
+    return sum(_level_weights(p.parts, len(p.parts), k, j, j))
 
 
 # A set P of parts > 1 with r ones has r ones for its first lower-Durfee squares: at
 # level j it weighs what P weighs at level j - r for r <= j - 2, and for r >= j - 1 what
 # P with r - j + 1 ones weighs in spt_k.  So, over the P of sum n - r (spt_k(m) = 0, m <= 0),
 #   jspt_k(n) = spt_k(n - j + 1) + sum_{r <= j - 2} sum_P split_chain_weight(P, j - r, k),
-#   Spt_j(n) = sum_{r < j} spt(n - r) + sum_{r <= j - 2} sum_P _mark_weight(P, j - r),
-# the second the first summed over 1..j at k = 1, where mark_weight(P, j - r) less
-# mark_weight(P, 1) is _mark_weight(P, j - r).
+#   Spt_j(n) = sum_{r < j} spt(n - r) + sum_{r <= j - 2} sum_P (levels 2..j - r of P at k = 1),
+# the second the first summed over 1..j at k = 1: mark_weight(P, j - r) less its level 1.
 
-# (weight, j, params) -> the row of _walk_row, kept at the largest order built
+# (j, k, running) -> the row of _walk_row, kept at the largest order built
 _ROWS: dict[tuple, list[int]] = {}
 
 
-def _walk_row(order: int, j: int, weight, params: tuple) -> list[int]:
-    """row[n], the sum of weight(P, j - r, *params) over r <= j - 2 and the P into parts > 1
-    of n - r, n <= order.
+def _walk_row(order: int, j: int, k: int, running: bool) -> list[int]:
+    """row[n], the sum over r <= j - 2 and the P into parts > 1 of n - r, n <= order, of
+    P's level j - r at k, or with ``running`` of P's levels 2..j - r at k.
 
     Each P of sum s <= order is a[:h + 1] of the state of _walk(order) with order - s ones,
-    and weighs its levels j - r at the n = s + r past the row.  P has at most h + 1
-    lower-Durfee squares, so every level from h + 3 on weighs what level h + 3 weighs (no
-    split part; every part designated): each state weighs it once, for all those n.  At
-    j = 1 nothing is weighed and nothing walked.  A larger order extends the row by one
-    walk of that order (series.memo would build at twice the order held), on a copy
-    stored only when complete, so an interrupted build leaves the row it had.
+    and weighs its levels j - r at the n = s + r past the row, all by one _level_weights
+    call.  P has at most h + 1 lower-Durfee squares, so at most h + 2 levels: one past
+    them weighs 0, and its running sum is that of every level.  So no call asks for one,
+    and a state whose levels j - r all lie past h + 2 is weighed only when ``running``.
+    At j = 1 nothing is weighed and nothing walked.  A
+    larger order extends the row by one walk of that order (series.memo would build at
+    twice the order held), on a copy stored only when complete, so an interrupted build
+    leaves the row it had.
     """
-    row = _ROWS.get((weight, j, params), [])
+    row = _ROWS.get((j, k, running), [])
     done = len(row)
     if done > order:
         return row
@@ -229,15 +210,19 @@ def _walk_row(order: int, j: int, weight, params: tuple) -> list[int]:
     spans = [(order - t, max(done - order + t, 0), min(j - 1, t + 1)) for t in range(order + 1)]
     for a, m, h in _walk(order) if j > 1 else ():
         s, lo, hi = spans[m - h - 1]
-        if lo < j - h - 2:  # r < j - h - 2 is a level from h + 3 on
-            top = min(j - h - 2, hi)
-            if w := weight(a, h + 1, h, h + 3, *params):
-                for n in range(s + lo, s + top):
-                    row[n] += w
-            lo = top
-        for r in range(lo, hi):
-            row[s + r] += weight(a, h + 1, h, j - r, *params)
-    _ROWS[weight, j, params] = row
+        first, last = (2 if running else j - hi + 1), min(j - lo, h + 2)
+        if lo >= hi or first > last:
+            continue
+        weights = _level_weights(a, h + 1, k, first, last)
+        if running:  # sums[L - 1] is the sum of levels 2..L, and r <= past reads them all
+            sums = list(accumulate(weights, initial=0))
+            past = j - len(sums)
+            for r in range(lo, hi):
+                row[s + r] += sums[-1] if r <= past else sums[j - r - 1]
+        else:  # weights[i] is level j - hi + 1 + i, that of r = hi - 1 - i
+            for i, w in enumerate(weights):
+                row[s + hi - 1 - i] += w
+    _ROWS[j, k, running] = row
     return row
 
 
@@ -430,13 +415,13 @@ FAMILIES: dict[str, Family] = {
         "moments": lambda j, n: n * partition_count(n) - _half_moment(j + 1, n),
         "gf": lambda j, n: value(gf_spt_j, j, n),
         "weight": lambda j, n: (sum(_spt_weight_row(1, n).coeffs[max(n - j + 1, 0):])
-                                + _walk_row(n, j, _mark_weight, ())[n]),
+                                + _walk_row(n, j, 1, True)[n]),
     }),
     "jspt_k": Family(("j", "k"), {
         "moments": lambda j, k, n: sym_mu(j, 2 * k, n) - sym_mu(j + 1, 2 * k, n),
         "gf": lambda j, k, n: value(gf_jspt_k, j, k, n),
         "weight": lambda j, k, n: ((_spt_weight_row(k, n).coeffs[n - j + 1] if j <= n else 0)
-                                   + _walk_row(n, j, _split_chain_weight, (k,))[n]),
+                                   + _walk_row(n, j, k, False)[n]),
     }),
 }
 

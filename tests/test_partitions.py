@@ -14,7 +14,6 @@ from qspt.partitions import (
     _durfee_sides,
     _lower_durfee_sides,
     _walk,
-    _walk_state,
     enumerate_partitions,
     frequency,
     is_rogers_ramanujan,
@@ -169,37 +168,32 @@ class TestWalk:
             assert got == {n: set(partition_oracles.partition_tuples(n))
                            for n in range(order + 1)}, order
 
-    def test_walk_state_of_a_tuple(self):
-        assert _walk_state((4, 2, 1, 1)) == ((4, 2, 1, 1), 4, 1)
-        assert _walk_state((1, 1, 1)) == ((1, 1, 1), 3, -1)
-        assert _walk_state(()) == ((), 0, -1)
-
     def test_core_chains_match_slicing(self):
         # n = 0 and 1 included; every n ends in its all-ones partition
         for n in range(31):
             for a, m, h in _walk(n):
                 parts = tuple(a[:m])
-                assert tuple(_durfee_sides(a, m, h)) == partition_oracles.upper_sides(parts)
-                assert tuple(_lower_durfee_sides(a, m, h)) == partition_oracles.lower_sides(parts)
+                assert tuple(_durfee_sides(a, m)) == partition_oracles.upper_sides(parts)
+                assert tuple(_lower_durfee_sides(a, m)) == partition_oracles.lower_sides(parts)
 
     @pytest.mark.parametrize("ones", [0, 1, 2, 7, 40])
     def test_all_ones_and_trailing_ones(self, ones):
         for head in ((), (2,), (5, 3, 3), (4, 4, 4, 4, 2)):
             parts = head + (1,) * ones
-            state = _walk_state(parts)
-            assert tuple(_durfee_sides(*state)) == partition_oracles.upper_sides(parts)
-            assert tuple(_lower_durfee_sides(*state)) == partition_oracles.lower_sides(parts)
+            assert tuple(_durfee_sides(parts, len(parts))) == partition_oracles.upper_sides(parts)
+            assert tuple(_lower_durfee_sides(parts, len(parts))) == \
+                partition_oracles.lower_sides(parts)
 
     def test_trailing_ones_are_unit_squares(self):
-        # the closed form the lemma counts rest on: dropping the ones drops
-        # the same unit squares from the end of both chains
+        # what the lemma counts and the weight rows rest on: dropping the ones
+        # drops the same unit squares from the end of both chains
         for n in range(31):
             for a, m, h in _walk(n):
                 ones = [1] * (m - h - 1)
-                assert _durfee_sides(a, m, h) == _durfee_sides(a, h + 1, h) + ones
-                assert _lower_durfee_sides(a, m, h) == ones + _lower_durfee_sides(a, h + 1, h)
-                assert _strict_rr(a, _lower_durfee_sides(a, m, h)) == \
-                    _strict_rr(a, _lower_durfee_sides(a, h + 1, h)), a[:m]
+                assert _durfee_sides(a, m) == _durfee_sides(a, h + 1) + ones
+                assert _lower_durfee_sides(a, m) == ones + _lower_durfee_sides(a, h + 1)
+                assert _strict_rr(a, _lower_durfee_sides(a, m)) == \
+                    _strict_rr(a, _lower_durfee_sides(a, h + 1)), a[:m]
 
 
 class TestDurfeeChains:
@@ -363,10 +357,10 @@ class TestChainLemmas:
         # predicates that hold on some partitions, their rows still count
         # every partition of n
         def strict_rr(a, m):
-            return _strict_rr(a, _lower_durfee_sides(a, m, m - 1))
+            return _strict_rr(a, _lower_durfee_sides(a, m))
 
         def chains_match(a, m):
-            return _lower_durfee_sides(a, m, m - 1)[::-1] == _durfee_sides(a, m, m - 1)
+            return _lower_durfee_sides(a, m)[::-1] == _durfee_sides(a, m)
 
         for is_bad, oracle in (
             (strict_rr, lambda p: partition_oracles.strict_rr(p.parts)),

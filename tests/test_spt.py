@@ -124,9 +124,10 @@ class TestMarkWeight:
         assert mark_weight(Partition(()), 2) == 0
 
     def test_matches_marks_tuple(self):
+        # every level, the cut top block and the levels past the last square
         for n in range(1, 15):
             for p in enumerate_partitions(n):
-                for j in range(1, 5):
+                for j in range(1, len(partition_oracles.lower_sides(p.parts)) + 3):
                     assert mark_weight(p, j) == partition_oracles.mark_weight(p, j), (p, j)
 
 
@@ -292,6 +293,23 @@ class TestSplitChainWeight:
     def test_empty(self):
         assert split_chain_weight(Partition(()), 2, 1) == 0
 
+    def test_level_ranges_read_the_same_levels(self):
+        # s squares give s + 1 levels, none read past them; the k = 1 levels
+        # sum every mark; any range lo..hi is that slice of the full read
+        for n in range(13):
+            for p in enumerate_partitions(n):
+                parts, m = p.parts, len(p.parts)
+                levels = len(partition_oracles.lower_sides(parts)) + 1
+                for k in (1, 2, 3):
+                    full = sptmod._level_weights(parts, m, k, 1, 10**12)
+                    assert len(full) == levels, (p, k)
+                    if k == 1:
+                        assert sum(full) == sum(c for _, c in partition_oracles.marks(parts))
+                    for lo in range(1, levels + 2):
+                        for hi in range(lo - 1, levels + 2):
+                            assert sptmod._level_weights(parts, m, k, lo, hi) == \
+                                full[lo - 1:hi], (p, k, lo, hi)
+
 
 class TestJsptK:
     @pytest.mark.parametrize("j", [1, 2, 3])
@@ -437,21 +455,25 @@ class TestWeightRoutesAgainstOracles:
             partition_oracles.jspt_k_weights(j, WEIGHT_N_MAX, [2])[0]
 
     def test_levels_past_every_square_weigh_once_per_state(self, monkeypatch):
-        # a[:h + 1] has at most h + 1 lower-Durfee squares, so every level from
-        # h + 3 on weighs what h + 3 weighs: one weight per state of the walk,
-        # where each level was weighed on its own in 215,308 calls
-        levels, real = [], sptmod._split_chain_weight
+        # a[:h + 1] has at most h + 2 levels, so no level from h + 3 on holds a
+        # split part: at most one core call per state of the walk, for no level
+        # past h + 2, where each level was weighed on its own in 215,308 calls
+        calls, real = [], sptmod._level_weights
 
-        def counted(a, m, h, j, k):
-            levels.append(j)
-            return real(a, m, h, j, k)
+        def counted(a, m, k, lo, hi):
+            calls.append((m, lo, hi))
+            return real(a, m, k, lo, hi)
 
-        monkeypatch.setattr(sptmod, "_split_chain_weight", counted)
+        monkeypatch.setattr(sptmod, "_level_weights", counted)
         tuple_sums.clear_memos()
-        values = read_down(lambda n: jspt_k(10**12, 2, n, "weight"), 1, WEIGHT_N_MAX)
-        assert values == [0] * WEIGHT_N_MAX
-        assert len(levels) == partition_count(WEIGHT_N_MAX)
-        assert max(levels) <= WEIGHT_N_MAX // 2 + 2  # h + 3, at most
+        for family, params in (("Spt_j", (10**12,)), ("jspt_k", (10**12, 2))):
+            calls.clear()
+            route = FAMILIES[family].routes["weight"]
+            values = read_down(lambda n: route(*params, n), 1, WEIGHT_N_MAX)
+            assert len(calls) <= partition_count(WEIGHT_N_MAX), family
+            assert all(hi <= m + 1 for m, lo, hi in calls), family  # h + 2 = m + 1
+        # every split level lies past h + 2: no state is weighed at all
+        assert values == [0] * WEIGHT_N_MAX and calls == []
 
     @pytest.mark.parametrize("family,params", [("Spt_j", (2,)), ("Spt_j", (5,)),
                                                ("jspt_k", (2, 3)), ("jspt_k", (4, 6))])
@@ -477,12 +499,12 @@ class TestWeightRoutesAgainstOracles:
             spt_j(2, n, "weight")
         assert asked and max(asked) <= 40
 
-    @pytest.mark.parametrize("stop", ["_walk", "_lower_block"])
+    @pytest.mark.parametrize("stop", ["_walk", "_level_weights"])
     @pytest.mark.parametrize("family,params", [("Spt_j", (2,)), ("jspt_k", (2, 3))])
     def test_an_interrupted_build_keeps_the_row_it_had(self, family, params, stop,
                                                        monkeypatch):
-        # a build stopped partway through the walk or a weight (Ctrl-C, a
-        # MemoryError) stores nothing: the next read builds again
+        # a build stopped partway through the walk or inside the weight core
+        # (Ctrl-C, a MemoryError) stores nothing: the next read builds again
         route = FAMILIES[family].routes["weight"]
         oracle = {"Spt_j": partition_oracles.spt_j_weight,
                   "jspt_k": lambda j, k, n: partition_oracles.jspt_k_weights(j, n, [k])[0]}
@@ -562,17 +584,23 @@ class TestLargerPartSweep:
 
     def test_j_2_weighs_each_set_of_parts_above_1_once(self, monkeypatch):
         # at j = 2 only the partitions without a one are weighed: the P of every
-        # sum s <= 40, as many as the partitions of 40
-        calls, weight = [], sptmod._split_chain_weight
-
-        def counted(*args):
-            calls.append(args)
-            return weight(*args)
-
-        monkeypatch.setattr(sptmod, "_split_chain_weight", counted)
+        # sum s <= 40, as many as the partitions of 40, by one core call each but
+        # for the empty P, which has no level 2
+        weight = sptmod._level_weights
         tuple_sums.clear_memos()
-        assert jspt_k(2, 3, WEIGHT_N_MAX, "weight") == jspt_k(2, 3, WEIGHT_N_MAX, "moments")
-        assert len(calls) == partition_count(WEIGHT_N_MAX) == 37338
+        for family, params in (("Spt_j", (2,)), ("jspt_k", (2, 3))):
+            sets = []
+
+            def counted(a, m, k, lo, hi):
+                sets.append(tuple(a[:m]))
+                return weight(a, m, k, lo, hi)
+
+            monkeypatch.setattr(sptmod, "_level_weights", counted)
+            routes = FAMILIES[family].routes
+            assert routes["weight"](*params, WEIGHT_N_MAX) == \
+                routes["moments"](*params, WEIGHT_N_MAX)
+            assert len(set(sets)) == len(sets) == partition_count(WEIGHT_N_MAX) - 1 == 37337
+            assert min(map(min, sets)) == 2, family
 
 
 class TestCompositions:
@@ -585,10 +613,11 @@ class TestCompositions:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_weights_match_unbounded_enumeration(self, k):
         # the oracle sums every composition of k; at j = 1 its one split part
-        # is the bottom smallest part, so it is also chain_weight's oracle
+        # is the bottom smallest part, so it is also chain_weight's oracle.
+        # Every level, the cut top block and the levels past the last square.
         for n in range(1, 13):
             for p in enumerate_partitions(n):
-                for j in (1, 2, 3):
+                for j in range(1, len(partition_oracles.lower_sides(p.parts)) + 3):
                     expected = partition_oracles.split_chain_weight(p, j, k)
                     assert split_chain_weight(p, j, k) == expected, (p, j, k)
                     if j == 1:
