@@ -196,6 +196,8 @@ def _walk_row(order: int, j: int, k: int, running: bool) -> list[int]:
     call.  P has at most h + 1 lower-Durfee squares, so at most h + 2 levels: one past
     them weighs 0, and its running sum is that of every level.  So no call asks for one,
     and a state whose levels j - r all lie past h + 2 is weighed only when ``running``.
+    A split term's degree in x is at most the number h + 1 of P's parts, so a state
+    with fewer than k of them weighs 0 at every level and is not weighed at all.
     At j = 1 nothing is weighed and nothing walked.  A
     larger order extends the row by one walk of that order (series.memo would build at
     twice the order held), on a copy stored only when complete, so an interrupted build
@@ -211,7 +213,7 @@ def _walk_row(order: int, j: int, k: int, running: bool) -> list[int]:
     for a, m, h in _walk(order) if j > 1 else ():
         s, lo, hi = spans[m - h - 1]
         first, last = (2 if running else j - hi + 1), min(j - lo, h + 2)
-        if lo >= hi or first > last:
+        if lo >= hi or first > last or h + 1 < k:
             continue
         weights = _level_weights(a, h + 1, k, first, last)
         if running:  # sums[L - 1] is the sum of levels 2..L, and r <= past reads them all

@@ -9,11 +9,11 @@ import time
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qspt
+from cli_runner import CliRunner
 from qspt import cli, identities, stats
 from qspt import spt as sptmod
 from qspt.cli import main
@@ -287,7 +287,7 @@ class TestVerify:
         assert "Traceback" not in result.output and isinstance(result.exception, SystemExit)
 
     def test_library_raises_value_error(self):
-        # the identity registry knows nothing of click; the CLI maps this to exit 2
+        # the identity registry raises ValueError; the CLI maps it to exit 2
         with pytest.raises(ValueError):
             identities.verify("sptdiff", j=1)
         order, rows, notes = identities.verify("fdyson", order=5)

@@ -60,6 +60,13 @@ def test_import_cli_skips(by_cli, name):
     assert name not in by_cli
 
 
+def test_import_cli_loads_nothing_outside_the_stdlib(by_cli):
+    # qspt has no runtime dependency: the CLI reads its command line with argparse
+    outside = {name for name in by_cli
+               if name.partition(".")[0] not in sys.stdlib_module_names | {"qspt"}}
+    assert "argparse" in by_cli and outside == set()
+
+
 def test_import_cli_loads_every_traced_module(by_cli):
     assert traced_modules() <= by_cli
 

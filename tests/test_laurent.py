@@ -5,11 +5,11 @@ import sys
 from itertools import zip_longest
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tuple_sums
+from cli_runner import CliRunner
 from qspt import identities, laurent, stats
 from qspt.cli import main
 from qspt.laurent import (

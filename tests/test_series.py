@@ -9,11 +9,11 @@ from math import isqrt
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qspt
+from cli_runner import CliRunner
 from qspt import cli, identities, laurent, partitions, series, spt, stats
 from qspt.series import (
     TruncSeries,

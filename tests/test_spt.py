@@ -585,10 +585,12 @@ class TestLargerPartSweep:
     def test_j_2_weighs_each_set_of_parts_above_1_once(self, monkeypatch):
         # at j = 2 only the partitions without a one are weighed: the P of every
         # sum s <= 40, as many as the partitions of 40, by one core call each but
-        # for the empty P, which has no level 2
+        # for the empty P, which has no level 2; at k = 3 neither are the 39 P of
+        # one part nor the 361 of two, whose split weights are all 0
         weight = sptmod._level_weights
         tuple_sums.clear_memos()
-        for family, params in (("Spt_j", (2,)), ("jspt_k", (2, 3))):
+        for family, params, fewest, count in (("Spt_j", (2,), 1, 37337),
+                                              ("jspt_k", (2, 3), 3, 36937)):
             sets = []
 
             def counted(a, m, k, lo, hi):
@@ -599,8 +601,26 @@ class TestLargerPartSweep:
             routes = FAMILIES[family].routes
             assert routes["weight"](*params, WEIGHT_N_MAX) == \
                 routes["moments"](*params, WEIGHT_N_MAX)
-            assert len(set(sets)) == len(sets) == partition_count(WEIGHT_N_MAX) - 1 == 37337
-            assert min(map(min, sets)) == 2, family
+            assert len(set(sets)) == len(sets) == count
+            assert min(map(min, sets)) == 2 and min(map(len, sets)) == fewest, family
+        assert partition_count(WEIGHT_N_MAX) - 1 == 37337 == 36937 + 39 + 361
+
+    def test_k_above_every_set_of_parts_weighs_no_state(self, monkeypatch):
+        # a split term's degree in x is at most the number of parts of P, so no
+        # state of the walk has a nonzero split weight at k = 10**12
+        calls, weight = [], sptmod._level_weights
+        monkeypatch.setattr(sptmod, "_level_weights",
+                            lambda *args: calls.append(args) or weight(*args))
+        tuple_sums.clear_memos()
+        route = FAMILIES["jspt_k"].routes["weight"]
+        assert [route(2, 10**12, n) for n in range(1, 13)] == [0] * 12
+        assert route(2, 10**12, WEIGHT_N_MAX) == 0 and calls == []
+        monkeypatch.undo()
+        # the row skips no state whose parts reach k: pinned to the oracle at each k
+        for k in range(1, 7):
+            tuple_sums.clear_memos()
+            assert [route(3, k, n) for n in range(1, 13)] == \
+                [partition_oracles.jspt_k_weights(3, n, [k])[0] for n in range(1, 13)], k
 
 
 class TestCompositions:

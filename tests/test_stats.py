@@ -7,9 +7,9 @@ solve over the g_k polynomials, which lives here as its oracle.
 import math
 
 import pytest
-from click.testing import CliRunner
 
 import tuple_sums
+from cli_runner import CliRunner
 from qspt import stats
 from qspt.cli import main
 from qspt.partitions import Partition, enumerate_partitions, partition_count, successive_durfee
