@@ -6,17 +6,6 @@ rank/crank-moment differences) with exact integer arithmetic throughout, and
 verifies the identities tying the routes together.
 """
 
-from .laurent import (
-    BiSeries,
-    LaurentPoly,
-    build_crank_gf,
-    build_jrank_gf,
-    build_kn1_sides,
-    build_rank_gf,
-    dz_at_1,
-    integer_binomial,
-    symmetrized_extract,
-)
 from .partitions import (
     Partition,
     enumerate_partitions,
@@ -63,6 +52,37 @@ from .stats import (
 )
 
 __version__ = "0.1.0"
+
+
+def _lazy(name: str):
+    """The submodule ``name``, registered now but run when one of its names is first read."""
+    import importlib.util
+    import sys
+
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# Only the bivariate identities run laurent, so its body waits for its first use.
+laurent = _lazy("laurent")
+_LAURENT = frozenset({"BiSeries", "LaurentPoly", "build_crank_gf", "build_jrank_gf",
+                      "build_kn1_sides", "build_rank_gf", "dz_at_1", "integer_binomial",
+                      "symmetrized_extract"})
+
+
+def __getattr__(name: str):
+    if name in _LAURENT:
+        return getattr(laurent, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAURENT})
+
 
 __all__ = [
     "BiSeries",

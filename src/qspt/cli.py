@@ -11,7 +11,6 @@ missing or unexpected option value prints the ``Error:`` line alone.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 
@@ -119,9 +118,10 @@ def _save_cache(path: str | None, doc: dict) -> None:
 # ---------------------------------------------------------------------------
 # the command line
 #
-# argparse declares every option and writes the help pages; the words are read
-# by `_scan` against those declarations, because argparse's own reading differs
-# from the CLI's in corner cases (a value that starts with "-" or is "--").
+# Each option is declared once, by `_opt`.  `_scan` and `_read` read and check
+# the words against those declarations; argparse, whose own reading differs
+# from the CLI's in corner cases (a value that starts with "-" or is "--"),
+# only writes the help pages, so no other request imports it (`_parser`).
 
 
 class _UsageError(Exception):
@@ -136,29 +136,32 @@ def _int(value: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{value!r} is not a valid integer.") from None
+        raise ValueError(f"{value!r} is not a valid integer.") from None
 
 
 def _path(value: str) -> str:
     # a path may be new, but one that exists must be readable
     if os.path.exists(value) and not os.access(value, os.R_OK):
-        raise argparse.ArgumentTypeError(f"Path {value!r} is not readable.")
+        raise ValueError(f"Path {value!r} is not readable.")
     return value
 
 
 def _one_of(choices: tuple[str, ...]):
     def choice(value: str) -> str:
         if value not in choices:
-            raise argparse.ArgumentTypeError(
-                f"{value!r} is not one of {', '.join(map(repr, choices))}.")
+            raise ValueError(f"{value!r} is not one of {', '.join(map(repr, choices))}.")
         return value
     return choice
 
 
 def _opt(*flags: str, type=_int, choices=None, required: bool = False, default=None,
-         help: str = "", **kwargs) -> tuple:
+         help: str = "", dest: str | None = None, **kwargs) -> tuple:
     """The flags and ``add_argument`` keywords of one option, its help marked
-    ``(required)`` or with its default."""
+    ``(required)`` or with its default.
+
+    Its ``dest``, unless given, is its first flag's, as argparse names it; and
+    its ``type`` reads a word or raises ValueError.
+    """
     if choices is not None:
         choices = tuple(choices)
         type = _one_of(choices)
@@ -166,8 +169,8 @@ def _opt(*flags: str, type=_int, choices=None, required: bool = False, default=N
         help = f"{help} (required)".lstrip()
     elif default is not None:
         help = f"{help} (default: %(default)s)".lstrip()
-    return flags, dict(kwargs, type=type, choices=choices, required=required, default=default,
-                       help=help)
+    return flags, dict(kwargs, dest=dest or flags[0][2:].replace("-", "_"), type=type,
+                       choices=choices, required=required, default=default, help=help)
 
 
 _FORMAT = _opt("--format", dest="fmt", choices=_FORMATS, default="plain")
@@ -186,35 +189,41 @@ def _command(*options: tuple, identity: str | None = None):
     return register
 
 
-def _parser(prog: str) -> tuple[argparse.ArgumentParser, dict]:
-    """The program's parser, and each command's parser with its declared arguments.
+def _usage(name: str | None) -> str:
+    """The usage line of command ``name`` (of the program if None), after its prog."""
+    if name is None:
+        return "[OPTIONS] COMMAND [ARGS]..."
+    return "[OPTIONS] IDENTITY" if _COMMANDS[name][2] else "[OPTIONS]"
 
-    An argument is an argparse ``Action``: the IDENTITY argument first, then the
-    options in their order on the help page.
-    """
-    parser = argparse.ArgumentParser(
-        prog=prog, usage="%(prog)s [OPTIONS] COMMAND [ARGS]...", add_help=False,
-        allow_abbrev=False,
-        description="Exact smallest-part partition statistics: compute, verify, tabulate.")
+
+def _parser(prog: str, name: str | None = None):
+    """The argparse parser that writes the help page of command ``name``, or of
+    the program, which lists the commands with their help lines."""
+    import argparse
+
+    if name is None:
+        parser = argparse.ArgumentParser(
+            prog=prog, usage=f"%(prog)s {_usage(None)}", add_help=False, allow_abbrev=False,
+            description="Exact smallest-part partition statistics: compute, verify, tabulate.")
+        parser.add_argument("--help", action="store_true", help=_HELP)
+        subparsers = parser.add_subparsers(title="commands", metavar="COMMAND")
+        for command, (fn, _, _) in _COMMANDS.items():
+            subparsers.add_parser(command, prog=f"{prog} {command}", help=fn.__doc__,
+                                  add_help=False)
+        return parser
+    fn, options, identity = _COMMANDS[name]
+    parser = argparse.ArgumentParser(prog=f"{prog} {name}", usage=f"%(prog)s {_usage(name)}",
+                                     description=fn.__doc__, add_help=False, allow_abbrev=False)
+    if identity:
+        parser.add_argument("identity", metavar="IDENTITY", help=identity)
+    for flags, kwargs in options:
+        parser.add_argument(*flags, **kwargs)
     parser.add_argument("--help", action="store_true", help=_HELP)
-    subparsers = parser.add_subparsers(title="commands", metavar="COMMAND")
-    commands = {}
-    for name, (fn, options, identity) in _COMMANDS.items():
-        usage = "%(prog)s [OPTIONS] IDENTITY" if identity else "%(prog)s [OPTIONS]"
-        sub = subparsers.add_parser(name, prog=f"{prog} {name}", usage=usage,
-                                    help=fn.__doc__, description=fn.__doc__,
-                                    add_help=False, allow_abbrev=False)
-        declared = []
-        if identity:
-            declared.append(sub.add_argument("identity", metavar="IDENTITY", help=identity))
-        declared += [sub.add_argument(*flags, **kwargs) for flags, kwargs in options]
-        sub.add_argument("--help", action="store_true", help=_HELP)
-        commands[name] = sub, declared
-    return parser, commands
+    return parser
 
 
-def _hint(action: argparse.Action) -> str:
-    return " / ".join(f"'{flag}'" for flag in action.option_strings)
+def _hint(flags: tuple[str, ...]) -> str:
+    return " / ".join(f"'{flag}'" for flag in flags)
 
 
 def _did_you_mean(word: str, known) -> str:
@@ -227,15 +236,15 @@ def _did_you_mean(word: str, known) -> str:
     return f" Did you mean {text}?" if close else ""
 
 
-def _scan(argv: list[str], options: dict[str, argparse.Action | None],
+def _scan(argv: list[str], options: dict[str, tuple | None],
           interspersed: bool = True) -> tuple[list, list[str]]:
-    """The options given, as (action, value) pairs in order, and the other words.
+    """The options given, as (flags, value) pairs in order, and the other words.
 
     Up to a ``--``, a word of two or more characters that starts with ``-`` is an
     option. A value option takes what follows ``=`` in its word, else the next
-    word, whatever that is; ``options`` maps it to its action, and ``--help``,
-    which takes no value, to None. Unless ``interspersed``, the first other word
-    ends the options.
+    word, whatever that is; ``options`` maps each of its flags to all of them,
+    and ``--help``, which takes no value, to None. Unless ``interspersed``, the
+    first other word ends the options.
     """
     given, words = [], []
     rest = iter(argv)
@@ -252,56 +261,58 @@ def _scan(argv: list[str], options: dict[str, argparse.Action | None],
                 if arg[1] != "-":
                     raise _UsageError(f"No such option {arg[:2]!r}.")
                 raise _UsageError(f"No such option {flag!r}.{_did_you_mean(flag, options)}")
-            action = options[flag]
-            if action is None:
+            flags = options[flag]
+            if flags is None:
                 if eq:
                     raise _UsageError(f"Option {flag!r} does not take a value.", bare=True)
             elif not eq:
                 value = next(rest, None)
                 if value is None:
                     raise _UsageError(f"Option {flag!r} requires an argument.", bare=True)
-            given.append((action, value))
+            given.append((flags, value))
     return given, words
 
 
-def _help(parser: argparse.ArgumentParser, given: list) -> None:
-    """Print the help page and exit 0 if ``--help`` was given."""
-    if any(action is None for action, _ in given):
-        sys.stdout.write(parser.format_help())
+def _help(prog: str, name: str | None, given: list) -> None:
+    """Print the help page of command ``name`` (of the program if None) and exit 0
+    if ``--help`` was given."""
+    if any(flags is None for flags, _ in given):
+        sys.stdout.write(_parser(prog, name).format_help())
         sys.exit(0)
 
 
-def _read(parser: argparse.ArgumentParser, declared: list[argparse.Action],
-          argv: list[str]) -> dict:
-    """A command's keyword arguments from its words, or a usage error.
+def _read(prog: str, name: str, argv: list[str]) -> dict:
+    """Command ``name``'s keyword arguments from its words, or a usage error.
 
     The values are checked in this order: each option given (the last value of
     one given twice, where it was first given), the IDENTITY argument, the
     options not given; then any word left over is an error.
     """
-    options = {flag: action for action in declared for flag in action.option_strings}
-    given, words = _scan(argv, {**options, "--help": None})
-    _help(parser, given)
+    _, options, identity = _COMMANDS[name]
+    specs = dict(options)  # an option's flags -> its add_argument keywords
+    given, words = _scan(argv, {**{flag: flags for flags in specs for flag in flags},
+                                "--help": None})
+    _help(prog, name, given)
     kwargs = {}
     # a dict keeps the place of a key's first entry and the value of its last
-    for action, value in {action: value for action, value in given}.items():
+    for flags, value in dict(given).items():
+        spec = specs[flags]
         try:
-            kwargs[action.dest] = action.type(value)
-        except argparse.ArgumentTypeError as exc:
-            raise _UsageError(f"Invalid value for {_hint(action)}: {exc}") from None
-    for action in declared:
-        if action.option_strings:
-            continue
+            kwargs[spec["dest"]] = spec["type"](value)
+        except ValueError as exc:
+            raise _UsageError(f"Invalid value for {_hint(flags)}: {exc}") from None
+    if identity:
         if not words:
-            raise _UsageError(f"Missing argument '{action.metavar}'.")
-        kwargs[action.dest] = words.pop(0)
-    for action in declared:
-        if action.dest in kwargs:
+            raise _UsageError("Missing argument 'IDENTITY'.")
+        kwargs["identity"] = words.pop(0)
+    for flags, spec in specs.items():
+        if spec["dest"] in kwargs:
             continue
-        if action.required:
-            choose = " Choose from:\n\t" + ",\n\t".join(action.choices) if action.choices else ""
-            raise _UsageError(f"Missing option {_hint(action)}.{choose}")
-        kwargs[action.dest] = action.default
+        if spec["required"]:
+            choices = spec["choices"]
+            choose = " Choose from:\n\t" + ",\n\t".join(choices) if choices else ""
+            raise _UsageError(f"Missing option {_hint(flags)}.{choose}")
+        kwargs[spec["dest"]] = spec["default"]
     if words:
         raise _UsageError(f"Got unexpected extra argument{'s' if len(words) > 1 else ''} "
                           f"({' '.join(words)})")
@@ -312,24 +323,24 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
     """Run one command line (``sys.argv[1:]`` unless ``args`` is given) as the program
     ``prog_name``; a usage error, a discrepancy and any other failure exit 2, 1 and 3."""
     argv = sys.argv[1:] if args is None else list(args)
-    parser, commands = _parser(prog_name or os.path.basename(sys.argv[0]))
-    shown = parser  # the parser whose usage line a usage error shows
+    prog = prog_name or os.path.basename(sys.argv[0])
+    shown = None  # the command whose usage line a usage error shows, None for the program's
     try:
         if not argv:
-            sys.stderr.write(parser.format_help())
+            sys.stderr.write(_parser(prog).format_help())
             sys.exit(2)
         given, words = _scan(argv, {"--help": None}, interspersed=False)
-        _help(parser, given)
+        _help(prog, None, given)
         if not words:
             raise _UsageError("Missing command.")
         name = words[0]
-        if name not in commands:
+        if name not in _COMMANDS:
             if name[:1] and not name[:1].isalnum():
                 # read again as the program's options, so `qspt -- --help` shows help
-                _help(parser, _scan(words, {"--help": None}, interspersed=False)[0])
-            raise _UsageError(f"No such command {name!r}.{_did_you_mean(name, commands)}")
-        shown, declared = commands[name]
-        kwargs = _read(shown, declared, words[1:])
+                _help(prog, None, _scan(words, {"--help": None}, interspersed=False)[0])
+            raise _UsageError(f"No such command {name!r}.{_did_you_mean(name, _COMMANDS)}")
+        shown = name
+        kwargs = _read(prog, name, words[1:])
         # exact values can run past CPython's default 4300-digit int-to-str cap
         if hasattr(sys, "set_int_max_str_digits"):
             sys.set_int_max_str_digits(0)
@@ -338,8 +349,9 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
         _COMMANDS[name][0](**kwargs)
     except _UsageError as exc:
         if not exc.bare:
-            sys.stderr.write(f"Usage: {shown.usage % {'prog': shown.prog}}\n"
-                             f"Try '{shown.prog} --help' for help.\n\n")
+            path = prog if shown is None else f"{prog} {shown}"
+            sys.stderr.write(f"Usage: {path} {_usage(shown)}\n"
+                             f"Try '{path} --help' for help.\n\n")
         sys.stderr.write(f"Error: {exc}\n")
         sys.exit(2)
     except DiscrepancyError as exc:

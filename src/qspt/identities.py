@@ -14,8 +14,7 @@ import itertools
 import operator
 
 from . import spt as sptmod
-from . import stats
-from .laurent import build_jrank_gf, build_kn1_sides, symmetrized_extract
+from . import laurent, stats
 from .partitions import _durfee_sides, _lower_durfee_sides, _walk, partition_count
 from .series import read_down
 
@@ -66,16 +65,16 @@ def _verify_sptdiff(j, k, r, order):
 
 
 def _verify_kn1(j, k, r, order):
-    lhs, rhs = build_kn1_sides(j, order)
+    lhs, rhs = laurent.build_kn1_sides(j, order)
     return _rows(lhs.rows.__getitem__, rhs.rows.__getitem__, order, start=0), []
 
 
 def _verify_genjmu2k(j, k, r, order):
-    extracted = symmetrized_extract(build_jrank_gf(j, order), k)
+    extracted = laurent.symmetrized_extract(laurent.build_jrank_gf(j, order), k)
     closed = stats.gf_sym_mu(j, k, order)
     rows = _rows(extracted.coefficient, closed.coefficient, order)
     # the same weights applied straight to the counts N_j(m, n)
-    counts = symmetrized_extract(build_jrank_gf(j, order, "counts"), k)
+    counts = laurent.symmetrized_extract(laurent.build_jrank_gf(j, order, "counts"), k)
     table = _rows(extracted.coefficient, counts.coefficient, order, tag=":table")
     return rows + table, []
 
@@ -100,7 +99,7 @@ def _verify_gtjsptk(j, k, r, order):
 
 def _verify_relos(j, k, r, order):
     # moments straight from N_j(m, n)
-    counts = build_jrank_gf(j, order, "counts").weighted(lambda m: m ** (2 * k))
+    counts = laurent.build_jrank_gf(j, order, "counts").weighted(lambda m: m ** (2 * k))
     return _rows(counts.coefficient,
                  lambda n: stats.moment_via_sym(j, k, n), order), []
 
@@ -112,10 +111,10 @@ def _verify_fdyson(j, k, r, order):
 
 
 def _verify_rk_forms(j, k, r, order):
-    nested = build_jrank_gf(j, order, "nested").rows.__getitem__
+    nested = laurent.build_jrank_gf(j, order, "nested").rows.__getitem__
     return [row for name in ("bilateral", "counts")
-            for row in _rows(nested, build_jrank_gf(j, order, name).rows.__getitem__, order,
-                             start=0, tag=f":{name}")], []
+            for row in _rows(nested, laurent.build_jrank_gf(j, order, name).rows.__getitem__,
+                             order, start=0, tag=f":{name}")], []
 
 
 def _strict_rr(a, lower) -> bool:

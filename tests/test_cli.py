@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import qspt
 from cli_runner import CliRunner
-from qspt import cli, identities, stats
+from qspt import cli, identities, laurent, stats
 from qspt import spt as sptmod
 from qspt.cli import main
 from qspt.laurent import SymRows
@@ -376,7 +376,7 @@ class TestBivariateFailureRow:
 
     @pytest.fixture(autouse=True)
     def lowered(self, monkeypatch):
-        build = identities.build_kn1_sides
+        build = laurent.build_kn1_sides
 
         def lowered_at_3(j, order):
             lhs, rhs = build(j, order)
@@ -384,7 +384,8 @@ class TestBivariateFailureRow:
             rows[3][0] -= 1
             return lhs, SymRows(rows)
 
-        monkeypatch.setattr(identities, "build_kn1_sides", lowered_at_3)
+        # identities reads the builder off laurent at each call
+        monkeypatch.setattr(laurent, "build_kn1_sides", lowered_at_3)
 
     def test_plain(self, runner):
         result = runner.invoke(main, ["verify", "kn1"])
