@@ -441,6 +441,8 @@ def table(kind, j, index, n_max, fmt) -> None:
         raise _UsageError("j and n-max must be >= 1")
     if kind == "moment" and index < 0:
         raise _UsageError("index must be nonnegative")
+    if kind == "moment" and index > stats.MOMENT_ORDER_MAX:
+        raise _UsageError(f"index must be <= {stats.MOMENT_ORDER_MAX} for moments")
     if kind == "symmetrized" and index < 1:
         raise _UsageError("index must be >= 1 for symmetrized moments")
     if kind == "moment" and index % 2 == 1:

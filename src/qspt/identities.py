@@ -185,6 +185,8 @@ IDENTITIES = {
 # up to it (p(60) = 966467), so they have a limit of their own.
 _ENUMERATING = ("lemma31", "lemma32")
 LEMMA_N_MAX = 60
+# These read the 2k-th ordinary moments, whose cost grows with 2k (stats.MOMENT_ORDER_MAX).
+_MOMENTS = ("relos", "genineq")
 
 
 def verify(identity: str, j: int | None = None, k: int | None = None,
@@ -204,5 +206,8 @@ def verify(identity: str, j: int | None = None, k: int | None = None,
         raise ValueError("j, k, r and the order must be >= 1")
     if identity in _ENUMERATING and order > LEMMA_N_MAX:
         raise ValueError(f"{identity} enumerates partitions; the order must be <= {LEMMA_N_MAX}")
+    if identity in _MOMENTS and 2 * k > stats.MOMENT_ORDER_MAX:
+        raise ValueError(f"{identity} reads the 2k-th moments; 2k must be <= "
+                         f"{stats.MOMENT_ORDER_MAX}")
     rows, notes = fn(j, k, r, order)
     return order, rows, notes

@@ -12,6 +12,7 @@ polynomials in z.
 from __future__ import annotations
 
 import functools
+import sys
 from collections import namedtuple
 from math import comb, isqrt
 from operator import add
@@ -171,11 +172,12 @@ def memo(builder):
     series agree on every coefficient they share.  A miss builds at
     ``max(order, 2 * largest)``, so reading orders in ascending sequence
     costs O(log order) builds.  A caller that needs one coefficient reads it
-    with :func:`value`, which indexes the held series: only a build costs
-    more than a lookup.  ``cache_info()`` and ``cache_clear()`` work as on
-    the functools caches.  The builder's parameters, read off its code object,
-    must be positional-or-keyword: a call that does not pass each by position
-    is bound to them first, and raises TypeError where the builder would.
+    with ``.read`` (or :func:`value`), which indexes the held series: only a
+    build costs more than a lookup.  ``cache_info()`` and ``cache_clear()``
+    work as on the functools caches.  The builder's parameters, read off its
+    code object, must be positional-or-keyword: a call that does not pass each
+    by position is bound to them first, and raises TypeError where the builder
+    would.
     """
     code = builder.__code__
     # 0x0C is CO_VARARGS | CO_VARKEYWORDS
@@ -187,6 +189,8 @@ def memo(builder):
     defaults = dict(zip(names[width - len(tail):], tail))
     built: dict[tuple, object] = {}
     counts = [0, 0]  # hits, misses
+    last = at == width - 1  # then the key is args[:at], one slice
+    module, name = sys.modules.get(builder.__module__), builder.__name__
 
     def bind(args: tuple, kwargs: dict) -> tuple:
         """The call's arguments as one positional tuple over every parameter."""
@@ -206,35 +210,43 @@ def memo(builder):
         order = args[at]
         if order < 0:  # before the lookup, so that a hit raises as a miss does
             raise ValueError(f"order {order} is negative")
-        key = args[:at] + args[at + 1 :]
+        key = args[:at] if last else args[:at] + args[at + 1 :]
         series = built.get(key)
-        if series is not None and series.order >= order:
+        held = -1 if series is None else series.order
+        if held >= order:
             counts[0] += 1
-        else:
-            counts[1] += 1
-            size = order if series is None else max(order, 2 * series.order)
-            series = built[key] = builder(*args[:at], size, *args[at + 1 :])
-        return series if series.order == order else series.truncate(order)
+            return series if held == order else series.truncate(order)
+        counts[1] += 1
+        size = max(order, 2 * held)
+        series = built[key] = builder(*args[:at], size, *args[at + 1 :])
+        return series if size == order else series.truncate(order)
 
-    def held(*args, **kwargs):
-        """The coefficient of q**order in the held series, a hit, or None.
+    def read(*args, **kwargs):
+        """``wrapper(*args, **kwargs).coefficient(order)``, counted as that call.
 
-        The lookup of ``wrapper`` written out again: a value read is the hot
-        path, and one more call would cost about a tenth of it.
+        For builders of :class:`TruncSeries`.  A hit indexes the held tuple,
+        checked by its length (``order`` is a property, so a call), with no
+        truncated copy.  A miss calls the builder by its module's name for it
+        when that name still carries this reader, so that a wrapper made in
+        its place by functools.wraps (a tracer's) sees every build.  The
+        lookup of ``wrapper`` is written out again: a value read is the hot path.
         """
         if kwargs or len(args) != width:
             args = bind(args, kwargs)
         order = args[at]
         if order < 0:
             raise ValueError(f"order {order} is negative")
-        series = built.get(args[:at] + args[at + 1 :])
-        if series is None or series.order < order:
-            return None
-        counts[0] += 1
-        return series.coeffs[order]
+        series = built.get(args[:at] if last else args[:at] + args[at + 1 :])
+        if series is not None:
+            coeffs = series.coeffs
+            if order < len(coeffs):
+                counts[0] += 1
+                return coeffs[order]
+        entry = getattr(module, name, None)
+        return (entry if getattr(entry, "read", None) is read else wrapper)(*args).coeffs[-1]
 
     # functools.wraps copies these onto any wrapper around this one
-    wrapper.held = held
+    wrapper.read = read
     wrapper.cache_info = lambda: CacheInfo(counts[0], counts[1], None, len(built))
 
     def cache_clear() -> None:
@@ -247,13 +259,10 @@ def memo(builder):
 
 def value(builder, *args, **kwargs):
     """``builder(*args, **kwargs).coefficient(order)`` for a :func:`memo` builder of
-    :class:`TruncSeries`.
-
-    A hit indexes the held series, with no truncated copy; a miss is the
-    builder's own call, so it builds, and counts, as that call does.
+    :class:`TruncSeries`: its ``.read``, which on a hit indexes the held series,
+    with no truncated copy, and on a miss builds, and counts, as that call does.
     """
-    c = builder.held(*args, **kwargs)
-    return builder(*args, **kwargs).coeffs[-1] if c is None else c
+    return builder.read(*args, **kwargs)
 
 
 def read_down(f, lo: int, hi: int) -> list:

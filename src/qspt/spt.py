@@ -35,7 +35,6 @@ from .series import (
     memo,
     pochhammer_inf,
     read_down,
-    value,
 )
 from .stats import _sym_mu_column, gf_sym_mu, moment, sym_mu
 
@@ -80,7 +79,7 @@ def spt_weight(n: int) -> int:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return value(_spt_weight_row, 1, n)
+    return _spt_weight_row.read(1, n)
 
 
 def gf_spt(order: int) -> TruncSeries:
@@ -374,7 +373,9 @@ def relation_sum(j: int, n: int) -> int:
         raise ValueError("j and n must be >= 1")
     via_moments = spt_j(j, n, "moments")
     # lspt_1(n) = 0 for l > n, as sym_mu(l, 2, n) is
-    via_telescope = sum(jspt_k(ell, 1, n, "moments") for ell in range(1, min(j, n) + 1))
+    via_telescope = 0
+    for ell in range(1, min(j, n) + 1):
+        via_telescope += jspt_k(ell, 1, n, "moments")
     via_sym = sym_mu(1, 2, n) - sym_mu(j + 1, 2, n)
     if not via_moments == via_telescope == via_sym:
         raise DiscrepancyError(
@@ -400,28 +401,28 @@ class Family(NamedTuple):
 
 # The routes are lambdas so that they look up the module's functions when
 # called, not when this table is built.  A route that reads one coefficient
-# reads it with series.value, off the memoized builder itself: gf_spt_j for
-# gf_spt, gf_jspt_k's binomial form for gf_spt_k.
+# reads it with the memoized builder's own ``read``, every argument by position:
+# gf_spt_j for gf_spt, gf_jspt_k's binomial form for gf_spt_k.
 FAMILIES: dict[str, Family] = {
     "p": Family((), {"recurrence": lambda n: partition_count(n)}),
     "spt": Family((), {
         "weight": lambda n: spt_weight(n),
-        "gf": lambda n: value(gf_spt_j, 1, n),
+        "gf": lambda n: gf_spt_j.read(1, n),
     }),
     "spt_k": Family(("k",), {
         "moments": lambda k, n: sym_mu(1, 2 * k, n) - sym_mu(2, 2 * k, n),
-        "gf": lambda k, n: value(gf_jspt_k, 1, k, n, "binomial"),
-        "weight": lambda k, n: value(_spt_weight_row, k, n),
+        "gf": lambda k, n: gf_jspt_k.read(1, k, n, "binomial"),
+        "weight": lambda k, n: _spt_weight_row.read(k, n),
     }),
     "Spt_j": Family(("j",), {
         "moments": lambda j, n: n * partition_count(n) - _half_moment(j + 1, n),
-        "gf": lambda j, n: value(gf_spt_j, j, n),
+        "gf": lambda j, n: gf_spt_j.read(j, n),
         "weight": lambda j, n: (sum(_spt_weight_row(1, n).coeffs[max(n - j + 1, 0):])
                                 + _walk_row(n, j, 1, True)[n]),
     }),
     "jspt_k": Family(("j", "k"), {
         "moments": lambda j, k, n: sym_mu(j, 2 * k, n) - sym_mu(j + 1, 2 * k, n),
-        "gf": lambda j, k, n: value(gf_jspt_k, j, k, n),
+        "gf": lambda j, k, n: gf_jspt_k.read(j, k, n, "nested"),
         "weight": lambda j, k, n: ((_spt_weight_row(k, n).coeffs[n - j + 1] if j <= n else 0)
                                    + _walk_row(n, j, k, False)[n]),
     }),
@@ -450,10 +451,11 @@ def _check_route(family: str, route: str) -> None:
 
 def _evaluate(family: str, args: tuple[int, ...], n: int, route: str) -> int:
     """One family value by one route, or by every route ("all") checked to agree."""
-    _check_route(family, route)
     routes = FAMILIES[family].routes
-    if route != "all":
-        return routes[route](*args, n)
+    fn = routes.get(route)
+    if fn is not None:
+        return fn(*args, n)
+    _check_route(family, route)  # "all", or no such route
     vals = {name: fn(*args, n) for name, fn in routes.items()}
     if len(set(vals.values())) != 1:
         label = ", ".join(str(a) for a in (*args, n))

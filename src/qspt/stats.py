@@ -12,7 +12,13 @@ from __future__ import annotations
 import math
 
 from .partitions import Partition, successive_durfee
-from .series import TruncSeries, inv_pochhammer_inf, memo, value
+from .series import TruncSeries, inv_pochhammer_inf, memo
+
+# The largest ordinary moment order t (2k for relos and genineq) the CLI accepts.  Its
+# cost grows about as t**2, as the central-factorial entries and the moments of n grow
+# like n**t: at t = 300000 and --n-max 3 each of the three requests took 3.7-6.6 s on a
+# shared 2-vCPU KVM guest (Python 3.11).
+MOMENT_ORDER_MAX = 300_000
 
 
 def rank(p: Partition) -> int:
@@ -90,7 +96,7 @@ def count_njm(j: int, m: int, n: int) -> int:
         raise ValueError("j must be >= 1")
     if n < 0 or abs(m) > n:
         return 0
-    return value(gf_njm, j, abs(m), n)
+    return gf_njm.read(j, abs(m), n)
 
 
 def moment(j: int, t: int, n: int) -> int:
@@ -110,7 +116,7 @@ def sym_mu(j: int, k: int, n: int) -> int:
         raise ValueError("j and k must be >= 1")
     if k % 2 == 1 or n < j - 1 + k // 2:  # odd k cancels; the column starts at q**(j-1+k/2)
         return 0
-    return value(gf_sym_mu, j, k // 2, n)
+    return gf_sym_mu.read(j, k // 2, n)
 
 
 def _sym_mu_column(j: int, k: int, order: int) -> list[int]:
@@ -154,8 +160,11 @@ def moment_via_sym(j: int, k: int, n: int) -> int:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    top = min(k, n)
+    top = k if k < n else n
     if top < 1:
         return 0
     row = _central_factorials(k, top).coeffs
-    return sum(math.factorial(2 * t) * row[t] * sym_mu(j, 2 * t, n) for t in range(1, top + 1))
+    total = 0
+    for t in range(1, top + 1):
+        total += math.factorial(2 * t) * row[t] * sym_mu(j, 2 * t, n)
+    return total

@@ -531,6 +531,31 @@ class TestTable:
         assert "Traceback" not in result.output
 
 
+class TestMomentOrderBound:
+    """The moment order, t of a moment table and 2k of relos and genineq, stops at
+    stats.MOMENT_ORDER_MAX: the cost grows about as its square."""
+
+    BOUND = stats.MOMENT_ORDER_MAX
+
+    @staticmethod
+    def argv(command, order):
+        if command == "table":
+            return ["table", "--kind", "moment", "--j", "2", "--index", str(order)]
+        return ["verify", command, "--k", str(order // 2)]
+
+    @pytest.mark.parametrize("command", ["table", "relos", "genineq"])
+    @pytest.mark.parametrize("past", [0, 1], ids=["bound", "past"])
+    def test_bound_exits_0_and_one_past_it_exits_2(self, runner, command, past):
+        # one order past it is t + 1 for the table and k + 1 (2k + 2) for the
+        # verifiers; every moment of n = 1 is 0 or 1, so the bound runs quickly
+        # there (tests/test_cli_usage.py pins the error bytes)
+        order = self.BOUND + past * (1 if command == "table" else 2)
+        result = runner.invoke(main, self.argv(command, order) + ["--n-max", "1"])
+        assert result.exit_code == 2 * past, result.output
+        if past:
+            assert result.stdout == "" and f"must be <= {self.BOUND}" in result.stderr
+
+
 class TestCongruence:
     def test_passes(self, runner):
         result = runner.invoke(main, ["congruence", "--n-max", "28"])

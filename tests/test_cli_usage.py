@@ -78,6 +78,12 @@ CASES = [
                      "sptpn, sptpng")),
     (["table", "--kind", "symmetrized", "--j", "2", "--index", "0", "--n-max", "3"], 2, "",
      usage("table", "index must be >= 1 for symmetrized moments")),
+    (["table", "--kind", "moment", "--j", "2", "--index", "300001", "--n-max", "3"], 2, "",
+     usage("table", "index must be <= 300000 for moments")),
+    (["verify", "relos", "--k", "150001"], 2, "",
+     usage("verify", "relos reads the 2k-th moments; 2k must be <= 300000")),
+    (["verify", "genineq", "--k", "150001"], 2, "",
+     usage("verify", "genineq reads the 2k-th moments; 2k must be <= 300000")),
     (["congruence", "--n-max", "0"], 2, "", usage("congruence", "n-max must be >= 1")),
 ]
 

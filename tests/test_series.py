@@ -618,7 +618,7 @@ class TestMemo:
     @pytest.mark.parametrize("case", SERIES_BUILDERS, ids=_ids(SERIES_BUILDERS))
     def test_bad_calls_raise_type_error(self, case):
         # each call that Signature.bind refuses, refused by the wrapper, by its
-        # held lookup and by value, before the memo is read or written
+        # reader and by value, before the memo is read or written
         fn, before, after = case
         params = inspect.signature(fn).parameters
         full = before + (9,) + after
@@ -633,7 +633,7 @@ class TestMemo:
         for args, kwargs in bad:
             with pytest.raises(TypeError):
                 inspect.signature(fn).bind(*args, **kwargs)
-            for call in (fn, fn.held, functools.partial(series.value, fn)):
+            for call in (fn, fn.read, functools.partial(series.value, fn)):
                 with pytest.raises(TypeError):
                     call(*args, **kwargs)
         assert fn.cache_info() == (0, 0, None, 0)
@@ -673,9 +673,9 @@ class TestMemo:
         assert inv_one_minus.cache_info() == (4, 1, None, 1)
 
     def test_value_reads_build_as_truncating_reads_do(self, monkeypatch):
-        # a lib-session call sequence read through series.value builds every
-        # series at the orders, and as often, as one whose every value read
-        # is builder(..., n).coefficient(n), the truncated copy
+        # a lib-session call sequence read through each builder's reader builds
+        # every series at the orders, and as often, as one whose every value
+        # read is builder(..., n).coefficient(n), the truncated copy
         calls = load_workloads().lib_calls(1)[:300]
 
         def replay():
@@ -685,12 +685,14 @@ class TestMemo:
 
         by_value = replay()
 
-        def truncating(builder, *args, **kwargs):
-            built = builder(*args, **kwargs)
-            return built.coefficient(built.order)
+        def truncating(builder):
+            def read(*args, **kwargs):
+                built = builder(*args, **kwargs)
+                return built.coefficient(built.order)
+            return read
 
-        for module in (stats, spt):
-            monkeypatch.setattr(module, "value", truncating)
+        for fn in memoized():
+            monkeypatch.setattr(fn, "read", truncating(fn))
         assert replay() == by_value
 
     def test_bilateral_sums_build_no_inv_one_minus(self):
@@ -746,3 +748,66 @@ class TestOneBuildPerKey:
         rebuilt = {fn.__qualname__: fn.cache_info() for fn in memoized()
                    if fn.cache_info().misses != fn.cache_info().currsize}
         assert not rebuilt
+
+
+# Every value reader of the library with j, k <= 4: each route of each family, and the
+# moments, symmetrized moments, counts and smallest-part weights.  The weight routes of
+# Spt_j and jspt_k walk every partition of each order they extend to, so they read to 24.
+HIT_N_MAX, WALK_N_MAX = 60, 24
+VALUE_READERS = [
+    *(pytest.param(functools.partial(spt._evaluate, family, params, route=route),
+                   WALK_N_MAX if route == "weight" and family in spt.ENUMERATING_WEIGHT
+                   else HIT_N_MAX, id=f"{family}{params}-{route}")
+      for family, fam in spt.FAMILIES.items() for route in fam.routes
+      for params in itertools.product(range(1, 5), repeat=len(fam.params))),
+    *(pytest.param(functools.partial(stats.moment, j, t), HIT_N_MAX, id=f"moment({j}, {t})")
+      for j in range(1, 5) for t in range(0, 9, 2)),
+    *(pytest.param(functools.partial(stats.sym_mu, j, k), HIT_N_MAX, id=f"sym_mu({j}, {k})")
+      for j in range(1, 5) for k in range(1, 9)),
+    *(pytest.param(functools.partial(stats.count_njm, j, m), HIT_N_MAX,
+                   id=f"count_njm({j}, {m})") for j in range(1, 5) for m in range(-4, 5)),
+    pytest.param(spt.spt_weight, HIT_N_MAX, id="spt_weight"),
+]
+
+
+class TestHitPath:
+    @pytest.mark.parametrize("reader, n_max", VALUE_READERS)
+    def test_upward_reads_match_downward_reads(self, reader, n_max):
+        # upward, each series is built at doubling orders and read by hits between
+        # them; a second upward pass is all hits
+        clear_memos()
+        spt._walk_row.cache_clear()
+        upward = [reader(n=n) for n in range(1, n_max + 1)]
+        before = {fn: fn.cache_info() for fn in memoized()}
+        assert [reader(n=n) for n in range(1, n_max + 1)] == upward
+        after = {fn: fn.cache_info() for fn in memoized()}
+        for fn, info in after.items():
+            assert info.hits >= before[fn].hits, fn.__qualname__
+            assert info[1:] == before[fn][1:], fn.__qualname__  # misses, maxsize, currsize
+        clear_memos()
+        assert series.read_down(lambda n: reader(n=n), 1, n_max) == upward
+
+    def test_a_miss_calls_the_builder_by_its_module_name(self, monkeypatch):
+        # a wrapper bound in the builder's place, as a tracer binds one, sees
+        # every build that a value read makes, and no hit
+        clear_memos()
+        builder, calls = stats.gf_sym_mu, []
+
+        @functools.wraps(builder)
+        def traced(*args, **kwargs):
+            calls.append(args)
+            return builder(*args, **kwargs)
+
+        monkeypatch.setattr(stats, "gf_sym_mu", traced)
+        reads = [stats.sym_mu(2, 4, n) for n in (20, 10, 30)]
+        assert calls == [(2, 2, 20), (2, 2, 30)]
+        assert builder.cache_info()[:2] == (1, 2)
+        assert reads == [builder(2, 2, n).coefficient(n) for n in (20, 10, 30)]
+
+    def test_a_miss_skips_a_module_name_bound_elsewhere(self, monkeypatch):
+        # a name rebound to a function without this reader is not called
+        clear_memos()
+        builder = spt.gf_spt_j
+        monkeypatch.setattr(spt, "gf_spt_j", lambda j, order: pytest.fail("called"))
+        assert builder.read(2, 10) == builder(2, 10).coefficient(10)
+        assert builder.cache_info()[:2] == (1, 1)
