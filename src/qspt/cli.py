@@ -2,7 +2,8 @@
 
 Exit codes: 0 = success / all checks pass, 1 = a mathematical discrepancy was
 found, 2 = usage error, 3 = an internal or I/O error (such as a closed output
-pipe), reported as one ``error:`` line on stderr.
+pipe), reported as one ``error:`` line on stderr, 130 = interrupted (Ctrl-C,
+128 + SIGINT), reported as an ``Aborted!`` line on stderr.
 
 A usage error prints the command's usage line, a ``Try '<command> --help' for
 help.`` line and a blank line, then ``Error: <message>``, all on stderr; a
@@ -321,7 +322,8 @@ def _read(prog: str, name: str, argv: list[str]) -> dict:
 
 def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
     """Run one command line (``sys.argv[1:]`` unless ``args`` is given) as the program
-    ``prog_name``; a usage error, a discrepancy and any other failure exit 2, 1 and 3."""
+    ``prog_name``; a usage error, a discrepancy, an interrupt and any other failure
+    exit 2, 1, 130 and 3."""
     argv = sys.argv[1:] if args is None else list(args)
     prog = prog_name or os.path.basename(sys.argv[0])
     shown = None  # the command whose usage line a usage error shows, None for the program's
@@ -359,7 +361,7 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
         sys.exit(1)
     except KeyboardInterrupt:
         print("\nAborted!", file=sys.stderr)
-        sys.exit(1)
+        sys.exit(130)
     except Exception as exc:
         if isinstance(exc, BrokenPipeError):
             # the reader is gone: send what is still buffered nowhere, so

@@ -172,9 +172,9 @@ def memo(builder):
     series agree on every coefficient they share.  A miss builds at
     ``max(order, 2 * largest)``, so reading orders in ascending sequence
     costs O(log order) builds.  A caller that needs one coefficient reads it
-    with ``.read`` (or :func:`value`), which indexes the held series: only a
-    build costs more than a lookup.  ``cache_info()`` and ``cache_clear()``
-    work as on the functools caches.  The builder's parameters, read off its
+    with ``.read``, which indexes the held series: only a build costs more than
+    a lookup.  ``cache_info()`` and ``cache_clear()`` work as on the functools
+    caches.  The builder's parameters, read off its
     code object, must be positional-or-keyword: a call that does not pass each
     by position is bound to them first, and raises TypeError where the builder
     would.
@@ -255,14 +255,6 @@ def memo(builder):
 
     wrapper.cache_clear = cache_clear
     return wrapper
-
-
-def value(builder, *args, **kwargs):
-    """``builder(*args, **kwargs).coefficient(order)`` for a :func:`memo` builder of
-    :class:`TruncSeries`: its ``.read``, which on a hit indexes the held series,
-    with no truncated copy, and on a miss builds, and counts, as that call does.
-    """
-    return builder.read(*args, **kwargs)
 
 
 def read_down(f, lo: int, hi: int) -> list:

@@ -7,9 +7,10 @@ provably divisible integer and is checked exact.  The weights of spt and
 spt_k are summed by one sweep over the smallest part.  The per-partition
 weights are the levels of one reading of the lower-Durfee blocks
 (_level_weights): jspt_k reads one level, Spt_j the sum of the first j at
-k = 1.  The weight rows of Spt_j and jspt_k read the sweep's row for the
-partitions with at least j - 1 ones, whose ones only move the weight down
-that many lower-Durfee squares, and for the rest read each set of parts > 1
+k = 1.  A partition's ones only move its weight down that many lower-Durfee
+squares, so the weight routes of Spt_j and jspt_k read the sweep's row for the
+partitions with at least j - 1 ones, and for the rest one table per (j, k) of
+the running level sums of the sets of parts > 1 by their sum, each set weighed
 once, all its levels by one call, on one walk of the order.
 The generating functions are nested sums over chains of Durfee-square sides;
 each is summed by one recursion over the levels of its chain, not one index
@@ -18,9 +19,9 @@ tuple at a time.
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, groupby
 from math import comb
+from operator import mul
 from typing import Callable, NamedTuple
 
 from .partitions import Partition, _lower_durfee_sides, _walk, partition_count
@@ -98,22 +99,26 @@ def _level_weights(a, m: int, k: int, lo: int, hi: int) -> list[int]:
     Level 1 is the smallest part; level L >= 2 is the block of the (L-1)st
     lower-Durfee square, moved up one row, the top block cut at the first part.
     So s squares give s + 1 levels, which tile the parts bottom-up.  A split
-    part weighs _split_term of its mark and the _larger_product of the parts
-    above it: at k = 1 its mark, so levels 1..j sum the mark weight.
+    part with mark c weighs the x**k coefficient of sum_{d>=1} C(c + d - 1, 2d - 1) x**d
+    times the _larger_product of the parts above it: at k = 1 its mark, so levels
+    1..j sum the mark weight.  The split parts of one value have the marks b..e, and
+    sum_{c=b..e} C(c + d - 1, 2d - 1) = C(e + d, 2d) - C(b + d - 1, 2d).
     """
     sizes = [1, *_lower_durfee_sides(a, m)]  # of the levels' blocks, bottom-up
     i, weights = m - 1 - sum(sizes[:lo - 1]), []  # i: the lowest part of the next block
+    larger = _larger_product(a, m, k) if k > 1 else None
     for size in sizes[lo - 1:hi]:
         total, top = 0, max(i - size + 1, 0)
         while i >= top:  # one value at a time, upward: its parts a[low:i + 1]
             first = a.index(a[i])  # a[:first] are the parts larger than a[i]
             low = first if first > top else top
-            if k == 1:  # the marks low - first + 1 .. i - first + 1
-                b = i - low + 1
-                total += b * (low - first) + b * (b + 1) // 2
+            b, e = low - first + 1, i - first + 1  # the marks
+            if k == 1:
+                total += (e - b + 1) * (b + e) // 2
             else:
-                rest = _larger_product(a, first, k)
-                total += sum(_split_term(c, rest, k) for c in range(low - first + 1, i - first + 2))
+                rest = larger[first]
+                total += sum(rest[k - d] * (comb(e + d, 2 * d) - comb(b + d - 1, 2 * d))
+                             for d in range(max(1, k + 1 - len(rest)), min(k, e) + 1))
             i = low - 1
         weights.append(total)
     return weights
@@ -139,22 +144,19 @@ def chain_weight(p: Partition, k: int) -> int:
     return split_chain_weight(p, 1, k)
 
 
-def _larger_product(a, first: int, k: int) -> list[int]:
-    """The product over the values of a[:first], with frequency f, of
-    1 + sum_{e>=1} C(f + e, 2e) x**e, truncated below x**k and above x**first."""
-    rest = [1] + [0] * min(k - 1, first)
-    if len(rest) > 1:
-        for f in Counter(a[:first]).values():
-            for d in range(len(rest) - 1, 0, -1):
-                rest[d] += sum(comb(f + e, 2 * e) * rest[d - e]
-                               for e in range(1, min(d, f) + 1))
-    return rest
-
-
-def _split_term(mark: int, rest: list[int], k: int) -> int:
-    """The x**k coefficient of sum_{c>=1} C(mark + c - 1, 2c - 1) x**c times ``rest``."""
-    return sum(comb(mark + c - 1, 2 * c - 1) * rest[k - c]
-               for c in range(max(1, k + 1 - len(rest)), min(k, mark) + 1))
+def _larger_product(a, m: int, k: int) -> dict[int, list[int]]:
+    """By the index ``first`` of the top part of each value of a[:m], the product over
+    the values of a[:first], with frequency f, of 1 + sum_{e>=1} C(f + e, 2e) x**e,
+    truncated below x**k and above x**first: one pass down the values."""
+    products, rest, first = {}, [1] + [0] * min(k - 1, m), 0
+    for _, run in groupby(a[:m]):
+        products[first] = rest[:first + 1]
+        f = len(list(run))
+        first += f
+        factor = [comb(f + e, 2 * e) for e in range(1, min(f, len(rest) - 1) + 1)]
+        for d in range(len(rest) - 1, 0, -1) if first < m else ():
+            rest[d] += sum(map(mul, factor, rest[d - 1::-1]))  # e = 1..: rest[d - e]
+    return products
 
 
 def split_chain_weight(p: Partition, j: int, k: int) -> int:
@@ -182,52 +184,48 @@ def split_chain_weight(p: Partition, j: int, k: int) -> int:
 #   Spt_j(n) = sum_{r < j} spt(n - r) + sum_{r <= j - 2} sum_P (levels 2..j - r of P at k = 1),
 # the second the first summed over 1..j at k = 1: mark_weight(P, j - r) less its level 1.
 
-# (j, k, running) -> the row of _walk_row, kept at the largest order built
-_ROWS: dict[tuple, list[int]] = {}
+# (j, k) -> the columns of _level_sums, held up to the largest order built
+_LEVEL_SUMS: dict[tuple[int, int], list[list[int]]] = {}
 
 
-def _walk_row(order: int, j: int, k: int, running: bool) -> list[int]:
-    """row[n], the sum over r <= j - 2 and the P into parts > 1 of n - r, n <= order, of
-    P's level j - r at k, or with ``running`` of P's levels 2..j - r at k.
+def _level_sums(order: int, j: int, k: int) -> list[list[int]]:
+    """cols[s][L], s <= order: the sum over the P of sum s of their levels 2..L at k,
+    L <= min(j, (s + 2) // 4 + 1), past which no P has a level: each lower-Durfee square
+    of P but a last one of side 1 has a side d >= 2 and takes d parts >= d.
 
-    Each P of sum s <= order is a[:h + 1] of the state of _walk(order) with order - s ones,
-    and weighs its levels j - r at the n = s + r past the row, all by one _level_weights
-    call.  P has at most h + 1 lower-Durfee squares, so at most h + 2 levels: one past
-    them weighs 0, and its running sum is that of every level.  So no call asks for one,
-    and a state whose levels j - r all lie past h + 2 is weighed only when ``running``.
-    A split term's degree in x is at most the number h + 1 of P's parts, so a state
-    with fewer than k of them weighs 0 at every level and is not weighed at all.
-    At j = 1 nothing is weighed and nothing walked.  A
-    larger order extends the row by one walk of that order (series.memo would build at
-    twice the order held), on a copy stored only when complete, so an interrupted build
-    leaves the row it had.
+    Each P of sum s, a[:h + 1] of the state of _walk(order) with order - s ones, weighs
+    its levels 2..min(j, h + 2) by one _level_weights call, unless it has fewer than k
+    parts, the highest degree in x of a split term.  A larger order weighs only the P of
+    the sums past the columns held, on one walk of that order, not of twice the order
+    held as series.memo builds, and stores them only once the walk is complete.
     """
-    row = _ROWS.get((j, k, running), [])
-    done = len(row)
+    cols = _LEVEL_SUMS.get((j, k), [])
+    done = len(cols)
     if done > order:
-        return row
-    row = row + [0] * (order + 1 - done)
-    # per count t of ones: s and the r of the n past the row
-    spans = [(order - t, max(done - order + t, 0), min(j - 1, t + 1)) for t in range(order + 1)]
-    for a, m, h in _walk(order) if j > 1 else ():
-        s, lo, hi = spans[m - h - 1]
-        first, last = (2 if running else j - hi + 1), min(j - lo, h + 2)
-        if lo >= hi or first > last or h + 1 < k:
-            continue
-        weights = _level_weights(a, h + 1, k, first, last)
-        if running:  # sums[L - 1] is the sum of levels 2..L, and r <= past reads them all
-            sums = list(accumulate(weights, initial=0))
-            past = j - len(sums)
-            for r in range(lo, hi):
-                row[s + r] += sums[-1] if r <= past else sums[j - r - 1]
-        else:  # weights[i] is level j - hi + 1 + i, that of r = hi - 1 - i
-            for i, w in enumerate(weights):
-                row[s + hi - 1 - i] += w
-    _ROWS[j, k, running] = row
-    return row
+        return cols
+    new = [[0] * (min(j, (s + 2) // 4 + 1) + 1) for s in range(done, order + 1)]
+    for a, m, h in _walk(order):
+        s = order - m + h + 1
+        if s >= done and h >= k - 1:
+            for level, w in enumerate(_level_weights(a, h + 1, k, 2, min(j, h + 2)), 2):
+                new[s - done][level] += w
+    cols = _LEVEL_SUMS[j, k] = cols + [list(accumulate(col)) for col in new]
+    return cols
 
 
-_walk_row.cache_clear = _ROWS.clear
+_level_sums.cache_clear = _LEVEL_SUMS.clear
+
+
+def _shifted_levels(j: int, k: int, n: int, top: int) -> int:
+    """The sum over r <= min(j - 2, n) and the P of sum n - r of their levels
+    j - r - top + 1..j - r at k (Spt_j reads top = j, jspt_k top = 1), but for the
+    r whose lowest level lies past (n - r + 2) // 4 + 1, the last of a sum n - r:
+    r < (4 * (j - top) - n - 2) / 3.  The table is built to the largest sum read, if any."""
+    rs = range(max(-((n + 2 - 4 * (j - top)) // 3), 0), min(j - 2, n) + 1)
+    cols = _level_sums(n - rs.start, j, k) if rs else ()
+    # a level past the last of a column reads its total
+    return sum(col[min(L, len(col) - 1)] - col[min(max(L - top, 0), len(col) - 1)]
+               for col, L in ((cols[n - r], j - r) for r in rs))
 
 
 # ---------------------------------------------------------------------------
@@ -418,13 +416,13 @@ FAMILIES: dict[str, Family] = {
         "moments": lambda j, n: n * partition_count(n) - _half_moment(j + 1, n),
         "gf": lambda j, n: gf_spt_j.read(j, n),
         "weight": lambda j, n: (sum(_spt_weight_row(1, n).coeffs[max(n - j + 1, 0):])
-                                + _walk_row(n, j, 1, True)[n]),
+                                + _shifted_levels(j, 1, n, j)),
     }),
     "jspt_k": Family(("j", "k"), {
         "moments": lambda j, k, n: sym_mu(j, 2 * k, n) - sym_mu(j + 1, 2 * k, n),
         "gf": lambda j, k, n: gf_jspt_k.read(j, k, n, "nested"),
         "weight": lambda j, k, n: ((_spt_weight_row(k, n).coeffs[n - j + 1] if j <= n else 0)
-                                   + _walk_row(n, j, k, False)[n]),
+                                   + _shifted_levels(j, k, n, 1)),
     }),
 }
 

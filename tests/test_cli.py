@@ -367,6 +367,41 @@ class TestOneMomentParityCheck:
         assert result.stdout.startswith("FAIL sptdiff at n=1:")
 
 
+class TestRouteDisagreement:
+    """Two routes that disagree, or a relation whose expressions differ, raise
+    DiscrepancyError; the CLI reports it as exit 1, a FAIL line and no rows."""
+
+    @pytest.fixture
+    def gf_off_at_5(self, monkeypatch):
+        routes = sptmod.FAMILIES["Spt_j"].routes
+        gf, value = routes["gf"], sptmod.spt_j(2, 5)
+        monkeypatch.setitem(routes, "gf", lambda j, n: gf(j, n) + (n == 5))
+        return f"route disagreement for Spt_j(2, 5): " \
+               f"{{'moments': {value}, 'gf': {value + 1}, 'weight': {value}}}"
+
+    def test_library_raises(self, gf_off_at_5):
+        assert sptmod.spt_j(2, 6, "all") == sptmod.spt_j(2, 6)
+        with pytest.raises(DiscrepancyError) as exc:
+            sptmod.spt_j(2, 5, "all")
+        assert str(exc.value) == gf_off_at_5
+
+    def test_cli_exits_1(self, runner, gf_off_at_5):
+        result = runner.invoke(main, ["compute", "--route", "all", "--family", "Spt_j",
+                                      "--j", "2", "--n-max", "8"])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == f"FAIL {gf_off_at_5}\n"
+
+    def test_relation_sum_mismatch(self, monkeypatch):
+        value = sptmod.relation_sum(2, 5)
+        jspt_k = sptmod.jspt_k
+        monkeypatch.setattr(sptmod, "jspt_k",
+                            lambda j, k, n, route="moments": jspt_k(j, k, n, route) + (j == 2))
+        with pytest.raises(DiscrepancyError) as exc:
+            sptmod.relation_sum(2, 5)
+        assert str(exc.value) == f"relation mismatch at (j=2, n=5): {value}, {value + 1}, {value}"
+
+
 class TestBivariateFailureRow:
     """A bivariate row that fails is printed in every format as the text of its two sides:
     here the right side of kn1 (j = 2) at n = 3 has its z^0 term lowered by 1."""
@@ -577,8 +612,8 @@ class TestCongruence:
 
 
 class TestInternalErrors:
-    """Exit 3 and one error line on stderr for anything but a discrepancy or a
-    usage error; exit 1 stays reserved for a discrepancy."""
+    """Exit 3 and one error line on stderr for anything but a discrepancy, a
+    usage error or an interrupt; exit 1 stays reserved for a discrepancy."""
 
     def test_closed_stdout_exits_3(self):
         # p(n) for n <= 5000 is far more than a pipe buffer, so the writer is
@@ -596,6 +631,17 @@ class TestInternalErrors:
         finally:
             proc.kill()
         assert stderr.splitlines() == ["error: BrokenPipeError: [Errno 32] Broken pipe"]
+
+    def test_interrupt_exits_130(self, runner, monkeypatch):
+        # Ctrl-C is not a discrepancy: 128 + SIGINT, as a shell reports it
+        def interrupted(**kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli._COMMANDS, "verify", (interrupted, *cli._COMMANDS["verify"][1:]))
+        result = runner.invoke(main, ["verify", "Rk-forms", "--n-max", "5"])
+        assert result.exit_code == 130
+        assert result.stdout == ""
+        assert result.stderr == "\nAborted!\n"
 
     def test_unexpected_exception_exits_3(self, runner, monkeypatch):
         def broken_route(n):

@@ -414,7 +414,7 @@ class TestChainPower:
                     monkeypatch.setattr(mod, name, refuse)
         monkeypatch.setattr(TruncSeries, "__mul__", refuse)
         clear_memos()
-        spt._walk_row.cache_clear()
+        spt._level_sums.cache_clear()
         assert spt.spt_j(3, 30, "weight") > 0
         assert spt.jspt_k(2, 3, 30, "weight") > 0
         for identity in ("lemma31", "lemma32"):
@@ -515,7 +515,7 @@ def fresh(case, order):
 
 def read_value(case, order):
     fn, before, after = case
-    return series.value(fn, *before, order, *after)
+    return fn.read(*before, order, *after)
 
 
 def stored_orders(fn):
@@ -612,13 +612,13 @@ class TestMemo:
         clear_memos()
         for call_args, call_kwargs in spellings:
             assert fn(*call_args, **call_kwargs) == expected
-            assert series.value(fn, *call_args, **call_kwargs) == expected.coeffs[-1]
+            assert fn.read(*call_args, **call_kwargs) == expected.coeffs[-1]
         assert fn.cache_info() == (2 * len(spellings) - 1, 1, None, 1)
 
     @pytest.mark.parametrize("case", SERIES_BUILDERS, ids=_ids(SERIES_BUILDERS))
     def test_bad_calls_raise_type_error(self, case):
         # each call that Signature.bind refuses, refused by the wrapper, by its
-        # reader and by value, before the memo is read or written
+        # reader, before the memo is read or written
         fn, before, after = case
         params = inspect.signature(fn).parameters
         full = before + (9,) + after
@@ -633,7 +633,7 @@ class TestMemo:
         for args, kwargs in bad:
             with pytest.raises(TypeError):
                 inspect.signature(fn).bind(*args, **kwargs)
-            for call in (fn, fn.read, functools.partial(series.value, fn)):
+            for call in (fn, fn.read):
                 with pytest.raises(TypeError):
                     call(*args, **kwargs)
         assert fn.cache_info() == (0, 0, None, 0)
@@ -664,11 +664,11 @@ class TestMemo:
 
     def test_value_reads_share_the_entry_of_every_spelling(self):
         clear_memos()
-        reads = [series.value(inv_one_minus, 3, 12),  # the one miss
-                 series.value(inv_one_minus, 3, 12, 1),
-                 series.value(inv_one_minus, 3, order=12),
-                 series.value(inv_one_minus, exp=3, power=1, order=12),
-                 series.value(inv_one_minus, 3, 11)]
+        reads = [inv_one_minus.read(3, 12),  # the one miss
+                 inv_one_minus.read(3, 12, 1),
+                 inv_one_minus.read(3, order=12),
+                 inv_one_minus.read(exp=3, power=1, order=12),
+                 inv_one_minus.read(3, 11)]
         assert reads == [1, 1, 1, 1, 0]
         assert inv_one_minus.cache_info() == (4, 1, None, 1)
 
@@ -776,7 +776,7 @@ class TestHitPath:
         # upward, each series is built at doubling orders and read by hits between
         # them; a second upward pass is all hits
         clear_memos()
-        spt._walk_row.cache_clear()
+        spt._level_sums.cache_clear()
         upward = [reader(n=n) for n in range(1, n_max + 1)]
         before = {fn: fn.cache_info() for fn in memoized()}
         assert [reader(n=n) for n in range(1, n_max + 1)] == upward
