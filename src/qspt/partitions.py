@@ -13,7 +13,40 @@ from operator import ge
 from typing import Iterator
 
 
-class Partition:
+class _Record:
+    """An immutable record whose fields are its class's ``__slots__``.
+
+    It is printed, compared, hashed and pickled by their values, in order, and
+    its class is built again from them, so a copy is checked as the original was.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: {name} cannot change")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self.__slots__, self._values())
+        return f"{type(self).__name__}({', '.join(fields)})"
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class Partition(_Record):
     """A weakly decreasing tuple of positive parts, compared and hashed by them."""
 
     __slots__ = ("parts",)
@@ -23,23 +56,6 @@ class Partition:
             i = next(i for i, p in enumerate(parts) if p < 1 or i and p > parts[i - 1])
             raise ValueError(f"parts must be {'positive' if parts[i] < 1 else 'weakly decreasing'}")
         object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name: str, *value) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable: {name} cannot change")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return type(self), (self.parts,)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(parts={self.parts!r})"
-
-    def __eq__(self, other: object):
-        return self.parts == other.parts if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
 
     @property
     def n(self) -> int:
@@ -55,7 +71,11 @@ class Partition:
 
 
 def enumerate_partitions(n: int) -> Iterator[Partition]:
-    """All partitions of n, each exactly once, in reverse lexicographic order."""
+    """All partitions of n, each exactly once, in reverse lexicographic order.
+
+    A generator function, as the benchmark's tracer wraps it, so a negative n
+    raises ``ValueError`` only when the first partition is asked for.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     for a, m, _ in _walk(n):

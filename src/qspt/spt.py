@@ -24,7 +24,7 @@ from math import comb
 from operator import mul
 from typing import Callable, NamedTuple
 
-from .partitions import Partition, _lower_durfee_sides, _walk, partition_count
+from .partitions import Partition, _Record, _lower_durfee_sides, _walk, partition_count
 from .series import (
     DiscrepancyError,
     TruncSeries,
@@ -461,11 +461,13 @@ def _evaluate(family: str, args: tuple[int, ...], n: int, route: str) -> int:
     return next(iter(vals.values()))
 
 
-class SptRequest:
+class SptRequest(_Record):
     """A validated, immutable computation request for one of the families in FAMILIES.
 
     ``route=None`` selects the family's default route.
     """
+
+    __slots__ = ("family", "n_max", "j", "k", "route")
 
     def __init__(self, family: str, n_max: int, j: int | None = None, k: int | None = None,
                  route: str | None = None) -> None:
@@ -484,21 +486,8 @@ class SptRequest:
         if route in ("weight", "all") and family in ENUMERATING_WEIGHT and n_max > WEIGHT_N_MAX:
             raise ValueError(f"route {route!r} of family {family} enumerates "
                              f"partitions; n_max must be <= {WEIGHT_N_MAX}")
-        self.__dict__.update(family=family, n_max=n_max, j=j, k=k, route=route)
-
-    def __setattr__(self, name: str, *value) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable: {name} cannot change")
-
-    __delattr__ = __setattr__
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
-
-    def __eq__(self, other: object):
-        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(vars(self).values()))
+        for name, value in zip(self.__slots__, (family, n_max, j, k, route)):
+            object.__setattr__(self, name, value)
 
     def values(self) -> list[int]:
         """Values for n = 1..n_max."""

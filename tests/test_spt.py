@@ -1,6 +1,8 @@
 """The four smallest-part families: weights, generating functions, relations."""
 
+import copy
 import functools
+import pickle
 import sys
 import time
 
@@ -720,6 +722,11 @@ class TestSptRequest:
             with pytest.raises(AttributeError):
                 attempt()
         assert (req.n_max, req.route) == (5, "weight")
+
+    def test_copies_and_pickles(self):
+        req = SptRequest("jspt_k", 5, j=2, k=1, route="gf")
+        for twin in (copy.copy(req), copy.deepcopy(req), pickle.loads(pickle.dumps(req))):
+            assert twin == req and type(twin) is SptRequest
 
     def test_keyword_and_positional_construction(self):
         by_keyword = SptRequest(family="jspt_k", n_max=5, j=2, k=1, route="gf")
