@@ -289,7 +289,8 @@ def gf_genn1_rhs(j: int, order: int) -> TruncSeries:
 
 
 def _half_moment(j: int, n: int) -> int:
-    """Half the second j-rank moment, even as N_j(m, n) = N_j(-m, n); checked exact."""
+    """Half the ordinary second j-rank moment, even as N_j(m, n) = N_j(-m, n); checked
+    exact.  The sptdiff and fdyson verifiers read it."""
     half, rem = divmod(moment(j, 2, n), 2)
     if rem:
         raise DiscrepancyError(f"second moment of the {j}-rank is odd at n={n}")
@@ -400,7 +401,9 @@ class Family(NamedTuple):
 # The routes are lambdas so that they look up the module's functions when
 # called, not when this table is built.  A route that reads one coefficient
 # reads it with the memoized builder's own ``read``, every argument by position:
-# gf_spt_j for gf_spt, gf_jspt_k's binomial form for gf_spt_k.
+# gf_spt_j for gf_spt, gf_jspt_k's binomial form for gf_spt_k.  The moments route
+# of Spt_j is n*p(n) - N_{j+1,2}(n)/2, and as N_{j+1}(m, n) = N_{j+1}(-m, n) that
+# half is the symmetrized second moment sym_mu(j + 1, 2, n): one series read.
 FAMILIES: dict[str, Family] = {
     "p": Family((), {"recurrence": lambda n: partition_count(n)}),
     "spt": Family((), {
@@ -413,7 +416,7 @@ FAMILIES: dict[str, Family] = {
         "weight": lambda k, n: _spt_weight_row.read(k, n),
     }),
     "Spt_j": Family(("j",), {
-        "moments": lambda j, n: n * partition_count(n) - _half_moment(j + 1, n),
+        "moments": lambda j, n: n * partition_count(n) - sym_mu(j + 1, 2, n),
         "gf": lambda j, n: gf_spt_j.read(j, n),
         "weight": lambda j, n: (sum(_spt_weight_row(1, n).coeffs[max(n - j + 1, 0):])
                                 + _shifted_levels(j, 1, n, j)),

@@ -21,7 +21,8 @@ BROKEN = {
                         "m.integer_binomial(5, 2)",
     "second_moment": "import qspt.spt as m\n"
                      "m.moment = lambda *args: 1\n"
-                     "m.spt_j(1, 3)",
+                     "import qspt.identities\n"
+                     "qspt.identities.verify('fdyson', order=3)",
 }
 
 
@@ -44,7 +45,7 @@ def test_cli_exits_1():
     proc = _run_optimized(
         BROKEN["second_moment"].rsplit("\n", 1)[0] + "\n"
         "from qspt.cli import main\n"
-        "main(['compute', '--family', 'Spt_j', '--j', '1', '--n-max', '3'])"
+        "main(['verify', 'fdyson', '--n-max', '3'])"
     )
     assert proc.returncode == 1
     assert proc.stdout == ""

@@ -166,6 +166,51 @@ class TestSptJ:
             spt_j(1, 3, "magic")
 
 
+class TestSptJMomentsRoute:
+    """The moments route reads half the second (j+1)-rank moment as the symmetrized
+    second moment, one gf_sym_mu read, not through the ordinary moment."""
+
+    @staticmethod
+    def _composed(j, n):
+        # the route as it read before: n*p(n) less the halved ordinary moment
+        half, rem = divmod(moment(j + 1, 2, n), 2)
+        assert rem == 0, (j, n)
+        return n * partition_count(n) - half
+
+    @pytest.mark.parametrize("j", [*range(1, 9), 10**12])
+    def test_equals_the_halved_ordinary_moment(self, j):
+        tuple_sums.clear_memos()
+        down = read_down(lambda n: spt_j(j, n), 1, 300)
+        tuple_sums.clear_memos()
+        up = [spt_j(j, n) for n in range(1, 301)]
+        expected = [self._composed(j, n) for n in range(1, 301)]
+        assert down == up == expected
+
+    @pytest.fixture
+    def no_ordinary_moment(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the moments route of Spt_j took the ordinary moment")
+
+        for name in ("moment", "_half_moment"):
+            monkeypatch.setattr(sptmod, name, refuse)
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 8])
+    def test_a_hit_is_one_symmetrized_read(self, j, no_ordinary_moment):
+        tuple_sums.clear_memos()
+        read_down(lambda n: spt_j(j, n), 1, 60)
+        for n in (j + 1, 30, 60):
+            before = stats.gf_sym_mu.cache_info()
+            spt_j(j, n)
+            after = stats.gf_sym_mu.cache_info()
+            assert (after.hits, after.misses) == (before.hits + 1, before.misses), (j, n)
+
+    def test_huge_j_builds_no_symmetrized_series(self, no_ordinary_moment):
+        size = stats.gf_sym_mu.cache_info().currsize
+        assert [spt_j(10**12, n) for n in range(1, 41)] == [
+            n * partition_count(n) for n in range(1, 41)]
+        assert stats.gf_sym_mu.cache_info().currsize == size
+
+
 class TestGenn1:
     @pytest.mark.parametrize("j", [1, 2, 3, 4])
     def test_sides_equal(self, j):
